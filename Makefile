@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build vet fmt-check lint-docs test race bench-quick bench-packs \
 	bench-shard bench-merge bench-sharded bench-alloc bench-hot profile \
-	hspd-smoke fuzz-smoke coord-smoke ci
+	hspd-smoke fuzz-smoke ci
 
 all: build vet test
 
@@ -94,11 +94,6 @@ bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkMinFeasibleT$$' -benchmem ./internal/relax
 	$(GO) test -run '^$$' -bench 'BenchmarkFeasibleAssignment$$' -benchmem ./internal/exact
 
-# Profiling harness (playbook: PERFORMANCE.md): a representative suite
-# run — the quick paper pack on the parallel runner — with pprof CPU and
-# heap profiles. Inspect with e.g.
-#   go tool pprof -top   $(PROFILE_OUT)/cpu.pprof
-#   go tool pprof -top -sample_index=alloc_objects $(PROFILE_OUT)/heap.pprof
 # Daemon smoke: build hspd, drive it with the synthetic-traffic harness
 # for a few seconds, and fail on zero successful answers, any outright
 # failure, or any paper-guarantee claim violation in the responses
@@ -137,8 +132,12 @@ hspd-smoke:
 # DAG-task wire format (decode/validate/canonical re-encode stability and
 # the compile certificate on every accepted input) — plus the solve
 # cache's content address (canonical request encodings are injective and
-# agree with cache-key equality on arbitrary request pairs). Targets run
-# one at a time — go test allows a single -fuzz pattern per package.
+# agree with cache-key equality on arbitrary request pairs) — plus the
+# untrusted instance decoders: the wire-format instance decoder (no
+# crash; accepted instances validate and round-trip) and the laminar
+# family constructor (no crash; accepted families keep their forest
+# invariants). Targets run one at a time — go test allows a single
+# -fuzz pattern per package.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -147,26 +146,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzMinFeasibleT' -fuzztime $(FUZZTIME) ./internal/relax
 	$(GO) test -run '^$$' -fuzz 'FuzzDAGDecode' -fuzztime $(FUZZTIME) ./internal/dag
 	$(GO) test -run '^$$' -fuzz 'FuzzCacheKey' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime $(FUZZTIME) ./internal/model
+	$(GO) test -run '^$$' -fuzz 'FuzzNew' -fuzztime $(FUZZTIME) ./internal/laminar
 
-# Distributed-execution smoke: one coordinator with three in-process
-# workers driving the real HTTP lease endpoints, worker 1 killed by
-# fault injection after its first submitted result (its next finished
-# result dies with it, the lease expires and another worker retries).
-# The gates are the byte-identity oracle — coordinator JSONL must equal
-# the sequential -json run byte for byte — and the trajectory contract:
-# the coordinated run appends exactly one bench record.
-COORD_OUT ?= out/coord
-
-coord-smoke:
-	@mkdir -p $(COORD_OUT)
-	$(GO) run ./cmd/hbench -quick -json > $(COORD_OUT)/sequential.jsonl
-	$(GO) run ./cmd/hbench -quick \
-		-coord 127.0.0.1:0 -coord-workers 3 -fault-kill 1@1 -lease-ttl 2s \
-		-bench-out $(COORD_OUT)/BENCH_coord.json > $(COORD_OUT)/coord.jsonl
-	cmp $(COORD_OUT)/sequential.jsonl $(COORD_OUT)/coord.jsonl
-	@n="$$(wc -l < $(COORD_OUT)/BENCH_coord.json)"; if [ "$$n" -ne 1 ]; then \
-		echo "coordinated run appended $$n bench records, want exactly 1"; exit 1; fi
-
+# Profiling harness (playbook: PERFORMANCE.md): a representative suite
+# run — the quick paper pack on the parallel runner — with pprof CPU and
+# heap profiles. Inspect with e.g.
+#   go tool pprof -top   $(PROFILE_OUT)/cpu.pprof
+#   go tool pprof -top -sample_index=alloc_objects $(PROFILE_OUT)/heap.pprof
 PROFILE_OUT ?= out/profile
 
 profile:
@@ -176,4 +163,4 @@ profile:
 		> $(PROFILE_OUT)/run.jsonl
 	@echo "profiles written: $(PROFILE_OUT)/cpu.pprof $(PROFILE_OUT)/heap.pprof"
 
-ci: build vet fmt-check lint-docs race bench-alloc fuzz-smoke bench-quick bench-packs hspd-smoke coord-smoke
+ci: build vet fmt-check lint-docs race bench-alloc fuzz-smoke bench-quick bench-packs hspd-smoke

@@ -1,17 +1,14 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
 	"time"
 
 	"hsp/internal/expt"
+	"hsp/internal/trajectory"
 )
 
 // benchRecord is one line of the BENCH_hbench.json trajectory: the
@@ -119,7 +116,7 @@ func appendBenchRecord(path, pack string, quick bool, seed int64, workers, shard
 		rec.DurationsMS[r.ID] = float64(r.Duration().Nanoseconds()) / 1e6
 	}
 
-	prev, err := lastBenchRecord(path, rec.Key)
+	prev, err := trajectory.Last[benchRecord](path, rec.Key)
 	if err != nil {
 		return nil, err
 	}
@@ -149,66 +146,8 @@ func appendBenchRecord(path, pack string, quick bool, seed int64, workers, shard
 		}
 	}
 
-	b, err := json.Marshal(rec)
-	if err != nil {
+	if err := trajectory.Append(path, rec); err != nil {
 		return nil, err
 	}
-	out := append(b, '\n')
-	// A crash mid-append leaves the file's last line unterminated;
-	// appending straight after it would glue this record onto the
-	// fragment and corrupt both. Terminate the fragment first.
-	if rf, err := os.Open(path); err == nil {
-		if st, err := rf.Stat(); err == nil && st.Size() > 0 {
-			tail := make([]byte, 1)
-			if _, err := rf.ReadAt(tail, st.Size()-1); err == nil && tail[0] != '\n' {
-				out = append([]byte{'\n'}, out...)
-			}
-		}
-		rf.Close()
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	_, werr := f.Write(out)
-	cerr := f.Close()
-	if werr != nil {
-		return nil, werr
-	}
-	return lines, cerr
-}
-
-// lastBenchRecord scans path for the most recent record with the same
-// key. A missing file means no history (nil, nil); unparsable lines are
-// skipped rather than fatal, so a corrupted line cannot brick the
-// trajectory. Lines are read unbounded (no bufio.Scanner token cap): a
-// record carrying per-experiment durations for a large pack can exceed
-// any fixed limit, and losing the whole trajectory to one long line
-// would silently disable drift checking and cost-aware shard planning.
-func lastBenchRecord(path, key string) (*benchRecord, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var last *benchRecord
-	r := bufio.NewReader(f)
-	for {
-		line, err := r.ReadBytes('\n')
-		if len(line) > 0 {
-			var rec benchRecord
-			if json.Unmarshal(line, &rec) == nil && rec.Key == key {
-				last = &rec
-			}
-		}
-		if err == io.EOF {
-			return last, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
+	return lines, nil
 }

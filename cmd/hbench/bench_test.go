@@ -8,89 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
-
-	"hsp/internal/expt"
 )
-
-// writeBenchFixture appends one genuine record for the given results and
-// returns its parsed form.
-func writeBenchFixture(t *testing.T, path string, results []expt.Result) benchRecord {
-	t.Helper()
-	if _, err := appendBenchRecord(path, "subset", true, 7, 1, 0, results, 40*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
-	var rec benchRecord
-	if err := json.Unmarshal(lines[len(lines)-1], &rec); err != nil {
-		t.Fatal(err)
-	}
-	return rec
-}
-
-// TestLastBenchRecordSkipsTruncatedLine simulates the classic trajectory
-// corruption: a process died mid-append, leaving a record cut off in the
-// middle of its JSON. The reader must skip the fragment and keep the
-// surviving history — erroring would brick drift checking and cost-aware
-// planning for every future run.
-func TestLastBenchRecordSkipsTruncatedLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_hbench.json")
-	res := expt.Result{ID: "E1", Title: "t", Status: expt.StatusPass}
-	res.SetDuration(30 * time.Millisecond)
-	good := writeBenchFixture(t, path, []expt.Result{res})
-
-	// Truncate a copy of the good line mid-JSON and append it — first
-	// with a newline (a later writer moved on), then re-test with the
-	// fragment as the unterminated final line.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	line := append([]byte{}, bytes.TrimSpace(data)...)
-	fragment := append([]byte{}, line[:len(line)/2]...)
-	var file bytes.Buffer
-	file.Write(line)
-	file.WriteByte('\n')
-	file.Write(fragment)
-	file.WriteByte('\n')
-	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := lastBenchRecord(path, good.Key)
-	if err != nil {
-		t.Fatalf("trailing truncated line errored the reader: %v", err)
-	}
-	if rec == nil || rec.Time != good.Time {
-		t.Fatalf("good record lost behind the corruption: %+v", rec)
-	}
-
-	// Fragment in the MIDDLE, newer good record after it: the reader
-	// must reach past the corruption and return the newest record.
-	res2 := res
-	res2.SetDuration(35 * time.Millisecond)
-	newest := writeBenchFixture(t, path, []expt.Result{res2})
-	rec, err = lastBenchRecord(path, good.Key)
-	if err != nil || rec == nil || rec.Time != newest.Time {
-		t.Fatalf("mid-file corruption hid the newest record: rec=%+v err=%v", rec, err)
-	}
-
-	// Unterminated final line (no trailing newline at all).
-	file.Reset()
-	file.Write(line)
-	file.WriteByte('\n')
-	file.Write(fragment)
-	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, err = lastBenchRecord(path, good.Key)
-	if err != nil || rec == nil || rec.Time != good.Time {
-		t.Fatalf("unterminated fragment broke the reader: rec=%+v err=%v", rec, err)
-	}
-}
 
 // TestDriftSurvivesCorruptedTrajectory runs the full -bench-out path
 // against a corrupted file: the run must append its record and compute

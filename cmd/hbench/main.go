@@ -11,6 +11,7 @@
 //
 //	hbench                          # the paper pack (minutes)
 //	hbench -quick                   # reduced trial counts (seconds)
+//	hbench -seed 11                 # another base seed (default 7)
 //	hbench -pack rt                 # a registered pack (paper, rt, memcap, all)
 //	hbench -list-packs              # what is registered
 //	hbench -run E7,RT1              # an explicit subset, across packs
@@ -74,15 +75,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		timeout   = fs.Duration("timeout", 0, "per-experiment deadline; cancels the experiment's context, aborting its solver loops (0 = none)")
 		benchOut  = fs.String("bench-out", "", "append a per-run record (status counts, wall times) to this JSONL file, drift-checked against the previous record with the same pack/quick/seed/experiment-set key; with -shard the file is only read, as the cost source for shard balancing, and with -merge the merged run appends exactly one record")
 		shard     = fs.String("shard", "", "i/N: run only the i-th of N deterministically planned shards of the selected suite (implies -json; output is tagged with shard metadata for -merge)")
-		speeds    = fs.String("speeds", "", `comma-separated per-shard speed factors for -shard planning on heterogeneous hosts (e.g. "2,1,1": shard 1 is twice as fast); every shard process must pass the same list`)
-		coordAddr = fs.String("coord", "", `coordinator mode: run the suite through a work-stealing lease queue and emit stable JSONL (byte-identical to -json); the value is the listen address for worker endpoints ("127.0.0.1:0" picks a port, "local" skips HTTP and requires -coord-workers)`)
-		coordWkrs = fs.Int("coord-workers", 0, "in-process workers to attach in -coord mode (they drive the HTTP endpoints when listening, the queue directly with -coord local)")
-		coordFile = fs.String("coord-addr-file", "", "write the coordinator's bound http://host:port to this file once listening (for -coord with port 0)")
-		leaseTTL  = fs.Duration("lease-ttl", 10*time.Second, "coordinator lease TTL: a lease unheartbeaten this long is reclaimed and the experiment retried on another worker")
-		faultKill = fs.String("fault-kill", "", "fault injection for smoke tests: i@n kills in-process worker i after it has submitted n results (its next result dies with it and is retried elsewhere)")
-		worker    = fs.String("worker", "", "worker mode: join the coordinator at this address (host:port or URL) and run leased experiments until the queue drains")
-		wName     = fs.String("worker-name", "", "worker id reported to the coordinator (default: hostname-pid)")
-		speed     = fs.Float64("speed", 1, "self-reported speed factor sent on join in -worker mode (informational; stealing already routes more work to faster hosts)")
 		merge     = fs.String("merge", "", "merge mode: validate the shard JSONL files given as positional arguments and write their records, in canonical order, to this path (byte-identical to a sequential -json run)")
 		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file (see PERFORMANCE.md)")
 		memProf   = fs.String("memprofile", "", "write a pprof heap profile, taken after the run, to this file (see PERFORMANCE.md)")
@@ -130,33 +122,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *merge != "" {
 		return runMerge(*merge, fs.Args(), *benchOut, stdout)
 	}
-	if *worker != "" {
-		return runWorker(ctx, coordOpts{addr: *worker, name: *wName, speed: *speed})
-	}
 
 	ids, packName, err := selectExperiments(*runID, *pack)
 	if err != nil {
 		return err
-	}
-
-	if *coordAddr != "" {
-		if *shard != "" {
-			return errors.New("-coord replaces static sharding; it is incompatible with -shard")
-		}
-		if *stream || *jsonFull {
-			return errors.New("-coord emits stable JSONL in canonical order; -stream and -json-full are incompatible")
-		}
-		return runCoordinator(ctx, coordOpts{
-			addr:     *coordAddr,
-			addrFile: *coordFile,
-			workers:  *coordWkrs,
-			ttl:      *leaseTTL,
-			kill:     *faultKill,
-		}, ids, packName, *quick, *seed, *timeout, *benchOut, stdout)
-	}
-
-	if *speeds != "" && *shard == "" {
-		return errors.New("-speeds scales the -shard plan; it does nothing without -shard")
 	}
 
 	var shardMeta *shardInfo
@@ -178,19 +147,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("shard costs: %w", err)
 		}
-		speedVec, err := parseSpeeds(*speeds, of)
-		if err != nil {
-			return err
-		}
-		if speedVec == nil {
-			ids = expt.Plan(canonical, of, costs)[index-1]
-		} else {
-			ids = expt.PlanSpeeds(canonical, speedVec, costs)[index-1]
-		}
+		ids = expt.Plan(canonical, of, costs)[index-1]
 		shardMeta = &shardInfo{
 			Index: index, Of: of,
 			Pack: packName, Quick: *quick, Seed: *seed,
-			IDs: ids, All: canonical, Speeds: speedVec,
+			IDs: ids, All: canonical,
 		}
 		if !*stream {
 			*jsonOut = true

@@ -263,37 +263,6 @@ func TestBenchOutFlagsRegression(t *testing.T) {
 	}
 }
 
-// A trajectory record carrying per-experiment durations for a large pack
-// can exceed bufio.Scanner's default 1 MiB token cap; lastBenchRecord
-// must read arbitrarily long lines rather than failing the whole
-// trajectory (which would silently disable drift checks and cost-aware
-// shard planning).
-func TestLastBenchRecordOversizedLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_hbench.json")
-	big, err := json.Marshal(benchRecord{Key: "big", Pass: 1,
-		Statuses: map[string]string{"E1": strings.Repeat("x", 2<<20)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := json.Marshal(benchRecord{Key: "small", Pass: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	content := append(append(big, '\n'), append(small, '\n')...)
-	if err := os.WriteFile(path, content, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := lastBenchRecord(path, "big")
-	if err != nil || got == nil || got.Pass != 1 {
-		t.Fatalf("oversized record not read: %v, %v", got, err)
-	}
-	// The record after the oversized line must still be reachable.
-	got, err = lastBenchRecord(path, "small")
-	if err != nil || got == nil || got.Pass != 2 {
-		t.Fatalf("record after oversized line lost: %v, %v", got, err)
-	}
-}
-
 // Every result must land in exactly one status counter: an unrecognized
 // status counts as Other, so the counters always sum to Experiments.
 func TestBenchRecordStatusCounterInvariant(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hsp/internal/expt"
+	"hsp/internal/trajectory"
 )
 
 // shardInfo is the metadata line a -shard run appends after its result
@@ -31,12 +32,8 @@ type shardInfo struct {
 	Workers int    `json:"workers"`
 	// IDs is this shard's subset; All is the full planned experiment set
 	// in canonical suite order — the order the merged output reproduces.
-	IDs []string `json:"ids"`
-	All []string `json:"all"`
-	// Speeds is the -speeds factor list the plan was derived with (nil
-	// for a uniform plan); shards planned under different speed vectors
-	// partition the suite differently and must not merge.
-	Speeds      []float64          `json:"speeds,omitempty"`
+	IDs         []string           `json:"ids"`
+	All         []string           `json:"all"`
 	WallMS      float64            `json:"wall_ms"`
 	DurationsMS map[string]float64 `json:"durations_ms"`
 }
@@ -71,7 +68,7 @@ func loadCosts(path, key string) (map[string]float64, error) {
 	if path == "" {
 		return nil, nil
 	}
-	rec, err := lastBenchRecord(path, key)
+	rec, err := trajectory.Last[benchRecord](path, key)
 	if err != nil || rec == nil {
 		return nil, err
 	}
@@ -169,8 +166,6 @@ func runMerge(outPath string, shardFiles []string, benchOut string, stdout io.Wr
 					path, info.Pack, info.Quick, info.Seed, first.Pack, first.Quick, first.Seed)
 			case !slices.Equal(info.All, first.All):
 				return fmt.Errorf("%s: planned experiment set does not match the other shards", path)
-			case !slices.Equal(info.Speeds, first.Speeds):
-				return fmt.Errorf("%s: -speeds factors do not match the other shards (plans diverge)", path)
 			}
 			if info.Workers != workers {
 				workers = 0 // mixed pools; the merged record can't claim one

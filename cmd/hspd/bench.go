@@ -1,11 +1,9 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
+
+	"hsp/internal/trajectory"
 )
 
 // loadDrift compares a loadtest run against the previous -bench-out
@@ -43,7 +41,7 @@ func summaryKey(seed int64, concurrency, cacheEntries int) string {
 // in the trajectory file and returns human-readable drift lines.
 // failRatio ≤ 0 reports without gating.
 func checkDrift(path string, sum *loadSummary, failRatio float64) ([]string, error) {
-	prev, err := lastSummary(path, sum.Key)
+	prev, err := trajectory.Last[loadSummary](path, sum.Key)
 	if err != nil {
 		return nil, err
 	}
@@ -77,36 +75,4 @@ func checkDrift(path string, sum *loadSummary, failRatio float64) ([]string, err
 	}
 	sum.Drift = d
 	return lines, nil
-}
-
-// lastSummary scans the trajectory file for the most recent record with
-// the same key. Missing file = no history; unparsable lines are skipped
-// so one corrupted line cannot brick the trajectory. Lines are read
-// unbounded, matching hbench's reader.
-func lastSummary(path, key string) (*loadSummary, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var last *loadSummary
-	r := bufio.NewReader(f)
-	for {
-		line, err := r.ReadBytes('\n')
-		if len(line) > 0 {
-			var rec loadSummary
-			if json.Unmarshal(line, &rec) == nil && rec.Key == key {
-				last = &rec
-			}
-		}
-		if err == io.EOF {
-			return last, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
 }

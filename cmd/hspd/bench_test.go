@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hsp/internal/trajectory"
 )
 
 func writeTrajectory(t *testing.T, lines ...string) string {
@@ -29,7 +31,7 @@ func record(t *testing.T, sum loadSummary) string {
 
 func TestLastSummary(t *testing.T) {
 	key := summaryKey(7, 4, 0)
-	if got, err := lastSummary(filepath.Join(t.TempDir(), "absent.jsonl"), key); err != nil || got != nil {
+	if got, err := trajectory.Last[loadSummary](filepath.Join(t.TempDir(), "absent.jsonl"), key); err != nil || got != nil {
 		t.Fatalf("missing file: got %+v, %v; want nil history", got, err)
 	}
 	path := writeTrajectory(t,
@@ -38,7 +40,7 @@ func TestLastSummary(t *testing.T) {
 		record(t, loadSummary{Key: summaryKey(8, 4, 0), Time: "t2", P99MS: 99}),
 		record(t, loadSummary{Key: key, Time: "t3", P99MS: 20}),
 	)
-	got, err := lastSummary(path, key)
+	got, err := trajectory.Last[loadSummary](path, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +152,53 @@ func TestLoadtestDriftTrajectory(t *testing.T) {
 	}
 	if second.Drift == nil || second.Drift.Against != first.Time {
 		t.Fatalf("second record not compared against the first: %+v", second.Drift)
+	}
+}
+
+// TestLoadtestAppendRepairsTruncatedTrajectory: a crash mid-append
+// leaves BENCH_hspd.json's last line cut off with no newline. The next
+// run's record must land on a line of its own — glued onto the fragment
+// it would be unparsable, and both records would be lost — and drift
+// must be computed against the last intact record.
+func TestLoadtestAppendRepairsTruncatedTrajectory(t *testing.T) {
+	bench := filepath.Join(t.TempDir(), "trajectory.jsonl")
+	args := []string{
+		"-loadtest", "-duration", "200ms", "-concurrency", "2",
+		"-workers", "2", "-bench-out", bench,
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("first run: %v\nstderr:\n%s", err, &stderr)
+	}
+	data, err := os.ReadFile(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact := bytes.TrimSpace(data)
+	crashed := append(append(append([]byte{}, intact...), '\n'), intact[:len(intact)/2]...)
+	if err := os.WriteFile(bench, crashed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("second run: %v\nstderr:\n%s", err, &stderr)
+	}
+	data, err = os.ReadFile(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+	var first, last loadSummary
+	if err := json.Unmarshal(intact, &first); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+		t.Fatalf("appended record glued onto the truncated line: %v\n%s", err, lines[len(lines)-1])
+	}
+	if last.Drift == nil || last.Drift.Against != first.Time {
+		t.Fatalf("drift not computed against the intact record: %+v", last.Drift)
+	}
+	if got, err := trajectory.Last[loadSummary](bench, first.Key); err != nil || got == nil || got.Time != last.Time {
+		t.Fatalf("new record unreachable behind the fragment: rec=%+v err=%v", got, err)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"hsp"
 	"hsp/internal/serve"
+	"hsp/internal/trajectory"
 )
 
 // loadConfig parameterizes the synthetic-traffic harness.
@@ -448,7 +449,7 @@ func runLoadtest(lc loadConfig, stdout, stderr io.Writer) error {
 		}
 	}
 	if lc.benchOut != "" {
-		if err := appendSummary(lc.benchOut, &sum); err != nil {
+		if err := trajectory.Append(lc.benchOut, &sum); err != nil {
 			return err
 		}
 	}
@@ -495,19 +496,4 @@ func fetchStats(client *http.Client, base string) *serve.Stats {
 		return nil
 	}
 	return &st
-}
-
-// appendSummary appends one JSONL record to the trajectory file.
-func appendSummary(path string, sum *loadSummary) error {
-	b, err := json.Marshal(sum)
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	_, err = f.Write(append(b, '\n'))
-	return err
 }

@@ -15,14 +15,17 @@ package dag
 import (
 	"container/heap"
 	"fmt"
+
+	"hsp/internal/model"
 )
 
 // Validation caps: generous for real workloads, tight enough that the
 // critical-path and total-work accumulators (and the maxLive sums) stay
 // far from int64 overflow for any input that fits in memory.
 const (
-	// MaxMachines bounds the compiled platform width.
-	MaxMachines = 4096
+	// MaxMachines bounds the compiled platform width (the instance
+	// decoder's cap).
+	MaxMachines = model.MaxMachines
 	// MaxNodes bounds the DAG size.
 	MaxNodes = 1 << 20
 	// MaxWork bounds a single node's work.

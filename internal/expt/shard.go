@@ -7,31 +7,13 @@ import "sort"
 // the base seed and its ID alone (DeriveSeed), any partition of the suite
 // across processes reproduces the single-process results exactly; Plan
 // only decides who runs what, and does so identically in every process
-// that plans the same (ids, n, costs) inputs — there is no coordination
-// channel between shard processes, the shared plan IS the coordination.
+// that plans the same (ids, n, costs) inputs — the shard processes never
+// talk to each other, the shared plan is all they share.
 //
-// Plan assumes homogeneous hosts: it is PlanSpeeds with every speed
-// factor 1. n < 1 is treated as 1; n larger than len(ids) yields empty
-// shards.
-func Plan(ids []string, n int, costs map[string]float64) [][]string {
-	if n < 1 {
-		n = 1
-	}
-	speeds := make([]float64, n)
-	for i := range speeds {
-		speeds[i] = 1
-	}
-	return PlanSpeeds(ids, speeds, costs)
-}
-
-// PlanSpeeds is Plan for heterogeneous hosts: speeds[k] is shard k's
-// relative speed factor (2 = twice as fast as a factor-1 host; values
-// <= 0 or NaN are treated as 1), and len(speeds) is the shard count.
-// Placement is longest-processing-time-first by expected *duration*:
-// ids are taken heaviest first and each is placed on the shard whose
-// finishing time (current load plus this cost, divided by the shard's
-// speed) is smallest, ties broken toward the lowest shard index. With
-// uniform speeds this is exactly classic LPT by load.
+// Placement is longest-processing-time-first: ids are taken heaviest
+// first and each goes to the shard with the smallest load so far, ties
+// broken toward the lowest shard index. n < 1 is treated as 1; n larger
+// than len(ids) yields empty shards.
 //
 // The cost of an id missing from costs (a new experiment not yet in the
 // bench trajectory) or carrying a non-positive entry is imputed as the
@@ -41,21 +23,9 @@ func Plan(ids []string, n int, costs map[string]float64) [][]string {
 // fall back to round-robin over the ids in suite order. Either way each
 // shard's ids come back in suite order, the union of the shards is
 // exactly the input set, and no id appears twice.
-func PlanSpeeds(ids []string, speeds []float64, costs map[string]float64) [][]string {
-	n := len(speeds)
+func Plan(ids []string, n int, costs map[string]float64) [][]string {
 	if n < 1 {
 		n = 1
-	}
-	norm := make([]float64, n)
-	uniform := true
-	for i := range norm {
-		norm[i] = 1
-		if i < len(speeds) && speeds[i] > 0 && !(speeds[i] != speeds[i]) {
-			norm[i] = speeds[i]
-		}
-		if norm[i] != norm[0] {
-			uniform = false
-		}
 	}
 	sorted := append([]string(nil), ids...)
 	SortIDs(sorted)
@@ -67,9 +37,7 @@ func PlanSpeeds(ids []string, speeds []float64, costs map[string]float64) [][]st
 
 	eff := effectiveCosts(sorted, costs)
 	if eff == nil {
-		// No cost signal at all: round-robin over suite order. (Speeds
-		// are ignored here on purpose — without costs there is nothing
-		// meaningful to scale.)
+		// No cost signal at all: round-robin over suite order.
 		for i, id := range sorted {
 			k := i % n
 			shards[k] = append(shards[k], id)
@@ -77,34 +45,22 @@ func PlanSpeeds(ids []string, speeds []float64, costs map[string]float64) [][]st
 		return shards
 	}
 
-	// LPT: heaviest first onto the shard that would finish it earliest.
-	// The stable sort keeps equal-cost ids in suite order, so the plan is
-	// a pure function of its inputs. The uniform-speed path compares raw
-	// loads (not loads+cost) so it is bit-for-bit the historical Plan.
+	// LPT: heaviest first onto the least-loaded shard. The stable sort
+	// keeps equal-cost ids in suite order, so the plan is a pure
+	// function of its inputs.
 	order := append([]string(nil), sorted...)
 	sort.SliceStable(order, func(i, j int) bool {
 		return eff[order[i]] > eff[order[j]]
 	})
-	loads := make([]float64, n) // Σcost when uniform; completion time otherwise
+	loads := make([]float64, n)
 	for _, id := range order {
-		c := eff[id]
 		k := 0
-		if uniform {
-			for j := 1; j < n; j++ {
-				if loads[j] < loads[k] {
-					k = j
-				}
+		for j := 1; j < n; j++ {
+			if loads[j] < loads[k] {
+				k = j
 			}
-			loads[k] += c
-		} else {
-			best := loads[0] + c/norm[0]
-			for j := 1; j < n; j++ {
-				if f := loads[j] + c/norm[j]; f < best {
-					k, best = j, f
-				}
-			}
-			loads[k] = best
 		}
+		loads[k] += eff[id]
 		shards[k] = append(shards[k], id)
 	}
 	for _, s := range shards {

@@ -110,100 +110,6 @@ func TestPlanImputesMedianForMissingCost(t *testing.T) {
 	}
 }
 
-// TestPlanSpeedsMakespanProperty: for pseudo-random ids, costs and
-// per-host speed factors, every plan is a true partition (completeness,
-// disjointness, suite order per shard) and the simulated makespan —
-// each shard's total cost divided by its speed — stays within 2× of the
-// fractional lower bound max(max_cost/max_speed, total_cost/Σspeeds).
-func TestPlanSpeedsMakespanProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1702))
-	for trial := 0; trial < 200; trial++ {
-		nIDs := 1 + rng.Intn(40)
-		ids := make([]string, nIDs)
-		costs := map[string]float64{}
-		var total, maxCost float64
-		for i := range ids {
-			ids[i] = fmt.Sprintf("E%d", i+1)
-			c := 0.5 + rng.Float64()*99.5
-			costs[ids[i]] = c
-			total += c
-			if c > maxCost {
-				maxCost = c
-			}
-		}
-		n := 1 + rng.Intn(8)
-		speeds := make([]float64, n)
-		var sumSpeed, maxSpeed float64
-		for k := range speeds {
-			speeds[k] = 0.25 + rng.Float64()*3.75
-			sumSpeed += speeds[k]
-			if speeds[k] > maxSpeed {
-				maxSpeed = speeds[k]
-			}
-		}
-
-		shards := PlanSpeeds(ids, speeds, costs)
-		if len(shards) != n {
-			t.Fatalf("trial %d: got %d shards, want %d", trial, len(shards), n)
-		}
-		seen := map[string]int{}
-		var makespan float64
-		for k, shard := range shards {
-			sorted := append([]string(nil), shard...)
-			SortIDs(sorted)
-			if !reflect.DeepEqual(shard, sorted) {
-				t.Fatalf("trial %d: shard %d not in suite order: %v", trial, k, shard)
-			}
-			var load float64
-			for _, id := range shard {
-				seen[id]++
-				load += costs[id]
-			}
-			if fin := load / speeds[k]; fin > makespan {
-				makespan = fin
-			}
-		}
-		if len(seen) != nIDs {
-			t.Fatalf("trial %d: union has %d ids, input has %d", trial, len(seen), nIDs)
-		}
-		for _, id := range ids {
-			if seen[id] != 1 {
-				t.Fatalf("trial %d: id %s appears %d times", trial, id, seen[id])
-			}
-		}
-
-		lb := maxCost / maxSpeed
-		if frac := total / sumSpeed; frac > lb {
-			lb = frac
-		}
-		if makespan > 2*lb*(1+1e-12) {
-			t.Fatalf("trial %d: makespan %.4f exceeds 2×LB %.4f (n=%d ids=%d)",
-				trial, makespan, 2*lb, n, nIDs)
-		}
-		if again := PlanSpeeds(ids, speeds, costs); !reflect.DeepEqual(shards, again) {
-			t.Fatalf("trial %d: PlanSpeeds not deterministic", trial)
-		}
-	}
-}
-
-// With one fast and one slow host, the fast host must absorb more load;
-// a concrete anchor for the speed-scaled placement rule.
-func TestPlanSpeedsFavorsFastHost(t *testing.T) {
-	ids := []string{"E1", "E2", "E3", "E4"}
-	costs := map[string]float64{"E1": 4, "E2": 4, "E3": 4, "E4": 4}
-	// Speeds 3 vs 1: E1 -> host0 (4/3 < 4). E2 -> host0 (8/3 < 4).
-	// E3 -> host0 (4 == 4? finish host0 = 12/3 = 4, host1 = 4; tie ->
-	// lowest index, host0). E4 -> host1 (16/3 > 4).
-	want := [][]string{{"E1", "E2", "E3"}, {"E4"}}
-	if got := PlanSpeeds(ids, []float64{3, 1}, costs); !reflect.DeepEqual(got, want) {
-		t.Fatalf("PlanSpeeds = %v, want %v", got, want)
-	}
-	// Non-positive speed factors degrade to 1, not to a crash.
-	if got := PlanSpeeds(ids, []float64{0, -2}, costs); len(got) != 2 {
-		t.Fatalf("PlanSpeeds with bad factors = %v", got)
-	}
-}
-
 func TestPlanLPTBalancing(t *testing.T) {
 	ids := []string{"E1", "E2", "E3", "E4"}
 	costs := map[string]float64{"E1": 8, "E2": 5, "E3": 3, "E4": 2}

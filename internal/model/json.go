@@ -8,6 +8,12 @@ import (
 	"hsp/internal/laminar"
 )
 
+// MaxMachines bounds the machine count Decode accepts. laminar.New
+// allocates an m-bit bitset per set and two length-m tables, so an
+// unchecked count would let a few bytes of JSON size gigabytes of
+// allocation.
+const MaxMachines = 4096
+
 // instanceJSON is the on-disk format consumed by cmd/hsched and produced by
 // cmd/hgen. Processing times of -1 denote inadmissibility.
 type instanceJSON struct {
@@ -38,11 +44,21 @@ func Encode(w io.Writer, in *Instance) error {
 	return enc.Encode(ij)
 }
 
-// Decode parses an instance from JSON and validates it.
+// Decode parses an instance from JSON and validates it. The machine
+// count must lie in [1, MaxMachines] and the family may hold at most
+// 2m−1 sets (the most a laminar family of distinct sets can have); both
+// are checked before anything is sized by them.
 func Decode(r io.Reader) (*Instance, error) {
 	var ij instanceJSON
 	if err := json.NewDecoder(r).Decode(&ij); err != nil {
 		return nil, fmt.Errorf("model: decoding instance: %w", err)
+	}
+	if ij.Machines < 1 || ij.Machines > MaxMachines {
+		return nil, fmt.Errorf("model: machines must be in [1,%d], got %d", MaxMachines, ij.Machines)
+	}
+	if len(ij.Sets) > 2*ij.Machines-1 {
+		return nil, fmt.Errorf("model: %d sets over %d machines; a laminar family has at most %d",
+			len(ij.Sets), ij.Machines, 2*ij.Machines-1)
 	}
 	f, err := laminar.New(ij.Machines, ij.Sets)
 	if err != nil {

@@ -2,6 +2,8 @@ package model
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -193,5 +195,36 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	bad2 := `{"machines":2,"sets":[[0,1]],"proc":[[1,2]]}`
 	if _, err := Decode(strings.NewReader(bad2)); err == nil {
 		t.Fatal("arity mismatch accepted")
+	}
+}
+
+// TestDecodeCapsBeforeAllocating: the machine count and the set count
+// are checked before laminar.New sizes its bitsets and tables by them, so
+// a tiny body asking for millions of machines (or more sets than any
+// laminar family can hold) is rejected at the cost of decoding its JSON.
+func TestDecodeCapsBeforeAllocating(t *testing.T) {
+	manySets := strings.Repeat("[0],", 2*MaxMachines)
+	cases := map[string]string{
+		"machines=1e7":     `{"machines":10000000,"sets":[[0]],"proc":[[1]]}`,
+		"machines>cap":     fmt.Sprintf(`{"machines":%d,"sets":[[0]],"proc":[[1]]}`, MaxMachines+1),
+		"machines=0":       `{"machines":0,"sets":[[0]],"proc":[[1]]}`,
+		"machines<0":       `{"machines":-5,"sets":[[0]],"proc":[[1]]}`,
+		"sets>2m-1":        `{"machines":2,"sets":[[0,1],[0],[1],[0]],"proc":[[1,1,1,1]]}`,
+		"sets>2m-1 at cap": fmt.Sprintf(`{"machines":%d,"sets":[%s[0]],"proc":[]}`, MaxMachines, manySets),
+	}
+	const budget = 2 << 20 // bytes; decoding the largest body takes under 1 MiB
+	for name, body := range cases {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Decode(strings.NewReader(body))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("accepted %d-byte body", len(body))
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+				t.Fatalf("rejecting a %d-byte body allocated %d bytes (budget %d): %v", len(body), got, budget, err)
+			}
+		})
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -257,6 +259,9 @@ func TestHandlerRecoversSolverPanic(t *testing.T) {
 		}
 		return realRun(ctx, req, ws)
 	}
+	var logged bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&logged)
 	body, _ := json.Marshal(&Request{Algo: "boom", Instance: instanceJSON(t)})
 	status, b, _ := post(t, ts.URL+"/v1/solve", body)
 	if status != http.StatusUnprocessableEntity {
@@ -264,6 +269,23 @@ func TestHandlerRecoversSolverPanic(t *testing.T) {
 	}
 	if !strings.Contains(string(b), "solver panic") {
 		t.Fatalf("missing panic error: %s", b)
+	}
+	// The client learns an incident number, never the stack.
+	if strings.Contains(string(b), "goroutine ") || strings.Contains(string(b), ".go:") {
+		t.Fatalf("stack trace leaked into the response body: %s", b)
+	}
+	var resp Response
+	if err := json.Unmarshal(b, &resp); err != nil {
+		t.Fatal(err)
+	}
+	var incident int
+	if _, err := fmt.Sscanf(resp.Error, "serve: solver panic (incident %d)", &incident); err != nil {
+		t.Fatalf("error %q names no incident: %v", resp.Error, err)
+	}
+	// The operator's log carries the stack under the same incident.
+	tag := fmt.Sprintf("(incident %d)", incident)
+	if l := logged.String(); !strings.Contains(l, tag) || !strings.Contains(l, "goroutine ") {
+		t.Fatalf("log lacks the stack for %s:\n%s", tag, l)
 	}
 	if got := s.Stats().Failed; got != 1 {
 		t.Fatalf("failed counter = %d, want 1", got)

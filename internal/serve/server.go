@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -150,6 +151,9 @@ type Server struct {
 	wg      sync.WaitGroup
 
 	accepted, completed, shed, canceled, failed atomic.Uint64
+	// panics numbers recovered solver panics, so a client's error and
+	// the operator's log line can be matched up.
+	panics atomic.Uint64
 
 	lpProbes, lpSolves, lpColdSolves, lpWarmHits, lpSubsetHits,
 	lpPivots, lpWarmPivots, exactProbes, exactVisited, exactCanonical atomic.Uint64
@@ -427,11 +431,15 @@ func (s *Server) serveCached(rctx context.Context, req *Request, ws *Workspaces)
 // runRecovered shields the worker pool from a panicking solver: one
 // pathological instance becomes that request's error (422 at the HTTP
 // layer) instead of killing every worker and hanging every Submit
-// waiting on a done channel.
+// waiting on a done channel. The error names only an incident number;
+// the panic value and stack go to the standard logger under that
+// number, never to the client.
 func (s *Server) runRecovered(ctx context.Context, req *Request, ws *Workspaces) (resp *Response, err error, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			resp, err, panicked = nil, fmt.Errorf("serve: solver panic: %v\n%s", r, debug.Stack()), true
+			n := s.panics.Add(1)
+			log.Printf("serve: solver panic (incident %d): %v\n%s", n, r, debug.Stack())
+			resp, err, panicked = nil, fmt.Errorf("serve: solver panic (incident %d)", n), true
 		}
 	}()
 	resp, err = s.run(ctx, req, ws)
