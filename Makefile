@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build vet fmt-check lint-docs test race bench-quick bench-packs \
 	bench-shard bench-merge bench-sharded bench-alloc bench-hot profile \
-	hspd-smoke fuzz-smoke ci
+	hspd-smoke fuzz-smoke bench-check ci
 
 all: build vet test
 
@@ -149,6 +149,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -run '^$$' -fuzz 'FuzzNew' -fuzztime $(FUZZTIME) ./internal/laminar
 
+# The repository benchmark (BENCHMARK.json) is a Go module of its own in
+# hspbench/, which the root `go test ./...` does not enter: vet it and
+# run its tests (-short skips the smoke run) so a solver API change that
+# breaks the benchmark fails here.
+bench-check:
+	cd hspbench && $(GO) vet . && $(GO) test -short .
+
 # Profiling harness (playbook: PERFORMANCE.md): a representative suite
 # run — the quick paper pack on the parallel runner — with pprof CPU and
 # heap profiles. Inspect with e.g.
@@ -163,4 +170,4 @@ profile:
 		> $(PROFILE_OUT)/run.jsonl
 	@echo "profiles written: $(PROFILE_OUT)/cpu.pprof $(PROFILE_OUT)/heap.pprof"
 
-ci: build vet fmt-check lint-docs race bench-alloc fuzz-smoke bench-quick bench-packs hspd-smoke
+ci: build vet fmt-check lint-docs race bench-alloc bench-check fuzz-smoke bench-quick bench-packs hspd-smoke

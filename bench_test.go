@@ -236,7 +236,7 @@ func BenchmarkE12Scaling(b *testing.B) {
 	b.ResetTimer()
 	var mk int64
 	for i := 0; i < b.N; i++ {
-		res, err := hsp.Solve(in)
+		res, err := hsp.Solve(context.Background(), in)
 		if err != nil {
 			b.Fatal(err)
 		}

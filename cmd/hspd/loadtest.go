@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -114,7 +115,7 @@ func buildProbes(seed int64) ([]probe, error) {
 	}
 	// A frame the constructive 2-approximation provably fits, so the rt
 	// probe must answer "schedulable".
-	frameRes, err := hsp.Solve(semi)
+	frameRes, err := hsp.Solve(context.Background(), semi)
 	if err != nil {
 		return nil, err
 	}

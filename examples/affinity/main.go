@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 		g.Proc = append(g.Proc, proc)
 	}
 
-	res, err := hsp.SolveGeneral(g)
+	res, err := hsp.SolveGeneral(context.Background(), g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func model1() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := hsp.SolveMemory1(m1)
+	res, err := hsp.SolveMemory1(context.Background(), m1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func model2() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := hsp.SolveMemory2(m2)
+	res, err := hsp.SolveMemory2(context.Background(), m2)
 	if err != nil {
 		log.Fatal(err)
 	}

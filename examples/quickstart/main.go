@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := hsp.Solve(in)
+	res, err := hsp.Solve(context.Background(), in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func main() {
 	fmt.Print(res.Schedule.Gantt(2))
 
 	// The exact optimum for comparison (fine at this size).
-	_, opt, err := hsp.SolveExact(in, 0)
+	_, opt, err := hsp.SolveExact(context.Background(), in, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 		in.AddJob(wcet)
 	}
 
-	lo, hi, err := hsp.MinFrame(in)
+	lo, hi, err := hsp.MinFrame(context.Background(), in)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func main() {
 		if frame <= 0 {
 			continue
 		}
-		res, err := hsp.TestSchedulability(in, frame, hsp.RTOptions{ExactNodes: 500_000})
+		res, err := hsp.TestSchedulability(context.Background(), in, frame, hsp.RTOptions{ExactNodes: 500_000})
 		if err != nil {
 			log.Fatal(err)
 		}

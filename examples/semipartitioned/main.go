@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func main() {
 func paperExample() {
 	fmt.Println("--- Example II.1 / III.1 ---")
 	in := hsp.ExampleII1()
-	a, opt, err := hsp.SolveExact(in, 0)
+	a, opt, err := hsp.SolveExact(context.Background(), in, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,10 +53,10 @@ func biggerWorkload() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a, opt, err := hsp.SolveExact(in, 2_000_000)
+	a, opt, err := hsp.SolveExact(context.Background(), in, 2_000_000)
 	if err != nil {
 		// Fall back to the 2-approximation on a hard draw.
-		res, err2 := hsp.Solve(in)
+		res, err2 := hsp.Solve(context.Background(), in)
 		if err2 != nil {
 			log.Fatal(err2)
 		}

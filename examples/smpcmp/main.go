@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -45,10 +46,10 @@ func main() {
 		for _, regime := range []string{"global", "partitioned", "semi", "hier"} {
 			sub := restrict(in, regime)
 			mk := int64(0)
-			if res, err := hsp.Solve(sub); err == nil {
+			if res, err := hsp.Solve(context.Background(), sub); err == nil {
 				mk = res.Makespan
 			}
-			if _, opt, err := hsp.SolveExact(sub, 400_000); err == nil && (mk == 0 || opt < mk) {
+			if _, opt, err := hsp.SolveExact(context.Background(), sub, 400_000); err == nil && (mk == 0 || opt < mk) {
 				mk = opt
 			}
 			switch regime {

@@ -25,13 +25,10 @@
 //   - SolveMemory1 and SolveMemory2 handle the memory-constrained
 //     extensions of Section VI with the paper's bicriteria guarantees.
 //
-// The solver entry points come in two spellings: a context-first form —
-// SolveCtx, SolveExactCtx, SolveMemory1Ctx, SolveMemory2Ctx — whose
-// context cancels in-flight work cooperatively (between simplex pivots
-// and every few thousand branch-and-bound nodes; the returned error wraps
-// ctx.Err()), and the plain forms above, which are exactly the Ctx forms
-// with context.Background(). Services and anything with deadlines should
-// call the Ctx forms; the plain forms are one-shot shorthand.
+// Every solver entry point takes a context first. The context cancels
+// in-flight work cooperatively (between simplex pivots and every few
+// thousand branch-and-bound nodes; the returned error wraps ctx.Err()).
+// One-shot callers pass context.Background().
 //
 // All times are integers; schedules validate exactly.
 package hsp
@@ -156,51 +153,42 @@ func DecodeSchedule(r io.Reader) (*Schedule, error) { return sched.DecodeJSON(r)
 
 // Solve runs the polynomial-time 2-approximation of Theorem V.2 and
 // returns the assignment, a valid schedule, the achieved makespan, and the
-// LP lower bound T* certifying Makespan ≤ 2·T* ≤ 2·OPT.
-func Solve(in *Instance) (*Result, error) { return approx.TwoApprox(in) }
-
-// SolveCtx is Solve under a context: the LP binary search and the vertex
-// LP abort between simplex pivots once ctx is done (the error wraps
-// ctx.Err()). Solve is SolveCtx with context.Background().
-func SolveCtx(ctx context.Context, in *Instance) (*Result, error) {
-	return approx.TwoApproxCtx(ctx, in)
+// LP lower bound T* certifying Makespan ≤ 2·T* ≤ 2·OPT. The LP binary
+// search and the vertex LP abort between simplex pivots once ctx is done
+// (the error wraps ctx.Err()).
+func Solve(ctx context.Context, in *Instance) (*Result, error) {
+	return approx.TwoApprox(ctx, in, nil)
 }
 
 // SolveBest runs the 2-approximation and the greedy+local-search heuristic
 // and returns whichever schedule is shorter, keeping the LP bound as the
 // quality certificate (Makespan ≤ 2·T* still holds — the heuristic can
 // only improve on the certified solution). This is the recommended
-// production entry point; plain Solve is the paper's algorithm verbatim.
-func SolveBest(in *Instance) (*Result, error) { return approx.Best(in) }
-
-// SolveBestCtx is SolveBest under a context (see SolveCtx).
-func SolveBestCtx(ctx context.Context, in *Instance) (*Result, error) {
-	return approx.BestWS(ctx, in, nil)
+// production entry point; Solve is the paper's algorithm verbatim.
+// ctx is polled as in Solve.
+func SolveBest(ctx context.Context, in *Instance) (*Result, error) {
+	return approx.Best(ctx, in, nil)
 }
 
 // SolveGeneral runs the Section II 8-approximation for non-laminar
 // admissible families.
-func SolveGeneral(g *GeneralInstance) (*GeneralResult, error) { return approx.EightApprox(g) }
+func SolveGeneral(ctx context.Context, g *GeneralInstance) (*GeneralResult, error) {
+	return approx.EightApprox(ctx, g)
+}
 
 // SolveExact computes the optimal assignment and makespan by branch and
 // bound; exponential worst case, intended for small instances. maxNodes
-// caps the search (0 = default).
-func SolveExact(in *Instance, maxNodes int) (Assignment, int64, error) {
-	return exact.Solve(in, exact.Options{MaxNodes: maxNodes})
-}
-
-// SolveExactCtx is SolveExact under a context: the LP seeding, the binary
-// search and the branch-and-bound all poll ctx, so a canceled caller
-// abandons the search within a few thousand DFS nodes (the error wraps
-// ctx.Err()). SolveExact is SolveExactCtx with context.Background().
-func SolveExactCtx(ctx context.Context, in *Instance, maxNodes int) (Assignment, int64, error) {
-	return exact.SolveCtx(ctx, in, exact.Options{MaxNodes: maxNodes})
+// caps the search (0 = default). The LP seeding, the binary search and
+// the branch-and-bound all poll ctx, so a canceled caller abandons the
+// search within a few thousand DFS nodes (the error wraps ctx.Err()).
+func SolveExact(ctx context.Context, in *Instance, maxNodes int) (Assignment, int64, error) {
+	return exact.Solve(ctx, in, exact.Options{MaxNodes: maxNodes}, nil)
 }
 
 // LowerBoundLP returns the minimal integer T with a feasible fractional
 // relaxation of the assignment ILP — a lower bound on the optimum.
-func LowerBoundLP(in *Instance) (int64, error) {
-	t, _, err := relax.MinFeasibleT(in)
+func LowerBoundLP(ctx context.Context, in *Instance) (int64, error) {
+	t, _, err := relax.MinFeasibleT(ctx, in, nil)
 	return t, err
 }
 
@@ -224,23 +212,17 @@ func ValidateSchedule(in *Instance, a Assignment, s *Schedule) error {
 }
 
 // SolveMemory1 solves the per-machine-budget extension with the Theorem
-// VI.1 bicriteria target (makespan ≤ 3T, memory ≤ 3B_i).
-func SolveMemory1(m1 *Memory1) (*MemoryResult, error) { return memcap.SolveModel1(m1) }
-
-// SolveMemory1Ctx is SolveMemory1 under a context: the binary search and
-// every iterative-rounding LP poll ctx between simplex pivots.
-// SolveMemory1 is SolveMemory1Ctx with context.Background().
-func SolveMemory1Ctx(ctx context.Context, m1 *Memory1) (*MemoryResult, error) {
-	return memcap.SolveModel1Ctx(ctx, m1)
+// VI.1 bicriteria target (makespan ≤ 3T, memory ≤ 3B_i). The binary
+// search and every iterative-rounding LP poll ctx between simplex pivots.
+func SolveMemory1(ctx context.Context, m1 *Memory1) (*MemoryResult, error) {
+	return memcap.SolveModel1(ctx, m1)
 }
 
 // SolveMemory2 solves the per-level-capacity extension with the Theorem
-// VI.3 target (σ = 2 + H_k on both criteria).
-func SolveMemory2(m2 *Memory2) (*MemoryResult, error) { return memcap.SolveModel2(m2) }
-
-// SolveMemory2Ctx is SolveMemory2 under a context (see SolveMemory1Ctx).
-func SolveMemory2Ctx(ctx context.Context, m2 *Memory2) (*MemoryResult, error) {
-	return memcap.SolveModel2Ctx(ctx, m2)
+// VI.3 target (σ = 2 + H_k on both criteria). ctx is polled as in
+// SolveMemory1.
+func SolveMemory2(ctx context.Context, m2 *Memory2) (*MemoryResult, error) {
+	return memcap.SolveModel2(ctx, m2)
 }
 
 // Real-time layer: frame-based periodic schedulability (see internal/rt).
@@ -263,13 +245,15 @@ const (
 // TestSchedulability decides whether the task set (jobs = tasks, processing
 // times = mask-dependent WCETs) fits a frame of the given length; the
 // returned one-frame schedule repeats verbatim every frame.
-func TestSchedulability(in *Instance, frame int64, opts RTOptions) (*RTResult, error) {
-	return rt.Test(in, frame, opts)
+func TestSchedulability(ctx context.Context, in *Instance, frame int64, opts RTOptions) (*RTResult, error) {
+	return rt.Test(ctx, in, frame, opts)
 }
 
 // MinFrame brackets the minimal schedulable frame length: [LP bound,
 // best constructive makespan].
-func MinFrame(in *Instance) (lower, upper int64, err error) { return rt.MinFrame(in) }
+func MinFrame(ctx context.Context, in *Instance) (lower, upper int64, err error) {
+	return rt.MinFrame(ctx, in)
+}
 
 // UnrollSchedule repeats a one-frame schedule for the given frame count.
 func UnrollSchedule(s *Schedule, frame int64, frames int) *Schedule {

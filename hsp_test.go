@@ -28,7 +28,7 @@ func TestEndToEndQuickstart(t *testing.T) {
 	if err := in.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := hsp.Solve(in)
+	res, err := hsp.Solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestEndToEndQuickstart(t *testing.T) {
 
 func TestPaperExampleThroughPublicAPI(t *testing.T) {
 	in := hsp.ExampleII1()
-	a, opt, err := hsp.SolveExact(in, 0)
+	a, opt, err := hsp.SolveExact(context.Background(), in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestPaperExampleThroughPublicAPI(t *testing.T) {
 	if err := hsp.ValidateSchedule(in, a, s); err != nil {
 		t.Fatal(err)
 	}
-	lb, err := hsp.LowerBoundLP(in)
+	lb, err := hsp.LowerBoundLP(context.Background(), in)
 	if err != nil || lb != 2 {
 		t.Fatalf("LP bound = %d (err %v), want 2", lb, err)
 	}
@@ -83,7 +83,7 @@ func TestWorkloadRoundTrip(t *testing.T) {
 	if back.N() != in.N() || back.M() != in.M() {
 		t.Fatal("round trip changed dimensions")
 	}
-	res, err := hsp.Solve(back)
+	res, err := hsp.Solve(context.Background(), back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestMemoryModelsThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := hsp.SolveMemory1(m1)
+	r1, err := hsp.SolveMemory1(context.Background(), m1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestMemoryModelsThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := hsp.SolveMemory2(m2)
+	r2, err := hsp.SolveMemory2(context.Background(), m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestGeneralMasksThroughPublicAPI(t *testing.T) {
 			{5, 4, 5, 4, 3},
 		},
 	}
-	res, err := hsp.SolveGeneral(g)
+	res, err := hsp.SolveGeneral(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +163,11 @@ func TestSolveBestNeverWorseThanSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := hsp.Solve(in)
+		plain, err := hsp.Solve(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, err := hsp.SolveBest(in)
+		best, err := hsp.SolveBest(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,46 +201,58 @@ func TestFamilyConstructors(t *testing.T) {
 	}
 }
 
-// TestCtxEntryPoints: every context-first spelling agrees with its plain
-// form under context.Background() and aborts under a canceled context —
-// the public half of the daemon's cancellation contract.
+// TestCtxEntryPoints: every context-first entry point answers under
+// context.Background() and aborts under a canceled context — the public
+// half of the daemon's cancellation contract.
 func TestCtxEntryPoints(t *testing.T) {
 	in := hsp.ExampleII1()
+	bg := context.Background()
 
-	res, err := hsp.SolveCtx(context.Background(), in)
+	plain, err := hsp.Solve(bg, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := hsp.Solve(in)
-	if err != nil {
-		t.Fatal(err)
+	if plain.LPBound != 2 || plain.Makespan > 2*plain.LPBound {
+		t.Fatalf("Solve: makespan=%d T*=%d, want T*=2 and makespan ≤ 2·T*",
+			plain.Makespan, plain.LPBound)
 	}
-	if res.Makespan != plain.Makespan || res.LPBound != plain.LPBound {
-		t.Fatalf("SolveCtx(Background) diverged from Solve: %d/%d vs %d/%d",
-			res.Makespan, res.LPBound, plain.Makespan, plain.LPBound)
+	if res, err := hsp.SolveBest(bg, in); err != nil || res.Makespan > plain.Makespan {
+		t.Fatalf("SolveBest: makespan=%d err=%v (Solve gave %d)", res.Makespan, err, plain.Makespan)
 	}
-	if res, err := hsp.SolveBestCtx(context.Background(), in); err != nil || res.Makespan > plain.Makespan {
-		t.Fatalf("SolveBestCtx: makespan=%d err=%v (Solve gave %d)", res.Makespan, err, plain.Makespan)
+	if _, opt, err := hsp.SolveExact(bg, in, 0); err != nil || opt != 2 {
+		t.Fatalf("SolveExact: opt=%d err=%v, want 2/nil", opt, err)
 	}
-	if _, opt, err := hsp.SolveExactCtx(context.Background(), in, 0); err != nil || opt != 2 {
-		t.Fatalf("SolveExactCtx: opt=%d err=%v, want 2/nil", opt, err)
+	if lb, err := hsp.LowerBoundLP(bg, in); err != nil || lb != plain.LPBound {
+		t.Fatalf("LowerBoundLP: %d err=%v, want %d", lb, err, plain.LPBound)
+	}
+	if lo, hi, err := hsp.MinFrame(bg, in); err != nil || lo != 2 || hi < lo {
+		t.Fatalf("MinFrame: [%d, %d] err=%v, want lower 2", lo, hi, err)
 	}
 
-	canceled, cancel := context.WithCancel(context.Background())
+	canceled, cancel := context.WithCancel(bg)
 	cancel()
-	if _, err := hsp.SolveCtx(canceled, in); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveCtx under canceled ctx: %v", err)
+	if _, err := hsp.Solve(canceled, in); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Solve under canceled ctx: %v", err)
 	}
-	if _, err := hsp.SolveBestCtx(canceled, in); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveBestCtx under canceled ctx: %v", err)
+	if _, err := hsp.SolveBest(canceled, in); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveBest under canceled ctx: %v", err)
 	}
-	if _, _, err := hsp.SolveExactCtx(canceled, in, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveExactCtx under canceled ctx: %v", err)
+	if _, _, err := hsp.SolveExact(canceled, in, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveExact under canceled ctx: %v", err)
+	}
+	if _, err := hsp.LowerBoundLP(canceled, in); !errors.Is(err, context.Canceled) {
+		t.Fatalf("LowerBoundLP under canceled ctx: %v", err)
+	}
+	if _, err := hsp.TestSchedulability(canceled, in, 3, hsp.RTOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("TestSchedulability under canceled ctx: %v", err)
+	}
+	if _, _, err := hsp.MinFrame(canceled, in); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MinFrame under canceled ctx: %v", err)
 	}
 }
 
-// TestMemoryCtxEntryPoints covers the Section VI context-first forms the
-// same way.
+// TestMemoryCtxEntryPoints covers the Section VI entry points the same
+// way.
 func TestMemoryCtxEntryPoints(t *testing.T) {
 	in, err := hsp.GenerateWorkload(hsp.WorkloadConfig{
 		Topology: hsp.TopoSemiPartitioned, Machines: 4,
@@ -253,8 +265,8 @@ func TestMemoryCtxEntryPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1, err := hsp.SolveMemory1Ctx(context.Background(), m1); err != nil || r1.Makespan <= 0 {
-		t.Fatalf("SolveMemory1Ctx: %+v err=%v", r1, err)
+	if r1, err := hsp.SolveMemory1(context.Background(), m1); err != nil || r1.Makespan <= 0 {
+		t.Fatalf("SolveMemory1: %+v err=%v", r1, err)
 	}
 
 	f, _ := hsp.Hierarchy(2, 2)
@@ -270,16 +282,16 @@ func TestMemoryCtxEntryPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2, err := hsp.SolveMemory2Ctx(context.Background(), m2); err != nil || r2.Makespan <= 0 {
-		t.Fatalf("SolveMemory2Ctx: %+v err=%v", r2, err)
+	if r2, err := hsp.SolveMemory2(context.Background(), m2); err != nil || r2.Makespan <= 0 {
+		t.Fatalf("SolveMemory2: %+v err=%v", r2, err)
 	}
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := hsp.SolveMemory1Ctx(canceled, m1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveMemory1Ctx under canceled ctx: %v", err)
+	if _, err := hsp.SolveMemory1(canceled, m1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveMemory1 under canceled ctx: %v", err)
 	}
-	if _, err := hsp.SolveMemory2Ctx(canceled, m2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveMemory2Ctx under canceled ctx: %v", err)
+	if _, err := hsp.SolveMemory2(canceled, m2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveMemory2 under canceled ctx: %v", err)
 	}
 }

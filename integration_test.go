@@ -1,6 +1,7 @@
 package hsp_test
 
 import (
+	"context"
 	"testing"
 
 	"hsp"
@@ -39,11 +40,11 @@ func TestEveryTopologyEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			lb, err := hsp.LowerBoundLP(in)
+			lb, err := hsp.LowerBoundLP(context.Background(), in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := hsp.Solve(in)
+			res, err := hsp.Solve(context.Background(), in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +64,7 @@ func TestEveryTopologyEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			best, err := hsp.SolveBest(in)
+			best, err := hsp.SolveBest(context.Background(), in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,11 +88,11 @@ func TestEveryTopologyEndToEnd(t *testing.T) {
 			}
 
 			// Real-time layer: the constructive bracket must be schedulable.
-			_, hi, err := hsp.MinFrame(in)
+			_, hi, err := hsp.MinFrame(context.Background(), in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt, err := hsp.TestSchedulability(in, hi, hsp.RTOptions{})
+			rt, err := hsp.TestSchedulability(context.Background(), in, hi, hsp.RTOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +114,7 @@ func TestStatsAgreeAcrossCountings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := hsp.SolveBest(in)
+		res, err := hsp.SolveBest(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +132,7 @@ func TestStatsAgreeAcrossCountings(t *testing.T) {
 func TestExampleV1ThroughFacade(t *testing.T) {
 	for _, n := range []int{4, 7} {
 		in := hsp.ExampleV1(n)
-		a, opt, err := hsp.SolveExact(in, 0)
+		a, opt, err := hsp.SolveExact(context.Background(), in, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,24 +41,14 @@ type Result struct {
 	Schedule   *sched.Schedule
 }
 
-// TwoApprox runs the Theorem V.2 pipeline on a hierarchical instance.
-func TwoApprox(in *model.Instance) (*Result, error) {
-	return TwoApproxCtx(context.Background(), in)
-}
-
-// TwoApproxCtx is TwoApproxWS with a private workspace — compat wrapper.
-func TwoApproxCtx(ctx context.Context, in *model.Instance) (*Result, error) {
-	return TwoApproxWS(ctx, in, nil)
-}
-
-// TwoApproxWS is the canonical spelling of the Theorem V.2 pipeline: the
+// TwoApprox runs the Theorem V.2 pipeline on a hierarchical instance. The
 // dominant stages — the binary search over LP relaxations and the
 // unrelated-machines vertex LP — poll ctx between simplex pivots and
 // abort with an error wrapping ctx.Err() once it is done, and the whole
 // pipeline runs on the caller-held relaxation workspace (nil allocates a
 // private one): the binary search reuses it probe to probe, and the
 // unrelated vertex LP reuses its simplex tableau.
-func TwoApproxWS(ctx context.Context, in *model.Instance, ws *relax.Workspace) (*Result, error) {
+func TwoApprox(ctx context.Context, in *model.Instance, ws *relax.Workspace) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("approx: %w", err)
 	}
@@ -66,7 +56,7 @@ func TwoApproxWS(ctx context.Context, in *model.Instance, ws *relax.Workspace) (
 	if ws == nil {
 		ws = relax.NewWorkspace()
 	}
-	tStar, frac, err := relax.MinFeasibleTWS(ctx, ins, ws)
+	tStar, frac, err := relax.MinFeasibleT(ctx, ins, ws)
 	if err != nil {
 		return nil, fmt.Errorf("approx: %w", err)
 	}
@@ -84,7 +74,7 @@ func TwoApproxWS(ctx context.Context, in *model.Instance, ws *relax.Workspace) (
 	}
 
 	u := singletonProjection(ins)
-	ok, x, err := unrelated.FeasibleLPWS(ctx, u, tStar, ws.LP)
+	ok, x, err := unrelated.FeasibleLP(ctx, u, tStar, ws.LP)
 	if err != nil {
 		return nil, fmt.Errorf("approx: unrelated relaxation: %w", err)
 	}
@@ -114,20 +104,23 @@ func TwoApproxWS(ctx context.Context, in *model.Instance, ws *relax.Workspace) (
 	}, nil
 }
 
+// TwoApproxCtx is TwoApprox with a private workspace. It remains only
+// for the benchmark module (hspbench), which pins this spelling.
+//
+// Deprecated: call TwoApprox(ctx, in, nil).
+func TwoApproxCtx(ctx context.Context, in *model.Instance) (*Result, error) {
+	return TwoApprox(ctx, in, nil)
+}
+
 // Best runs the 2-approximation and the greedy+local-search heuristic and
 // returns whichever schedule is shorter, keeping the LP bound as the
 // quality certificate (Makespan ≤ 2·T* still holds — the heuristic can
-// only improve on the certified solution).
-func Best(in *model.Instance) (*Result, error) {
-	return BestWS(context.Background(), in, nil)
-}
-
-// BestWS is the canonical spelling of Best: ctx aborts the certified
+// only improve on the certified solution). ctx aborts the certified
 // pipeline mid-pivot (the heuristic improvement runs uninterrupted — it
 // is polynomial and cheap), and the caller-held relaxation workspace is
 // threaded through the 2-approximation (nil allocates a private one).
-func BestWS(ctx context.Context, in *model.Instance, ws *relax.Workspace) (*Result, error) {
-	res, err := TwoApproxWS(ctx, in, ws)
+func Best(ctx context.Context, in *model.Instance, ws *relax.Workspace) (*Result, error) {
+	res, err := TwoApprox(ctx, in, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -174,20 +167,14 @@ type GeneralResult struct {
 // the 2-approximate LST rounding. The optimal preemptive makespan of the
 // projection lower-bounds the original optimum, and nonpreemptive vs
 // preemptive optima differ by at most a factor 4 [Lin–Vitter], giving a
-// factor 8 overall.
-func EightApprox(g *model.GeneralInstance) (*GeneralResult, error) {
-	return EightApproxCtx(context.Background(), g)
-}
-
-// EightApproxCtx is EightApprox under a context: the LST binary search
-// polls ctx between simplex pivots and aborts with an error wrapping
-// ctx.Err() once it is done.
-func EightApproxCtx(ctx context.Context, g *model.GeneralInstance) (*GeneralResult, error) {
+// factor 8 overall. The LST binary search polls ctx between simplex
+// pivots and aborts with an error wrapping ctx.Err() once it is done.
+func EightApprox(ctx context.Context, g *model.GeneralInstance) (*GeneralResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("approx: %w", err)
 	}
 	u := unrelated.FromProjection(g.UnrelatedProjection())
-	assign, lpT, err := unrelated.LSTWS(ctx, u, nil)
+	assign, lpT, err := unrelated.LST(ctx, u, nil)
 	if err != nil {
 		return nil, fmt.Errorf("approx: %w", err)
 	}

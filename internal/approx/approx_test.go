@@ -1,6 +1,7 @@
 package approx
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -42,7 +43,7 @@ func randomInstance(rng *rand.Rand) *model.Instance {
 }
 
 func TestTwoApproxOnExampleII1(t *testing.T) {
-	res, err := TwoApprox(model.ExampleII1())
+	res, err := TwoApprox(context.Background(), model.ExampleII1(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestTheoremV2Property(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomInstance(rng)
-		res, err := TwoApprox(in)
+		res, err := TwoApprox(context.Background(), in, nil)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -95,11 +96,11 @@ func TestTwoApproxVersusExact(t *testing.T) {
 		if in.N() > 8 {
 			continue
 		}
-		res, err := TwoApprox(in)
+		res, err := TwoApprox(context.Background(), in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, opt, err := exact.Solve(in, exact.Options{})
+		_, opt, err := exact.Solve(context.Background(), in, exact.Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestEightApproxGeneralMasks(t *testing.T) {
 			{6, 6, 5, 5, 5},
 		},
 	}
-	res, err := EightApprox(g)
+	res, err := EightApprox(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestEightApproxRejectsInvalid(t *testing.T) {
 		Sets: [][]int{{0}, {0, 1}},
 		Proc: [][]int64{{1, 0}}, // singleton dearer than superset: p({0})=1 > p({0,1})=0
 	}
-	if _, err := EightApprox(g); err == nil {
+	if _, err := EightApprox(context.Background(), g); err == nil {
 		t.Fatal("monotonicity violation accepted")
 	}
 }
@@ -161,7 +162,7 @@ func TestTwoApproxRejectsInvalidInstance(t *testing.T) {
 	f := laminar.SemiPartitioned(2)
 	in := model.New(f)
 	in.Proc = append(in.Proc, []int64{1}) // arity mismatch
-	if _, err := TwoApprox(in); err == nil {
+	if _, err := TwoApprox(context.Background(), in, nil); err == nil {
 		t.Fatal("invalid instance accepted")
 	}
 }

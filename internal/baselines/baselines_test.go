@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -85,7 +86,7 @@ func TestHeuristicOrdering(t *testing.T) {
 			t.Fatalf("negative move count")
 		}
 		if in.N() <= 8 {
-			_, opt, err := exact.Solve(in, exact.Options{})
+			_, opt, err := exact.Solve(context.Background(), in, exact.Options{}, nil)
 			if err != nil {
 				continue
 			}

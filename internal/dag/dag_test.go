@@ -249,7 +249,7 @@ func TestCompileCertificate(t *testing.T) {
 			t.Fatalf("%s: root assignment makespan %d exceeds LB %d", name, mk, lb)
 		}
 		// End to end: the 2-approximation lands within 2·LB.
-		res, err := approx.TwoApproxCtx(context.Background(), c.Instance)
+		res, err := approx.TwoApprox(context.Background(), c.Instance, nil)
 		if err != nil {
 			t.Fatalf("%s: solve: %v", name, err)
 		}

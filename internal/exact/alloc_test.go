@@ -26,7 +26,7 @@ func TestDFSAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, opt, err := Solve(in, Options{})
+	_, opt, err := Solve(context.Background(), in, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, opt, err := Solve(in, Options{})
+	_, opt, err := Solve(context.Background(), in, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +85,8 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 		if T < 1 {
 			continue
 		}
-		aWS, okWS, errWS := FeasibleAssignmentWS(ctx, in, T, Options{}, ws)
-		aFresh, okFresh, errFresh := FeasibleAssignmentCtx(ctx, in, T, Options{})
+		aWS, okWS, errWS := FeasibleAssignment(ctx, in, T, Options{}, ws)
+		aFresh, okFresh, errFresh := FeasibleAssignment(ctx, in, T, Options{}, nil)
 		if (errWS == nil) != (errFresh == nil) {
 			t.Fatalf("T=%d: err mismatch: ws=%v fresh=%v", T, errWS, errFresh)
 		}

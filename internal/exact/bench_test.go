@@ -32,7 +32,7 @@ func BenchmarkSolve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, opt, err := exact.Solve(in, exact.Options{})
+		_, opt, err := exact.Solve(context.Background(), in, exact.Options{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func BenchmarkExactSolveWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, opt, err := exact.SolveWS(ctx, in, exact.Options{}, ws)
+		_, opt, err := exact.Solve(ctx, in, exact.Options{}, ws)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,14 +74,14 @@ func BenchmarkExactSolveWarm(b *testing.B) {
 // once per step.
 func BenchmarkFeasibleAssignment(b *testing.B) {
 	in := benchInstance(b)
-	T, _, err := relax.MinFeasibleT(in.WithSingletons())
+	T, _, err := relax.MinFeasibleT(context.Background(), in.WithSingletons(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := exact.FeasibleAssignment(in, T, exact.Options{})
+		_, _, err := exact.FeasibleAssignment(context.Background(), in, T, exact.Options{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

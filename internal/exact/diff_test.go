@@ -38,11 +38,11 @@ func TestDifferentialSolveSharedVsFresh(t *testing.T) {
 	for _, c := range smallCases(21, 40) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			aShared, optShared, err := exact.SolveWS(ctx, c.In, exact.Options{}, shared)
+			aShared, optShared, err := exact.Solve(ctx, c.In, exact.Options{}, shared)
 			if err != nil {
 				t.Fatalf("shared: %v", err)
 			}
-			aFresh, optFresh, err := exact.SolveCtx(ctx, c.In, exact.Options{})
+			aFresh, optFresh, err := exact.Solve(ctx, c.In, exact.Options{}, nil)
 			if err != nil {
 				t.Fatalf("fresh: %v", err)
 			}
@@ -56,7 +56,7 @@ func TestDifferentialSolveSharedVsFresh(t *testing.T) {
 				t.Fatalf("fresh witness invalid: %v", err)
 			}
 			// The optimum can never beat the LP bound.
-			lpT, _, err := relax.MinFeasibleTCtx(ctx, c.In)
+			lpT, _, err := relax.MinFeasibleT(ctx, c.In, nil)
 			if err != nil {
 				t.Fatalf("lp bound: %v", err)
 			}
@@ -81,8 +81,8 @@ func TestDifferentialNodeCapParity(t *testing.T) {
 		caps := []int{1 + rng.Intn(50), 100 + rng.Intn(2000), 100_000}
 		for _, cap := range caps {
 			opts := exact.Options{MaxNodes: cap}
-			_, optShared, errShared := exact.SolveWS(ctx, c.In, opts, shared)
-			_, optFresh, errFresh := exact.SolveCtx(ctx, c.In, opts)
+			_, optShared, errShared := exact.Solve(ctx, c.In, opts, shared)
+			_, optFresh, errFresh := exact.Solve(ctx, c.In, opts, nil)
 			if (errShared == nil) != (errFresh == nil) {
 				t.Fatalf("%s cap=%d: cap-error disagreement: shared=%v fresh=%v",
 					c.Name, cap, errShared, errFresh)
@@ -102,7 +102,7 @@ func TestExactWorkspaceStats(t *testing.T) {
 	ctx := context.Background()
 	ws := exact.NewWorkspace()
 	for _, c := range smallCases(5, 6) {
-		if _, _, err := exact.SolveWS(ctx, c.In, exact.Options{}, ws); err != nil {
+		if _, _, err := exact.Solve(ctx, c.In, exact.Options{}, ws); err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
 	}

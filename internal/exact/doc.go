@@ -21,8 +21,8 @@
 // Ownership contract: a Workspace is owned by exactly one probe at a
 // time and is NOT goroutine-safe — concurrent searches need one
 // Workspace each. Buffers grow to the largest (instance, family) seen
-// and are retained; passing a nil Workspace to the WS entry points
-// allocates a private one, which is what the non-WS wrappers do.
+// and are retained; passing a nil Workspace to Solve or
+// FeasibleAssignment allocates a private one.
 //
 // Cancellation: the DFS polls its context every 4096 nodes (a node is
 // tens of nanoseconds, so a per-node poll would dominate the search) and

@@ -67,7 +67,7 @@ type Workspace struct {
 	mirrorArena []int   // flat backing for mirror tables
 	visited     int     // nodes actually expanded (w.nodes counts the canonical tree)
 
-	// relaxWS seeds SolveWS's binary-search lower bound; holding it here
+	// relaxWS seeds Solve's binary-search lower bound; holding it here
 	// lets the LP probes of consecutive Solve calls warm-start.
 	relaxWS *relax.Workspace
 
@@ -82,7 +82,7 @@ type Stats struct {
 	Probes    int         // DFS feasibility probes
 	Visited   int         // DFS nodes actually expanded
 	Canonical int         // nodes of the canonical (unpruned) tree — the node-cap currency
-	Relax     relax.Stats // LP effort of the lower-bound searches seeding SolveWS
+	Relax     relax.Stats // LP effort of the lower-bound searches seeding Solve
 }
 
 // Stats snapshots the workspace counters.
@@ -105,21 +105,12 @@ func (w *Workspace) ResetStats() {
 // NewWorkspace returns an empty Workspace. The zero value is also valid.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// Solve returns an optimal assignment and the optimal makespan.
-func Solve(in *model.Instance, opts Options) (model.Assignment, int64, error) {
-	return SolveCtx(context.Background(), in, opts)
-}
-
-// SolveCtx is Solve under a context: the LP seeding, the binary search
-// and the branch-and-bound all poll ctx, so a canceled caller abandons
-// the search within a few thousand DFS nodes (the error wraps ctx.Err()).
-func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (model.Assignment, int64, error) {
-	return SolveWS(ctx, in, opts, nil)
-}
-
-// SolveWS is SolveCtx on a caller-held Workspace, reused across the
-// binary search's feasibility probes (nil allocates one internally).
-func SolveWS(ctx context.Context, in *model.Instance, opts Options, ws *Workspace) (model.Assignment, int64, error) {
+// Solve returns an optimal assignment and the optimal makespan. The LP
+// seeding, the binary search and the branch-and-bound all poll ctx, so a
+// canceled caller abandons the search within a few thousand DFS nodes
+// (the error wraps ctx.Err()). The caller-held Workspace is reused across
+// the binary search's feasibility probes (nil allocates one internally).
+func Solve(ctx context.Context, in *model.Instance, opts Options, ws *Workspace) (model.Assignment, int64, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
@@ -131,7 +122,7 @@ func SolveWS(ctx context.Context, in *model.Instance, opts Options, ws *Workspac
 	if ws.relaxWS == nil {
 		ws.relaxWS = relax.NewWorkspace()
 	}
-	lo, _, err := relax.MinFeasibleTWS(ctx, in, ws.relaxWS)
+	lo, _, err := relax.MinFeasibleT(ctx, in, ws.relaxWS)
 	if err != nil {
 		return nil, 0, fmt.Errorf("exact: %w", err)
 	}
@@ -142,7 +133,7 @@ func SolveWS(ctx context.Context, in *model.Instance, opts Options, ws *Workspac
 	var best model.Assignment
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		a, ok, err := FeasibleAssignmentWS(ctx, in, mid, opts, ws)
+		a, ok, err := FeasibleAssignment(ctx, in, mid, opts, ws)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -153,7 +144,7 @@ func SolveWS(ctx context.Context, in *model.Instance, opts Options, ws *Workspac
 		}
 	}
 	if best == nil {
-		a, ok, err := FeasibleAssignmentWS(ctx, in, lo, opts, ws)
+		a, ok, err := FeasibleAssignment(ctx, in, lo, opts, ws)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -167,22 +158,12 @@ func SolveWS(ctx context.Context, in *model.Instance, opts Options, ws *Workspac
 
 // FeasibleAssignment searches for an assignment satisfying (2a)-(2c) at
 // makespan T. The boolean reports success; an error reports only node-cap
-// exhaustion or cancellation.
-func FeasibleAssignment(in *model.Instance, T int64, opts Options) (model.Assignment, bool, error) {
-	return FeasibleAssignmentCtx(context.Background(), in, T, opts)
-}
-
-// FeasibleAssignmentCtx is FeasibleAssignment under a context: the DFS
-// polls ctx every few thousand nodes and unwinds with an error wrapping
-// ctx.Err() once it is done.
-func FeasibleAssignmentCtx(ctx context.Context, in *model.Instance, T int64, opts Options) (model.Assignment, bool, error) {
-	return FeasibleAssignmentWS(ctx, in, T, opts, nil)
-}
-
-// FeasibleAssignmentWS is FeasibleAssignmentCtx on a caller-held
-// Workspace (nil allocates one internally). On success the returned
-// assignment is a fresh copy — it survives workspace reuse.
-func FeasibleAssignmentWS(ctx context.Context, in *model.Instance, T int64, opts Options, ws *Workspace) (model.Assignment, bool, error) {
+// exhaustion or cancellation: the DFS polls ctx every few thousand nodes
+// and unwinds with an error wrapping ctx.Err() once it is done. The
+// caller-held Workspace is reused (nil allocates one internally); on
+// success the returned assignment is a fresh copy — it survives
+// workspace reuse.
+func FeasibleAssignment(ctx context.Context, in *model.Instance, T int64, opts Options, ws *Workspace) (model.Assignment, bool, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}

@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,7 +15,7 @@ import (
 
 func TestExampleII1Optimal(t *testing.T) {
 	in := model.ExampleII1()
-	a, opt, err := Solve(in, Options{})
+	a, opt, err := Solve(context.Background(), in, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestExampleII1Optimal(t *testing.T) {
 func TestExampleV1Optimal(t *testing.T) {
 	for _, n := range []int{3, 5, 8} {
 		in := model.ExampleV1(n)
-		_, opt, err := Solve(in, Options{})
+		_, opt, err := Solve(context.Background(), in, Options{}, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -122,7 +123,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomSmallInstance(rng)
-		_, opt, err := Solve(in, Options{})
+		_, opt, err := Solve(context.Background(), in, Options{}, nil)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -145,11 +146,11 @@ func TestSolveConsistentWithLPAndScheduler(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
 		in := randomSmallInstance(rng)
-		a, opt, err := Solve(in, Options{})
+		a, opt, err := Solve(context.Background(), in, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lpT, _, err := relax.MinFeasibleT(in)
+		lpT, _, err := relax.MinFeasibleT(context.Background(), in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,14 +170,14 @@ func TestSolveConsistentWithLPAndScheduler(t *testing.T) {
 
 func TestNodeCap(t *testing.T) {
 	in := model.ExampleV1(9)
-	if _, _, err := Solve(in, Options{MaxNodes: 1}); err == nil {
+	if _, _, err := Solve(context.Background(), in, Options{MaxNodes: 1}, nil); err == nil {
 		t.Fatal("node cap of 1 not enforced")
 	}
 }
 
 func TestFeasibleAssignmentInfeasibleT(t *testing.T) {
 	in := model.ExampleII1()
-	_, ok, err := FeasibleAssignment(in, 1, Options{})
+	_, ok, err := FeasibleAssignment(context.Background(), in, 1, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func assertReleased(t *testing.T, ws *Workspace, path string) {
 }
 
 // TestWorkspaceReleasesProbeState walks every exit path of
-// FeasibleAssignmentWS — success, trivial infeasibility, node-cap abort,
+// FeasibleAssignment — success, trivial infeasibility, node-cap abort,
 // canceled context — and checks each leaves the workspace released and
 // reusable.
 func TestWorkspaceReleasesProbeState(t *testing.T) {
@@ -31,20 +31,20 @@ func TestWorkspaceReleasesProbeState(t *testing.T) {
 	ws := NewWorkspace()
 
 	// Success path.
-	a, ok, err := FeasibleAssignmentWS(context.Background(), in, in.TrivialUpperBound(), Options{}, ws)
+	a, ok, err := FeasibleAssignment(context.Background(), in, in.TrivialUpperBound(), Options{}, ws)
 	if err != nil || !ok || len(a) != in.N() {
 		t.Fatalf("probe at the trivial bound: a=%v ok=%v err=%v", a, ok, err)
 	}
 	assertReleased(t, ws, "success")
 
 	// Trivially infeasible path (no job has a candidate at T=0).
-	if _, ok, err := FeasibleAssignmentWS(context.Background(), in, 0, Options{}, ws); ok || err != nil {
+	if _, ok, err := FeasibleAssignment(context.Background(), in, 0, Options{}, ws); ok || err != nil {
 		t.Fatalf("probe at T=0: ok=%v err=%v", ok, err)
 	}
 	assertReleased(t, ws, "infeasible")
 
 	// Node-cap abort path — the error exit a canceled DFS also takes.
-	if _, _, err := FeasibleAssignmentWS(context.Background(), in, in.TrivialUpperBound(), Options{MaxNodes: 1}, ws); err == nil {
+	if _, _, err := FeasibleAssignment(context.Background(), in, in.TrivialUpperBound(), Options{MaxNodes: 1}, ws); err == nil {
 		t.Fatal("node cap 1 did not abort the probe")
 	}
 	assertReleased(t, ws, "node-cap abort")
@@ -54,12 +54,12 @@ func TestWorkspaceReleasesProbeState(t *testing.T) {
 	// before noticing — retaining nothing is what matters here).
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _ = FeasibleAssignmentWS(ctx, in, in.TrivialUpperBound(), Options{}, ws)
+	_, _, _ = FeasibleAssignment(ctx, in, in.TrivialUpperBound(), Options{}, ws)
 	assertReleased(t, ws, "canceled")
 
 	// The aborted probes left the workspace reusable: a fresh solve on it
 	// still finds Example II.1's optimum.
-	if _, opt, err := SolveWS(context.Background(), in, Options{}, ws); err != nil || opt != 2 {
+	if _, opt, err := Solve(context.Background(), in, Options{}, ws); err != nil || opt != 2 {
 		t.Fatalf("solve on reused workspace: opt=%d err=%v, want 2/nil", opt, err)
 	}
 	assertReleased(t, ws, "reuse solve")

@@ -105,7 +105,7 @@ func newTable(id string, columns ...string) *Table {
 func (s Suite) E1(ctx context.Context) *Table {
 	t := newTable("E1", "quantity", "value", "paper")
 	in := model.ExampleII1()
-	_, opt, err := exact.SolveCtx(ctx, in, exact.Options{})
+	_, opt, err := exact.Solve(ctx, in, exact.Options{}, nil)
 	if err != nil {
 		t.Notes = append(t.Notes, "exact solve failed: "+err.Error())
 		t.CheckFail("exact solve", err.Error())
@@ -124,14 +124,14 @@ func (s Suite) E1(ctx context.Context) *Table {
 	t.AddRow("OPT(I_u) unrelated", optU, 3)
 	t.CheckEq("OPT(I_u) unrelated", optU, 3)
 
-	tStar, _, err := relax.MinFeasibleTWS(ctx, in, nil)
+	tStar, _, err := relax.MinFeasibleT(ctx, in, nil)
 	if err == nil {
 		t.AddRow("LP bound T*", tStar, 2)
 		t.CheckEq("LP bound T*", tStar, 2)
 	} else {
 		t.CheckFail("LP bound T*", err.Error())
 	}
-	res, err := approx.TwoApproxCtx(ctx, in)
+	res, err := approx.TwoApprox(ctx, in, nil)
 	if err == nil {
 		t.AddRow("2-approx makespan", res.Makespan, "≤ 4")
 		t.CheckLE("2-approx makespan", float64(res.Makespan), 4, 0)
@@ -285,8 +285,8 @@ func (s Suite) E4(ctx context.Context) *Table {
 func (s Suite) E5(ctx context.Context) *Table {
 	t := newTable("E5", "topology", "trials", "feasible after", "singleton-only")
 	rng := rand.New(rand.NewSource(s.Seed + 3))
-	// One relaxation workspace across every trial's binary search (the
-	// canonical MinFeasibleTWS spelling): probes rebuild into one arena.
+	// One relaxation workspace across every trial's binary search: probes
+	// rebuild into one arena.
 	rws := relax.NewWorkspace()
 	for _, topo := range []workload.Topology{workload.SemiPartitioned, workload.Clustered, workload.SMPCMP} {
 		trials := s.trials(25)
@@ -297,7 +297,7 @@ func (s Suite) E5(ctx context.Context) *Table {
 			}
 			in := generated(rng, topo, 0.4, 0)
 			ins := in.WithSingletons()
-			T, fr, err := relax.MinFeasibleTWS(ctx, ins, rws)
+			T, fr, err := relax.MinFeasibleT(ctx, ins, rws)
 			if err != nil {
 				continue
 			}
@@ -347,11 +347,11 @@ func (s Suite) E6(ctx context.Context) *Table {
 				if ctx.Err() != nil {
 					return
 				}
-				res, err := approx.TwoApproxCtx(ctx, ins[k])
+				res, err := approx.TwoApprox(ctx, ins[k], nil)
 				if err != nil {
 					return
 				}
-				_, opt, err := exact.SolveCtx(ctx, ins[k], exact.Options{MaxNodes: 2_000_000})
+				_, opt, err := exact.Solve(ctx, ins[k], exact.Options{MaxNodes: 2_000_000}, nil)
 				if err != nil {
 					return
 				}
@@ -404,7 +404,7 @@ func (s Suite) E7(ctx context.Context) *Table {
 			return t
 		}
 		in := model.ExampleV1(n)
-		_, opt, err := exact.SolveCtx(ctx, in, exact.Options{})
+		_, opt, err := exact.Solve(ctx, in, exact.Options{}, nil)
 		if err != nil {
 			continue
 		}
@@ -445,7 +445,7 @@ func (s Suite) E8(ctx context.Context) *Table {
 			if err != nil {
 				continue
 			}
-			res, err := memcap.SolveModel1Ctx(ctx, m1)
+			res, err := memcap.SolveModel1(ctx, m1)
 			if err != nil {
 				continue
 			}
@@ -490,7 +490,7 @@ func (s Suite) E9(ctx context.Context) *Table {
 			if err != nil {
 				continue
 			}
-			res, err := memcap.SolveModel2Ctx(ctx, m2)
+			res, err := memcap.SolveModel2(ctx, m2)
 			if err != nil {
 				continue
 			}
@@ -555,11 +555,11 @@ func (s Suite) E10(ctx context.Context) *Table {
 			if err != nil {
 				return inherited, false
 			}
-			if _, opt, err := exact.SolveCtx(ctx, sub, exact.Options{MaxNodes: nodeBudget}); err == nil {
+			if _, opt, err := exact.Solve(ctx, sub, exact.Options{MaxNodes: nodeBudget}, nil); err == nil {
 				return opt, true
 			}
 			best := inherited
-			if res, err := approx.TwoApproxCtx(ctx, sub); err == nil && (best <= 0 || res.Makespan < best) {
+			if res, err := approx.TwoApprox(ctx, sub, nil); err == nil && (best <= 0 || res.Makespan < best) {
 				best = res.Makespan
 			}
 			return best, false
@@ -640,7 +640,7 @@ func (s Suite) E11(ctx context.Context) *Table {
 				return t
 			}
 			g := workload.GenerateGeneral(m, n, extra, rng.Int63())
-			res, err := approx.EightApprox(g)
+			res, err := approx.EightApprox(ctx, g)
 			if err != nil {
 				continue
 			}
@@ -691,7 +691,7 @@ func (s Suite) E12(ctx context.Context) *Table {
 			continue
 		}
 		start := time.Now()
-		res, err := approx.TwoApproxCtx(ctx, in)
+		res, err := approx.TwoApprox(ctx, in, nil)
 		if err != nil {
 			t.AddRow("smp-cmp", m, n, "-", "-", "error: "+err.Error())
 			t.CheckFail(fmt.Sprintf("m=%d n=%d solve", m, n), err.Error())

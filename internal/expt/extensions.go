@@ -38,8 +38,8 @@ func (s Suite) E13(ctx context.Context) *Table {
 	t := newTable("E13", "topology", "n", "trials",
 		"2approx", "LPT-part", "greedy", "greedy+LS", "LP wins")
 	rng := rand.New(rand.NewSource(s.Seed + 13))
-	// One relaxation workspace for every trial's LP bound: the canonical
-	// MinFeasibleTWS spelling reuses its tableau trial to trial.
+	// One relaxation workspace for every trial's LP bound: MinFeasibleT
+	// reuses its tableau trial to trial.
 	rws := relax.NewWorkspace()
 	for _, topo := range []workload.Topology{workload.SemiPartitioned, workload.SMPCMP} {
 		for _, n := range []int{10, 24} {
@@ -51,11 +51,11 @@ func (s Suite) E13(ctx context.Context) *Table {
 					return t
 				}
 				in := generatedN(rng, topo, n, 0.4, 0.2).WithSingletons()
-				tStar, _, err := relax.MinFeasibleTWS(ctx, in, rws)
+				tStar, _, err := relax.MinFeasibleT(ctx, in, rws)
 				if err != nil {
 					continue
 				}
-				res, err := approx.TwoApproxCtx(ctx, in)
+				res, err := approx.TwoApprox(ctx, in, nil)
 				if err != nil {
 					continue
 				}
@@ -138,7 +138,7 @@ func (s Suite) E14(ctx context.Context) *Table {
 			if err != nil {
 				continue
 			}
-			res, err := approx.TwoApproxCtx(ctx, in)
+			res, err := approx.TwoApprox(ctx, in, nil)
 			if err != nil {
 				continue
 			}
@@ -220,7 +220,7 @@ func (s Suite) E15(ctx context.Context) *Table {
 			if err != nil {
 				continue
 			}
-			if a2, opt, err2 := exact.SolveCtx(ctx, in, exact.Options{MaxNodes: 200_000}); err2 == nil && opt < res.Makespan {
+			if a2, opt, err2 := exact.Solve(ctx, in, exact.Options{MaxNodes: 200_000}, nil); err2 == nil && opt < res.Makespan {
 				res = &baselines.Result{Assignment: a2, Makespan: opt}
 			}
 			sc, err := hier.Schedule(in, res.Assignment, res.Makespan)

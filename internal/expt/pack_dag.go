@@ -92,7 +92,7 @@ func (s Suite) DAG1(ctx context.Context) *Table {
 				t.CheckFail(fmt.Sprintf("m=%d p=%.1f compile", sh.m, sh.prob), err.Error())
 				continue
 			}
-			res, err := approx.TwoApproxCtx(ctx, c.Instance)
+			res, err := approx.TwoApprox(ctx, c.Instance, nil)
 			if err != nil {
 				continue
 			}
@@ -223,7 +223,7 @@ func (s Suite) DAG3(ctx context.Context) *Table {
 		if err != nil || c.Memory1 == nil {
 			continue
 		}
-		res, err := memcap.SolveModel1Ctx(ctx, c.Memory1)
+		res, err := memcap.SolveModel1(ctx, c.Memory1)
 		if err != nil {
 			continue
 		}

@@ -61,7 +61,7 @@ func (s Suite) MC1(ctx context.Context) *Table {
 			if err != nil {
 				continue
 			}
-			res, err := memcap.SolveModel1Ctx(ctx, m1)
+			res, err := memcap.SolveModel1(ctx, m1)
 			if err != nil {
 				continue
 			}
@@ -127,7 +127,7 @@ func (s Suite) MC2(ctx context.Context) *Table {
 				if err != nil {
 					continue
 				}
-				res, err := memcap.SolveModel2Ctx(ctx, m2)
+				res, err := memcap.SolveModel2(ctx, m2)
 				if err != nil {
 					continue
 				}

@@ -89,7 +89,7 @@ func (s Suite) RT1(ctx context.Context) *Table {
 			if frame < 1 {
 				frame = 1
 			}
-			res, err := rt.TestCtx(ctx, ts.in, frame, rt.Options{ExactNodes: 100_000})
+			res, err := rt.Test(ctx, ts.in, frame, rt.Options{ExactNodes: 100_000})
 			if err != nil {
 				continue
 			}
@@ -145,7 +145,7 @@ func (s Suite) RT2(ctx context.Context) *Table {
 			return t
 		}
 		in := generatedN(rng, workload.SMPCMP, 10, 0.3, 0)
-		lower, upper, err := rt.MinFrameCtx(ctx, in)
+		lower, upper, err := rt.MinFrame(ctx, in)
 		if err != nil || lower <= 0 {
 			continue
 		}
@@ -153,7 +153,7 @@ func (s Suite) RT2(ctx context.Context) *Table {
 		if r := float64(upper) / float64(lower); r > maxRatio {
 			maxRatio = r
 		}
-		if res, err := rt.TestCtx(ctx, in, upper, rt.Options{}); err == nil && res.Verdict == rt.Schedulable {
+		if res, err := rt.Test(ctx, in, upper, rt.Options{}); err == nil && res.Verdict == rt.Schedulable {
 			schedUp++
 			if res.Makespan <= upper {
 				tight++
@@ -164,7 +164,7 @@ func (s Suite) RT2(ctx context.Context) *Table {
 			}
 		}
 		if lower >= 2 {
-			if res, err := rt.TestCtx(ctx, in, lower-1, rt.Options{}); err == nil &&
+			if res, err := rt.Test(ctx, in, lower-1, rt.Options{}); err == nil &&
 				res.Verdict == rt.Unschedulable && res.LPBound > lower-1 {
 				unschedLow++
 			}

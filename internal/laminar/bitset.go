@@ -22,20 +22,3 @@ func (b bitset) subsetOf(o bitset) bool {
 	}
 	return true
 }
-
-// relate reports (b ⊆ o, o ⊆ b, b ∩ o ≠ ∅) in a single pass.
-func (b bitset) relate(o bitset) (sub, sup, intersects bool) {
-	sub, sup = true, true
-	for i := range b {
-		if b[i]&^o[i] != 0 {
-			sub = false
-		}
-		if o[i]&^b[i] != 0 {
-			sup = false
-		}
-		if b[i]&o[i] != 0 {
-			intersects = true
-		}
-	}
-	return
-}

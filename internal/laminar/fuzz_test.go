@@ -4,9 +4,11 @@ import (
 	"testing"
 )
 
-// FuzzNew decodes arbitrary bytes as a set family and checks that New
-// either rejects it or produces a structurally consistent Family: no
-// crash, no invariant violation.
+// FuzzNew decodes arbitrary bytes as a set family and checks New against
+// a brute-force pairwise oracle: the input is accepted iff no set repeats
+// a machine and the sets are distinct and pairwise nested-or-disjoint,
+// and Parent is the smallest strict superset. Accepted families must
+// also keep their structural invariants.
 func FuzzNew(f *testing.F) {
 	f.Add(uint8(4), []byte{0, 1, 2, 3, 255, 0, 255, 1})
 	f.Add(uint8(2), []byte{0, 255, 1, 255, 0, 1})
@@ -30,8 +32,17 @@ func FuzzNew(f *testing.F) {
 			sets = append(sets, cur)
 		}
 		fam, err := New(m, sets)
+		valid, parent := bruteForce(m, sets)
+		if valid != (err == nil) {
+			t.Fatalf("New(%d, %v): err=%v, oracle valid=%v", m, sets, err, valid)
+		}
 		if err != nil {
-			return // rejected input is fine
+			return
+		}
+		for id := range sets {
+			if fam.Parent(id) != parent[id] {
+				t.Fatalf("Parent(%d) = %d, oracle %d (sets %v)", id, fam.Parent(id), parent[id], sets)
+			}
 		}
 		// Accepted families must satisfy the structural invariants.
 		for id := 0; id < fam.Len(); id++ {
@@ -58,4 +69,52 @@ func FuzzNew(f *testing.F) {
 			}
 		}
 	})
+}
+
+// bruteForce decides laminarity by comparing every pair of sets and finds
+// each set's smallest strict superset by scanning all others. An empty
+// family is invalid.
+func bruteForce(m int, sets [][]int) (bool, []int) {
+	if len(sets) == 0 {
+		return false, nil
+	}
+	member := make([][]bool, len(sets))
+	for id, s := range sets {
+		member[id] = make([]bool, m)
+		for _, i := range s {
+			if member[id][i] {
+				return false, nil
+			}
+			member[id][i] = true
+		}
+	}
+	subset := func(a, b int) bool { // sets[a] ⊆ sets[b]
+		for _, i := range sets[a] {
+			if !member[b][i] {
+				return false
+			}
+		}
+		return true
+	}
+	parent := make([]int, len(sets))
+	for a := range sets {
+		parent[a] = -1
+		for b := range sets {
+			if a == b {
+				continue
+			}
+			ab, ba := subset(a, b), subset(b, a)
+			meet := false
+			for _, i := range sets[a] {
+				meet = meet || member[b][i]
+			}
+			if (ab && ba) || (meet && !ab && !ba) {
+				return false, nil
+			}
+			if ab && (parent[a] < 0 || len(sets[b]) < len(sets[parent[a]])) {
+				parent[a] = b
+			}
+		}
+	}
+	return true, parent
 }

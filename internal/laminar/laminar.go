@@ -65,20 +65,67 @@ func New(m int, sets [][]int) (*Family, error) {
 		f.sets[id] = cp
 		f.bits[id] = b
 	}
-	for a := 0; a < len(sets); a++ {
-		for b := a + 1; b < len(sets); b++ {
-			ab, ba, inter := f.bits[a].relate(f.bits[b])
-			if ab && ba {
-				return nil, fmt.Errorf("laminar: sets %d and %d are identical (%v)", a, b, f.sets[a])
-			}
-			if inter && !ab && !ba {
+	// Order ids by ascending cardinality; among equal sizes the order is
+	// arbitrary (sets of equal size are disjoint, so it does not matter).
+	order := make([]int, len(sets))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		if len(f.sets[order[a]]) != len(f.sets[order[b]]) {
+			return len(f.sets[order[a]]) < len(f.sets[order[b]])
+		}
+		return f.sets[order[a]][0] < f.sets[order[b]][0]
+	})
+	parent, err := f.parents(order)
+	if err != nil {
+		return nil, err
+	}
+	f.build(order, parent)
+	return f, nil
+}
+
+// parents checks laminarity in O(Σ|set|) and returns each set's parent,
+// the smallest strict superset (-1 for roots). It visits the sets from
+// largest to smallest, keeping owner[machine] = the smallest set visited
+// so far that contains the machine. Every set visited before s is at
+// least as large as s, so s is nested-or-disjoint with all of them
+// exactly when its machines agree on one owner: then s lies inside that
+// owner (or meets no earlier set when the owner is -1), and the owner is
+// its parent unless it has the same size, which makes it identical to s.
+func (f *Family) parents(order []int) ([]int, error) {
+	parent := make([]int, len(f.sets))
+	owner := make([]int, f.m)
+	for i := range owner {
+		owner[i] = -1
+	}
+	for k := len(order) - 1; k >= 0; k-- {
+		id := order[k]
+		ms := f.sets[id]
+		o := owner[ms[0]]
+		for _, i := range ms[1:] {
+			if x := owner[i]; x != o {
+				// One of the two owners meets id without containing it,
+				// and is too large to lie inside it: the smaller one, or
+				// the one that exists.
+				bad := o
+				if o < 0 || (x >= 0 && len(f.sets[x]) < len(f.sets[o])) {
+					bad = x
+				}
+				a, b := min(id, bad), max(id, bad)
 				return nil, fmt.Errorf("laminar: sets %d (%v) and %d (%v) overlap without nesting",
 					a, f.sets[a], b, f.sets[b])
 			}
 		}
+		if o >= 0 && len(f.sets[o]) == len(ms) {
+			return nil, fmt.Errorf("laminar: sets %d and %d are identical (%v)", min(id, o), max(id, o), ms)
+		}
+		parent[id] = o
+		for _, i := range ms {
+			owner[i] = id
+		}
 	}
-	f.build()
-	return f, nil
+	return parent, nil
 }
 
 // MustNew is New, panicking on error; for canonical topologies and tests.
@@ -90,11 +137,12 @@ func MustNew(m int, sets [][]int) *Family {
 	return f
 }
 
-// build derives parent/children/level/height/order tables. Inputs are
-// already validated as laminar.
-func (f *Family) build() {
+// build derives children/level/height/cover tables from the validated
+// ascending-size order and the parent of every set.
+func (f *Family) build(order, parent []int) {
 	n := len(f.sets)
-	f.parent = make([]int, n)
+	f.parent = parent
+	f.bottomUp = order
 	f.children = make([][]int, n)
 	f.level = make([]int, n)
 	f.height = make([]int, n)
@@ -103,35 +151,6 @@ func (f *Family) build() {
 	for i := range f.minCover {
 		f.minCover[i] = -1
 		f.single[i] = -1
-	}
-
-	// Order ids by ascending cardinality; among equal sizes the order is
-	// arbitrary (sets of equal size are disjoint, so it does not matter).
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if len(f.sets[order[a]]) != len(f.sets[order[b]]) {
-			return len(f.sets[order[a]]) < len(f.sets[order[b]])
-		}
-		return f.sets[order[a]][0] < f.sets[order[b]][0]
-	})
-	f.bottomUp = order
-
-	// Parent of s = the smallest strict superset. Scanning candidates in
-	// ascending size order, the first strict superset found is minimal.
-	for _, id := range order {
-		f.parent[id] = -1
-	}
-	for ai, id := range order {
-		for bi := ai + 1; bi < n; bi++ {
-			cand := order[bi]
-			if len(f.sets[cand]) > len(f.sets[id]) && f.bits[id].subsetOf(f.bits[cand]) {
-				f.parent[id] = cand
-				break
-			}
-		}
 	}
 	for _, id := range order {
 		if p := f.parent[id]; p >= 0 {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestNewRejectsBadInput(t *testing.T) {
@@ -289,27 +290,46 @@ func TestStringRendersForest(t *testing.T) {
 	}
 }
 
-func TestBitsetRelate(t *testing.T) {
-	a := newBitset(130)
-	b := newBitset(130)
-	a.set(0)
-	a.set(129)
-	b.set(0)
-	sub, sup, inter := b.relate(a)
-	if !sub || sup || !inter {
-		t.Fatalf("relate: sub=%v sup=%v inter=%v, want true,false,true", sub, sup, inter)
-	}
-	c := newBitset(130)
-	c.set(64)
-	_, _, inter = c.relate(a)
-	if inter {
-		t.Fatalf("disjoint sets reported as intersecting")
-	}
-	sorted := func(x []int) bool { return sort.IntsAreSorted(x) }
-	f := SemiPartitioned(3)
+func TestMachinesSorted(t *testing.T) {
+	f := MustNew(4, [][]int{{3, 0, 2, 1}, {2, 0}, {3, 1}})
 	for id := 0; id < f.Len(); id++ {
-		if !sorted(f.Machines(id)) {
-			t.Fatalf("machines of set %d not sorted", id)
+		if !sort.IntsAreSorted(f.Machines(id)) {
+			t.Fatalf("machines of set %d not sorted: %v", id, f.Machines(id))
+		}
+	}
+}
+
+// TestNewLargeHierarchyFast: a valid 4096-machine binary hierarchy (8191
+// sets, about 300 KB as a request body) passes validation well inside a
+// request deadline. A pairwise laminarity check took seconds on it.
+func TestNewLargeHierarchyFast(t *testing.T) {
+	const m = 4096
+	var sets [][]int
+	for size := m; size >= 1; size /= 2 {
+		for lo := 0; lo < m; lo += size {
+			s := make([]int, size)
+			for k := range s {
+				s[k] = lo + k
+			}
+			sets = append(sets, s)
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(sets), func(i, j int) { sets[i], sets[j] = sets[j], sets[i] })
+	start := time.Now()
+	f, err := New(m, sets)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("New on %d sets took %v, want under 1s", len(sets), elapsed)
+	}
+	if f.Len() != 2*m-1 || f.Levels() != 13 || !f.IsTree() || !f.HasAllSingletons() {
+		t.Fatalf("len=%d levels=%d tree=%v singletons=%v", f.Len(), f.Levels(), f.IsTree(), f.HasAllSingletons())
+	}
+	for id := 0; id < f.Len(); id++ {
+		if p := f.Parent(id); p >= 0 && f.Size(p) != 2*f.Size(id) {
+			t.Fatalf("parent of set %d (size %d) has size %d", id, f.Size(id), f.Size(p))
 		}
 	}
 }

@@ -135,12 +135,12 @@ func TestSolveWSSteadyStateAllocs(t *testing.T) {
 	}
 	p := allocLP(t)
 	ws := NewWorkspace()
-	if sol, err := p.SolveWS(nil, ws); err != nil || sol.Status != Optimal {
+	if sol, err := p.Solve(nil, ws); err != nil || sol.Status != Optimal {
 		t.Fatalf("warmup: sol=%+v err=%v", sol, err)
 	}
 	var solveErr error
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := p.SolveWS(nil, ws); err != nil {
+		if _, err := p.Solve(nil, ws); err != nil {
 			solveErr = err
 		}
 	})
@@ -148,7 +148,7 @@ func TestSolveWSSteadyStateAllocs(t *testing.T) {
 		t.Fatal(solveErr)
 	}
 	if allocs > 2 {
-		t.Errorf("steady-state SolveWS allocates %v/op, want ≤ 2 (Solution + X)", allocs)
+		t.Errorf("steady-state Solve allocates %v/op, want ≤ 2 (Solution + X)", allocs)
 	}
 }
 

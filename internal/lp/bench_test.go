@@ -1,6 +1,7 @@
 package lp_test
 
 import (
+	"context"
 	"testing"
 
 	"hsp/internal/lp"
@@ -23,7 +24,7 @@ func benchProblem(b *testing.B, jobs int) *lp.Problem {
 		b.Fatal(err)
 	}
 	ins := in.WithSingletons()
-	T, _, err := relax.MinFeasibleT(ins)
+	T, _, err := relax.MinFeasibleT(context.Background(), ins, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func BenchmarkSolve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := p.Solve()
+		sol, err := p.Solve(context.Background(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func BenchmarkSolveWS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := p.SolveWS(nil, ws)
+		sol, err := p.Solve(nil, ws)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,11 +14,11 @@ func TestSolveCtxCanceled(t *testing.T) {
 	p.SetObjectiveCoeff(0, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.SolveCtx(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := p.Solve(ctx, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled solve returned %v, want context.Canceled", err)
 	}
 	// The same problem still solves under a live context.
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("background solve failed: %v %v", sol, err)
 	}

@@ -122,8 +122,8 @@ func (s *randSpec) build(load float64, keep []bool) (*Problem, bool) {
 // the cold vertex; this test covers the verdict-only probe contract).
 func checkAgainstCold(t *testing.T, p *Problem, warm, cold *Workspace) {
 	t.Helper()
-	solW, errW := p.SolveWS(nil, warm)
-	solC, errC := p.SolveWS(nil, cold)
+	solW, errW := p.Solve(nil, warm)
+	solC, errC := p.Solve(nil, cold)
 	if (errW == nil) != (errC == nil) {
 		t.Fatalf("error disagreement: warm=%v cold=%v", errW, errC)
 	}
@@ -254,8 +254,8 @@ func TestWarmSolveSteadyStateAllocs(t *testing.T) {
 		s = genSpec(rng)
 		warm = NewWorkspace()
 		p, _ := s.build(1.5, nil)
-		if sol, err := p.SolveWS(nil, warm); err == nil && sol.Status == Optimal {
-			if sol, err = p.SolveWS(nil, warm); err == nil && sol.Warm {
+		if sol, err := p.Solve(nil, warm); err == nil && sol.Status == Optimal {
+			if sol, err = p.Solve(nil, warm); err == nil && sol.Warm {
 				break // spec warms; use it
 			}
 		}
@@ -269,7 +269,7 @@ func TestWarmSolveSteadyStateAllocs(t *testing.T) {
 	var solveErr error
 	allocs := testing.AllocsPerRun(20, func() {
 		i++
-		if _, err := probs[i%2].SolveWS(nil, warm); err != nil {
+		if _, err := probs[i%2].Solve(nil, warm); err != nil {
 			solveErr = err
 		}
 	})

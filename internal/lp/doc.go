@@ -12,7 +12,7 @@
 // The implementation favors robustness over speed: rows are equilibrated at
 // build time, Dantzig pricing switches to Bland's rule after a run of
 // degenerate pivots (guaranteeing termination), and an iteration cap turns
-// pathological cases into errors instead of hangs. SolveCtx additionally
+// pathological cases into errors instead of hangs. Solve additionally
 // polls a context between pivots, so callers higher up the stack (the
 // Section V binary search, the Section VI iterative rounding) can abort a
 // solve cooperatively — the cancellation path -timeout in cmd/hbench
@@ -25,9 +25,10 @@
 // Every solve runs on a Workspace holding the dense tableau and both
 // reduced-cost rows as flat, grow-only arrays:
 //
-//   - Solve and SolveCtx draw a Workspace from an internal sync.Pool, so
-//     even one-shot callers amortize tableau allocations process-wide.
-//   - SolveWS and FeasibleWS take a caller-held Workspace. The binary
+//   - Solve and Feasible with a nil Workspace draw one from an internal
+//     sync.Pool, so even one-shot callers amortize tableau allocations
+//     process-wide. Pool-backed solves never warm start.
+//   - Solve and Feasible with a caller-held Workspace reuse it. The binary
 //     searches in internal/relax, internal/unrelated and internal/memcap
 //     hold one Workspace across all their probes, making every re-solve
 //     after the first allocate nothing but the returned Solution.

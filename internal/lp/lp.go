@@ -186,30 +186,16 @@ const (
 )
 
 // Solve runs two-phase simplex and returns the solution. An error is
-// returned only for resource exhaustion (iteration cap), never for
-// infeasible or unbounded problems, which are reported in Status.
-func (p *Problem) Solve() (*Solution, error) {
-	return p.SolveCtx(context.Background())
-}
-
-// SolveCtx is Solve under a context: the pivot loop polls ctx and aborts
-// with an error wrapping ctx.Err() once the context is done, so a
-// canceled caller never waits for a long simplex run to finish. The
-// returned error satisfies errors.Is against context.Canceled or
-// context.DeadlineExceeded. The working tableau comes from an internal
-// pool; callers that re-solve in a loop should hold a Workspace and use
-// SolveWS instead.
-func (p *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
-	ws := wsPool.Get().(*Workspace)
-	defer wsPool.Put(ws)
-	return p.SolveWS(ctx, ws)
-}
-
-// SolveWS is SolveCtx on a caller-held Workspace: the tableau reuses the
-// workspace's backing arrays, so re-solving near-identical problems
-// allocates nothing but the returned Solution. A nil ctx disables the
-// between-pivot cancellation polls; a nil ws falls back to the internal
-// pool. The Workspace must not be used concurrently (see its doc).
+// returned only for resource exhaustion (iteration cap) or cancellation,
+// never for infeasible or unbounded problems, which are reported in
+// Status. The pivot loop polls ctx and aborts with an error wrapping
+// ctx.Err() once the context is done, so a canceled caller never waits
+// for a long simplex run to finish; a nil ctx disables the polls.
+//
+// The tableau lives in ws, whose backing arrays are reused, so re-solving
+// near-identical problems allocates nothing but the returned Solution. A
+// nil ws draws a workspace from an internal pool. The Workspace must not
+// be used concurrently (see its doc).
 //
 // A caller-held Workspace additionally retains the optimal basis between
 // solves: when the next problem differs from the retained one only in
@@ -218,7 +204,7 @@ func (p *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 // the warm-start contract on Workspace). Pool-backed solves never warm
 // start — a pooled workspace may be handed to unrelated callers, whose
 // witness vertices must not depend on who solved before them.
-func (p *Problem) SolveWS(ctx context.Context, ws *Workspace) (*Solution, error) {
+func (p *Problem) Solve(ctx context.Context, ws *Workspace) (*Solution, error) {
 	pooled := ws == nil
 	if pooled {
 		ws = wsPool.Get().(*Workspace)
@@ -313,20 +299,11 @@ func (p *Problem) solveCold(ws *Workspace) (*Solution, error) {
 	return sol, nil
 }
 
-// Feasible reports whether the constraint system admits any x ≥ 0, together
-// with a witness vertex when it does.
-func (p *Problem) Feasible() (bool, []float64, error) {
-	return p.FeasibleCtx(context.Background())
-}
-
-// FeasibleCtx is Feasible under a context (see SolveCtx).
-func (p *Problem) FeasibleCtx(ctx context.Context) (bool, []float64, error) {
-	return p.FeasibleWS(ctx, nil)
-}
-
-// FeasibleWS is FeasibleCtx on a caller-held Workspace (see SolveWS).
-func (p *Problem) FeasibleWS(ctx context.Context, ws *Workspace) (bool, []float64, error) {
-	sol, err := p.SolveWS(ctx, ws)
+// Feasible reports whether the constraint system admits any x ≥ 0,
+// together with a witness vertex when it does. ctx and ws are as for
+// Solve.
+func (p *Problem) Feasible(ctx context.Context, ws *Workspace) (bool, []float64, error) {
+	sol, err := p.Solve(ctx, ws)
 	if err != nil {
 		return false, nil, err
 	}

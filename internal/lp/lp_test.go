@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 func solveOrDie(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -164,13 +165,13 @@ func TestZeroVariableProblem(t *testing.T) {
 func TestFeasibleHelper(t *testing.T) {
 	p := NewProblem(1)
 	p.MustAddConstraint([]int{0}, []float64{1}, GE, 2)
-	ok, x, err := p.Feasible()
+	ok, x, err := p.Feasible(context.Background(), nil)
 	if err != nil || !ok || x[0] < 2-1e-7 {
 		t.Fatalf("ok=%v x=%v err=%v", ok, x, err)
 	}
 	q := NewProblem(1)
 	q.MustAddConstraint([]int{0}, []float64{1}, LE, -1)
-	ok, _, err = q.Feasible()
+	ok, _, err = q.Feasible(context.Background(), nil)
 	if err != nil || ok {
 		t.Fatalf("infeasible problem reported feasible")
 	}
@@ -330,7 +331,7 @@ func TestSimplexAgainstBruteForce(t *testing.T) {
 			rhs[r] = float64(rng.Intn(9) - 2)
 			p.MustAddConstraint(idx, val, ops[r], rhs[r])
 		}
-		sol, err := p.Solve()
+		sol, err := p.Solve(context.Background(), nil)
 		if err != nil {
 			t.Logf("seed %d: solve error %v", seed, err)
 			return false
@@ -447,7 +448,7 @@ func BenchmarkSolveMedium(b *testing.B) {
 	p := build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Solve(); err != nil {
+		if _, err := p.Solve(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 
 // Warm-start: a caller-held Workspace retains the optimal basis of its
 // last solve together with a signature of the problem that produced it.
-// When the next SolveWS presents a problem that is structurally identical
+// When the next Solve presents a problem that is structurally identical
 // — same variables, objective, constraint operators, sparsity pattern and
 // coefficients — and differs only in constraint right-hand sides, the
 // solver re-enters from the retained basis with dual-simplex pivots
@@ -51,7 +51,7 @@ type warmState struct {
 // (reset with ResetStats). Pivots counts both phases of cold solves and
 // the dual re-entry pivots of warm solves.
 type Counters struct {
-	Solves        int // SolveWS entries (cold, warm, and fallbacks)
+	Solves        int // Solve entries (cold, warm, and fallbacks)
 	ColdSolves    int // solves answered by two-phase simplex
 	WarmHits      int // solves answered from the retained basis
 	SubsetHits    int // warm hits that mapped into a variable subset of the anchor

@@ -8,10 +8,10 @@ import "sync"
 //
 // Ownership contract: a Workspace is owned by exactly one solve at a time.
 // It is NOT goroutine-safe; callers that solve concurrently must use one
-// Workspace per goroutine (or the pool-backed Solve/SolveCtx entry points,
-// which draw from an internal sync.Pool). The buffers grow monotonically
-// to the largest problem seen and are retained, which is exactly what the
-// binary searches in internal/relax, internal/unrelated and internal/memcap
+// Workspace per goroutine (or pass a nil Workspace, which draws one from
+// an internal sync.Pool). The buffers grow monotonically to the largest
+// problem seen and are retained, which is exactly what the binary
+// searches in internal/relax, internal/unrelated and internal/memcap
 // want: they re-solve near-identical LPs, so after the first probe the
 // solver allocates nothing but the returned Solution.
 //
@@ -30,10 +30,10 @@ type Workspace struct {
 	counters Counters
 }
 
-// NewWorkspace returns an empty Workspace ready for SolveWS/FeasibleWS.
+// NewWorkspace returns an empty Workspace ready for Solve/Feasible.
 // The zero value is also valid.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// wsPool backs Solve/SolveCtx so one-shot callers still amortize tableau
+// wsPool backs nil-workspace solves so one-shot callers still amortize tableau
 // allocations across solves process-wide.
 var wsPool = sync.Pool{New: func() any { return new(Workspace) }}

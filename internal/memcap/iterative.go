@@ -116,7 +116,7 @@ func iterativeRound(ctx context.Context, varJob []int, nJobs int, packings []Pac
 				p.MustAddConstraint(idx, val, lp.LE, pk.B-fixedUse[l])
 			}
 		}
-		sol, err := p.SolveWS(ctx, ws)
+		sol, err := p.Solve(ctx, ws)
 		if err != nil {
 			return nil, fmt.Errorf("memcap: %w", err)
 		}

@@ -1,6 +1,7 @@
 package memcap
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,7 +54,7 @@ func TestTheoremVI1Property(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m1 := randomModel1(rng)
-		res, err := SolveModel1(m1)
+		res, err := SolveModel1(context.Background(), m1)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -110,7 +111,7 @@ func TestTheoremVI3Property(t *testing.T) {
 		} else {
 			m2 = randomModel2(rng, 2, 2, 2)
 		}
-		res, err := SolveModel2(m2)
+		res, err := SolveModel2(context.Background(), m2)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -191,7 +192,7 @@ func TestModel1InfeasibleMemory(t *testing.T) {
 	in.AddJobMap(map[int]int64{root: 1, f.Singleton(0): 1, f.Singleton(1): 1})
 	// The job's size exceeds every budget: no variable survives pruning.
 	m1 := &Model1{In: in, Budget: []int64{1, 1}, Size: [][]int64{{5, 5}}}
-	if _, err := SolveModel1(m1); err == nil {
+	if _, err := SolveModel1(context.Background(), m1); err == nil {
 		t.Fatal("memory-infeasible instance accepted")
 	}
 }
@@ -210,7 +211,7 @@ func TestModel1TightExample(t *testing.T) {
 		Budget: []int64{2, 2},
 		Size:   [][]int64{{2, 2}, {2, 2}},
 	}
-	res, err := SolveModel1(m1)
+	res, err := SolveModel1(context.Background(), m1)
 	if err != nil {
 		t.Fatal(err)
 	}

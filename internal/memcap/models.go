@@ -178,7 +178,7 @@ func feasibleConstrainedLP(ctx context.Context, in *model.Instance, varJob []int
 			p.MustAddConstraint(idx, val, lp.LE, pk.B)
 		}
 	}
-	ok, _, err := p.FeasibleWS(ctx, ws)
+	ok, _, err := p.Feasible(ctx, ws)
 	return ok, err
 }
 
@@ -212,14 +212,9 @@ func loadPackings(in *model.Instance, pairs [][2]int, T int64, rho float64) []Pa
 
 // SolveModel1 finds the minimal T with a feasible constrained relaxation
 // and rounds it iteratively, targeting makespan ≤ 3T and memory ≤ 3B_i
-// (Theorem VI.1, ρ = 2).
-func SolveModel1(m1 *Model1) (*Result, error) {
-	return SolveModel1Ctx(context.Background(), m1)
-}
-
-// SolveModel1Ctx is SolveModel1 under a context: the binary search and
-// every iterative-rounding LP poll ctx between simplex pivots.
-func SolveModel1Ctx(ctx context.Context, m1 *Model1) (*Result, error) {
+// (Theorem VI.1, ρ = 2). The binary search and every iterative-rounding
+// LP poll ctx between simplex pivots.
+func SolveModel1(ctx context.Context, m1 *Model1) (*Result, error) {
 	if err := m1.Validate(); err != nil {
 		return nil, err
 	}
@@ -290,13 +285,8 @@ func SolveModel1Ctx(ctx context.Context, m1 *Model1) (*Result, error) {
 
 // SolveModel2 finds the minimal T with a feasible (IP-4) relaxation and
 // rounds it with ρ = 1 + H_k, targeting σ = 2 + H_k on both criteria
-// (Theorem VI.3).
-func SolveModel2(m2 *Model2) (*Result, error) {
-	return SolveModel2Ctx(context.Background(), m2)
-}
-
-// SolveModel2Ctx is SolveModel2 under a context (see SolveModel1Ctx).
-func SolveModel2Ctx(ctx context.Context, m2 *Model2) (*Result, error) {
+// (Theorem VI.3). ctx is polled as in SolveModel1.
+func SolveModel2(ctx context.Context, m2 *Model2) (*Result, error) {
 	if err := m2.Validate(); err != nil {
 		return nil, err
 	}

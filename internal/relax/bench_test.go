@@ -31,7 +31,7 @@ func BenchmarkMinFeasibleT(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		T, _, err := relax.MinFeasibleT(in)
+		T, _, err := relax.MinFeasibleT(context.Background(), in, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func BenchmarkMinFeasibleTWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		T, _, err := relax.MinFeasibleTWS(ctx, in, ws)
+		T, _, err := relax.MinFeasibleT(ctx, in, ws)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -63,12 +63,12 @@ func TestWarmStalenessInterleaved(t *testing.T) {
 	}
 	for _, i := range order {
 		c := cases[i]
-		tShared, frShared, err := relax.MinFeasibleTWS(ctx, c.In, shared)
+		tShared, frShared, err := relax.MinFeasibleT(ctx, c.In, shared)
 		if err != nil {
 			t.Fatalf("%s shared: %v", c.Name, err)
 		}
 		fresh := relax.NewWorkspace()
-		tFresh, frFresh, err := relax.MinFeasibleTWS(ctx, c.In, fresh)
+		tFresh, frFresh, err := relax.MinFeasibleT(ctx, c.In, fresh)
 		if err != nil {
 			t.Fatalf("%s fresh: %v", c.Name, err)
 		}
@@ -93,7 +93,7 @@ func TestWarmStartActuallyFires(t *testing.T) {
 	var warmHits, probes, warmPivots, coldPivots int
 	for _, c := range testdiff.Cases(3, 40) {
 		ws := relax.NewWorkspace()
-		if _, _, err := relax.MinFeasibleTWS(ctx, c.In, ws); err != nil {
+		if _, _, err := relax.MinFeasibleT(ctx, c.In, ws); err != nil {
 			continue
 		}
 		st := ws.Stats()
@@ -103,7 +103,7 @@ func TestWarmStartActuallyFires(t *testing.T) {
 
 		cold := relax.NewWorkspace()
 		cold.LP.SetWarmStart(false)
-		if _, _, err := relax.MinFeasibleTWS(ctx, c.In, cold); err != nil {
+		if _, _, err := relax.MinFeasibleT(ctx, c.In, cold); err != nil {
 			continue
 		}
 		coldPivots += cold.Stats().LP.Pivots

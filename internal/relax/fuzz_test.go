@@ -64,10 +64,10 @@ func FuzzMinFeasibleT(f *testing.F) {
 		}
 		ctx := context.Background()
 		warm := relax.NewWorkspace()
-		tWarm, frWarm, errWarm := relax.MinFeasibleTWS(ctx, in, warm)
+		tWarm, frWarm, errWarm := relax.MinFeasibleT(ctx, in, warm)
 		cold := relax.NewWorkspace()
 		cold.LP.SetWarmStart(false)
-		tCold, _, errCold := relax.MinFeasibleTWS(ctx, in, cold)
+		tCold, _, errCold := relax.MinFeasibleT(ctx, in, cold)
 		if (errWarm == nil) != (errCold == nil) {
 			t.Fatalf("error disagreement: warm=%v cold=%v", errWarm, errCold)
 		}
@@ -85,11 +85,11 @@ func FuzzMinFeasibleT(f *testing.F) {
 			if T < 1 {
 				continue
 			}
-			okWarm, err := relax.ProbeFeasibleWS(ctx, in, T, warm)
+			okWarm, err := relax.ProbeFeasible(ctx, in, T, warm)
 			if err != nil {
 				t.Fatalf("warm probe T=%d: %v", T, err)
 			}
-			okCold, err := relax.ProbeFeasibleWS(ctx, in, T, cold)
+			okCold, err := relax.ProbeFeasible(ctx, in, T, cold)
 			if err != nil {
 				t.Fatalf("cold probe T=%d: %v", T, err)
 			}

@@ -112,7 +112,8 @@ type Workspace struct {
 	probes int      // LP feasibility probes served by this workspace
 }
 
-// NewWorkspace returns a Workspace ready for the WS entry points.
+// NewWorkspace returns a Workspace ready for Feasible, ProbeFeasible and
+// MinFeasibleT.
 func NewWorkspace() *Workspace { return &Workspace{LP: lp.NewWorkspace()} }
 
 // Stats aggregates solver effort across the workspace's lifetime: how
@@ -196,23 +197,12 @@ func buildFeasibilityWS(in *model.Instance, T int64, ws *Workspace) {
 	}
 }
 
-// Feasible is FeasibleWS with context.Background() and a private
-// workspace — one-shot-caller shorthand.
-func Feasible(in *model.Instance, T int64) (bool, *Fractional, error) {
-	return FeasibleWS(context.Background(), in, T, nil)
-}
-
-// FeasibleCtx is FeasibleWS with a private workspace — compat wrapper.
-func FeasibleCtx(ctx context.Context, in *model.Instance, T int64) (bool, *Fractional, error) {
-	return FeasibleWS(ctx, in, T, nil)
-}
-
-// FeasibleWS solves the LP relaxation of (IP-3) at T and returns the
-// fractional solution when feasible. This is the canonical spelling: the
-// underlying simplex solve aborts between pivots once ctx is done (the
-// error wraps ctx.Err()), and the caller-held Workspace is reused across
-// solves (nil allocates a private one).
-func FeasibleWS(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (bool, *Fractional, error) {
+// Feasible solves the LP relaxation of (IP-3) at T and returns the
+// fractional solution when feasible. The underlying simplex solve aborts
+// between pivots once ctx is done (the error wraps ctx.Err()), and the
+// caller-held Workspace is reused across solves (nil allocates a private
+// one).
+func Feasible(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (bool, *Fractional, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
@@ -231,13 +221,13 @@ func FeasibleWS(ctx context.Context, in *model.Instance, T int64, ws *Workspace)
 	return true, fr, nil
 }
 
-// ProbeFeasibleWS reports whether the relaxation is feasible at T
-// without materializing a witness. Unlike FeasibleWS it keeps the
-// workspace's warm basis: a sequence of probes on one workspace answers
-// from dual-simplex re-entry whenever it can. Use it when only the
-// verdict matters; ask FeasibleWS when the fractional solution itself is
-// needed (that path is always cold, so witnesses are reproducible).
-func ProbeFeasibleWS(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (bool, error) {
+// ProbeFeasible reports whether the relaxation is feasible at T without
+// materializing a witness. Unlike Feasible it keeps the workspace's warm
+// basis: a sequence of probes on one workspace answers from dual-simplex
+// re-entry whenever it can. Use it when only the verdict matters; ask
+// Feasible when the fractional solution itself is needed (that path is
+// always cold, so witnesses are reproducible).
+func ProbeFeasible(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (bool, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
@@ -245,7 +235,7 @@ func ProbeFeasibleWS(ctx context.Context, in *model.Instance, T int64, ws *Works
 	return ok, err
 }
 
-// feasibleWS is the probe shared by FeasibleWS and the binary search: it
+// feasibleWS is the probe shared by Feasible and the binary search: it
 // reports feasibility and the raw vertex x over ws.pairs without
 // materializing a Fractional (the search only needs the verdict).
 func feasibleWS(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (bool, []float64, error) {
@@ -257,36 +247,23 @@ func feasibleWS(ctx context.Context, in *model.Instance, T int64, ws *Workspace)
 	}
 	ws.probes++
 	buildFeasibilityWS(in, T, ws)
-	ok, x, err := ws.prob.FeasibleWS(ctx, ws.LP)
+	ok, x, err := ws.prob.Feasible(ctx, ws.LP)
 	if err != nil {
 		return false, nil, fmt.Errorf("relax: LP at T=%d: %w", T, err)
 	}
 	return ok, x, nil
 }
 
-// MinFeasibleT is MinFeasibleTWS with context.Background() and a private
-// workspace — one-shot-caller shorthand.
-func MinFeasibleT(in *model.Instance) (int64, *Fractional, error) {
-	return MinFeasibleTWS(context.Background(), in, nil)
-}
-
-// MinFeasibleTCtx is MinFeasibleTWS with a private workspace — compat
-// wrapper.
-func MinFeasibleTCtx(ctx context.Context, in *model.Instance) (int64, *Fractional, error) {
-	return MinFeasibleTWS(ctx, in, nil)
-}
-
-// MinFeasibleTWS binary-searches the minimal integer T for which the LP
+// MinFeasibleT binary-searches the minimal integer T for which the LP
 // relaxation of (IP-3) is feasible. T* is a lower bound on the optimal
-// integral makespan; the returned Fractional is a feasible solution at
-// T*. This is the canonical spelling: the binary search checks ctx
-// before every LP probe and each probe itself aborts between simplex
-// pivots, so cancellation latency is one pivot, not one search; the
-// caller-held Workspace (nil allocates one for the whole search) lets
-// every probe reuse one tableau and one constraint arena, so the
-// search's steady-state allocations are the per-solve Solution plus the
-// final Fractional.
-func MinFeasibleTWS(ctx context.Context, in *model.Instance, ws *Workspace) (int64, *Fractional, error) {
+// integral makespan; the returned Fractional is a feasible solution at T*.
+// The binary search checks ctx before every LP probe and each probe itself
+// aborts between simplex pivots, so cancellation latency is one pivot, not
+// one search; the caller-held Workspace (nil allocates one for the whole
+// search) lets every probe reuse one tableau and one constraint arena, so
+// the search's steady-state allocations are the per-solve Solution plus
+// the final Fractional.
+func MinFeasibleT(ctx context.Context, in *model.Instance, ws *Workspace) (int64, *Fractional, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
@@ -318,7 +295,7 @@ func MinFeasibleTWS(ctx context.Context, in *model.Instance, ws *Workspace) (int
 	// The search's last probe need not have been at lo; solve there for
 	// the witness Fractional (this is also the only probe that pays for
 	// materializing one).
-	ok, fr, err := FeasibleWS(ctx, in, lo, ws)
+	ok, fr, err := Feasible(ctx, in, lo, ws)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -1,6 +1,7 @@
 package relax
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,7 +16,7 @@ func TestExampleII1MinFeasibleT(t *testing.T) {
 	// are forced onto their machines and the root volume constraint gives
 	// 4 ≤ 2T.
 	in := model.ExampleII1()
-	T, fr, err := MinFeasibleT(in)
+	T, fr, err := MinFeasibleT(context.Background(), in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestExampleII1MinFeasibleT(t *testing.T) {
 func TestExampleV1MinFeasibleT(t *testing.T) {
 	for _, n := range []int{3, 5, 9} {
 		in := model.ExampleV1(n)
-		T, fr, err := MinFeasibleT(in)
+		T, fr, err := MinFeasibleT(context.Background(), in, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -45,7 +46,7 @@ func TestExampleV1MinFeasibleT(t *testing.T) {
 
 func TestFeasibleFastNegative(t *testing.T) {
 	in := model.ExampleII1()
-	ok, _, err := Feasible(in, 1)
+	ok, _, err := Feasible(context.Background(), in, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestMinFeasibleTNoAdmissibleSet(t *testing.T) {
 		proc[s] = model.Infinity
 	}
 	in.Proc = append(in.Proc, proc)
-	if _, _, err := MinFeasibleT(in); err == nil {
+	if _, _, err := MinFeasibleT(context.Background(), in, nil); err == nil {
 		t.Fatal("instance with unschedulable job accepted")
 	}
 }
@@ -103,7 +104,7 @@ func TestMinFeasibleTIsMinimal(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomInstance(rng)
-		T, fr, err := MinFeasibleT(in)
+		T, fr, err := MinFeasibleT(context.Background(), in, nil)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -113,7 +114,7 @@ func TestMinFeasibleTIsMinimal(t *testing.T) {
 			return false
 		}
 		if T > 1 {
-			ok, _, err := Feasible(in, T-1)
+			ok, _, err := Feasible(context.Background(), in, T-1, nil)
 			if err != nil {
 				return false
 			}
@@ -135,7 +136,7 @@ func TestLemmaV1Property(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomInstance(rng).WithSingletons()
-		T, fr, err := MinFeasibleT(in)
+		T, fr, err := MinFeasibleT(context.Background(), in, nil)
 		if err != nil {
 			return false
 		}
@@ -173,7 +174,7 @@ func TestPushDownRequiresCoveringChildren(t *testing.T) {
 
 func TestPushDownPreservesAssignmentRows(t *testing.T) {
 	in := model.ExampleII1()
-	T, fr, err := MinFeasibleT(in)
+	T, fr, err := MinFeasibleT(context.Background(), in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,8 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		ins := in.WithSingletons()
-		tWS, frWS, errWS := relax.MinFeasibleTWS(ctx, ins, ws)
-		tFresh, frFresh, errFresh := relax.MinFeasibleTCtx(ctx, ins)
+		tWS, frWS, errWS := relax.MinFeasibleT(ctx, ins, ws)
+		tFresh, frFresh, errFresh := relax.MinFeasibleT(ctx, ins, nil)
 		if (errWS == nil) != (errFresh == nil) {
 			t.Fatalf("seed %d: err mismatch: ws=%v fresh=%v", cfg.Seed, errWS, errFresh)
 		}

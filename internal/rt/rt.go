@@ -73,15 +73,10 @@ type Result struct {
 }
 
 // Test decides whether the task set (tasks = jobs of the instance, WCETs =
-// processing times) is schedulable with frame length F.
-func Test(in *model.Instance, frame int64, opts Options) (*Result, error) {
-	return TestCtx(context.Background(), in, frame, opts)
-}
-
-// TestCtx is Test under a context: the LP certificate, the constructive
-// attempts and the optional exact search all poll ctx and abort with an
-// error wrapping ctx.Err() once it is done.
-func TestCtx(ctx context.Context, in *model.Instance, frame int64, opts Options) (*Result, error) {
+// processing times) is schedulable with frame length F. The LP
+// certificate, the constructive attempts and the optional exact search
+// all poll ctx and abort with an error wrapping ctx.Err() once it is done.
+func Test(ctx context.Context, in *model.Instance, frame int64, opts Options) (*Result, error) {
 	if frame <= 0 {
 		return nil, fmt.Errorf("rt: frame length must be positive, got %d", frame)
 	}
@@ -90,7 +85,7 @@ func TestCtx(ctx context.Context, in *model.Instance, frame int64, opts Options)
 	}
 	res := &Result{Frame: frame, Instance: in}
 
-	tStar, _, err := relax.MinFeasibleTWS(ctx, in, nil)
+	tStar, _, err := relax.MinFeasibleT(ctx, in, nil)
 	if err != nil {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
@@ -102,7 +97,7 @@ func TestCtx(ctx context.Context, in *model.Instance, frame int64, opts Options)
 
 	// Constructive attempts, cheapest first: the certified 2-approximation,
 	// then the greedy + local search, then (optionally) exact search.
-	if ar, err := approx.TwoApproxCtx(ctx, in); err == nil && ar.Makespan <= frame {
+	if ar, err := approx.TwoApprox(ctx, in, nil); err == nil && ar.Makespan <= frame {
 		res.Verdict = Schedulable
 		res.Makespan = ar.Makespan
 		res.Assignment = ar.Assignment
@@ -120,7 +115,7 @@ func TestCtx(ctx context.Context, in *model.Instance, frame int64, opts Options)
 		}
 	}
 	if opts.ExactNodes > 0 {
-		a, opt, err := exact.SolveCtx(ctx, in, exact.Options{MaxNodes: opts.ExactNodes})
+		a, opt, err := exact.Solve(ctx, in, exact.Options{MaxNodes: opts.ExactNodes}, nil)
 		if err == nil {
 			if opt <= frame {
 				s, err := hier.Schedule(in, a, opt)
@@ -144,20 +139,16 @@ func TestCtx(ctx context.Context, in *model.Instance, frame int64, opts Options)
 // MinFrame brackets the minimal schedulable frame length F*:
 // lower = the LP bound (no smaller frame can ever be schedulable),
 // upper = the best constructive makespan found (that frame provably works).
-func MinFrame(in *model.Instance) (lower, upper int64, err error) {
-	return MinFrameCtx(context.Background(), in)
-}
-
-// MinFrameCtx is MinFrame under a context (see TestCtx).
-func MinFrameCtx(ctx context.Context, in *model.Instance) (lower, upper int64, err error) {
+// ctx is polled as in Test.
+func MinFrame(ctx context.Context, in *model.Instance) (lower, upper int64, err error) {
 	if err := in.Validate(); err != nil {
 		return 0, 0, fmt.Errorf("rt: %w", err)
 	}
-	lower, _, err = relax.MinFeasibleTWS(ctx, in, nil)
+	lower, _, err = relax.MinFeasibleT(ctx, in, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	ar, err := approx.TwoApproxCtx(ctx, in)
+	ar, err := approx.TwoApprox(ctx, in, nil)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -21,7 +22,7 @@ func TestVerdictString(t *testing.T) {
 func TestExampleII1Schedulability(t *testing.T) {
 	in := model.ExampleII1()
 	// Frame 1 < LP bound 2: unschedulable with certificate.
-	r, err := Test(in, 1, Options{})
+	r, err := Test(context.Background(), in, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestExampleII1Schedulability(t *testing.T) {
 	}
 	// Frame 2 = the optimum: schedulable — needs the exact search, because
 	// the 2-approximation's partitioned rounding cannot beat 3.
-	r, err = Test(in, 2, Options{ExactNodes: 100000})
+	r, err = Test(context.Background(), in, 2, Options{ExactNodes: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestExampleII1Schedulability(t *testing.T) {
 		t.Fatalf("frame 2: %v makespan=%d, want schedulable at 2", r.Verdict, r.Makespan)
 	}
 	// Frame 3: the constructive pipeline suffices.
-	r, err = Test(in, 3, Options{})
+	r, err = Test(context.Background(), in, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +56,14 @@ func TestTestReturnsValidPeriodicSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi, err := MinFrame(in)
+	lo, hi, err := MinFrame(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lo > hi {
 		t.Fatalf("bracket inverted: [%d, %d]", lo, hi)
 	}
-	r, err := Test(in, hi, Options{})
+	r, err := Test(context.Background(), in, hi, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,18 +101,18 @@ func TestTrichotomyProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lo, hi, err := MinFrame(in)
+		lo, hi, err := MinFrame(context.Background(), in)
 		if err != nil {
 			return false
 		}
 		if lo > 1 {
-			r, err := Test(in, lo-1, Options{})
+			r, err := Test(context.Background(), in, lo-1, Options{})
 			if err != nil || r.Verdict != Unschedulable {
 				t.Logf("seed %d: frame %d below LP bound not rejected (%v)", seed, lo-1, r.Verdict)
 				return false
 			}
 		}
-		r, err := Test(in, hi, Options{})
+		r, err := Test(context.Background(), in, hi, Options{})
 		if err != nil || r.Verdict != Schedulable {
 			t.Logf("seed %d: frame %d not schedulable (%v)", seed, hi, err)
 			return false
@@ -136,12 +137,12 @@ func TestUtilization(t *testing.T) {
 
 func TestTestRejectsBadInput(t *testing.T) {
 	in := model.ExampleII1()
-	if _, err := Test(in, 0, Options{}); err == nil {
+	if _, err := Test(context.Background(), in, 0, Options{}); err == nil {
 		t.Fatal("zero frame accepted")
 	}
 	bad := model.New(in.Family)
 	bad.Proc = append(bad.Proc, []int64{1}) // arity mismatch
-	if _, err := Test(bad, 5, Options{}); err == nil {
+	if _, err := Test(context.Background(), bad, 5, Options{}); err == nil {
 		t.Fatal("invalid instance accepted")
 	}
 }

@@ -72,7 +72,7 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 	out := &Outcome{Algo: req.Algo, Instance: in}
 	switch req.Algo {
 	case AlgoLP:
-		t, _, err := relax.MinFeasibleTWS(ctx, in, ws.Relax)
+		t, _, err := relax.MinFeasibleT(ctx, in, ws.Relax)
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +80,7 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 		return out, nil
 
 	case AlgoExact:
-		a, opt, err := exact.SolveWS(ctx, in, exact.Options{MaxNodes: req.MaxNodes}, ws.Exact)
+		a, opt, err := exact.Solve(ctx, in, exact.Options{MaxNodes: req.MaxNodes}, ws.Exact)
 		if err != nil {
 			return nil, err
 		}
@@ -97,9 +97,9 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 		return out, nil
 
 	case Algo2Approx, AlgoBest:
-		solve := approx.TwoApproxWS
+		solve := approx.TwoApprox
 		if req.Algo == AlgoBest {
-			solve = approx.BestWS
+			solve = approx.Best
 		}
 		res, err := solve(ctx, in, ws.Relax)
 		if err != nil {
@@ -119,7 +119,7 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 		if req.Frame <= 0 {
 			return nil, badRequestf("algo %q requires a positive frame, got %d", AlgoRT, req.Frame)
 		}
-		res, err := rt.TestCtx(ctx, in, req.Frame, rt.Options{ExactNodes: req.MaxNodes})
+		res, err := rt.Test(ctx, in, req.Frame, rt.Options{ExactNodes: req.MaxNodes})
 		if err != nil {
 			return nil, err
 		}
@@ -137,7 +137,7 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 			return nil, badRequestf("algo %q requires a memory spec", AlgoMemory1)
 		}
 		m1 := &memcap.Model1{In: in, Budget: req.Memory.Budget, Size: req.Memory.Size}
-		res, err := memcap.SolveModel1Ctx(ctx, m1)
+		res, err := memcap.SolveModel1(ctx, m1)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +149,7 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 			return nil, badRequestf("algo %q requires a memory spec", AlgoMemory2)
 		}
 		m2 := &memcap.Model2{In: in, JobSize: req.Memory.JobSize, Mu: req.Memory.Mu}
-		res, err := memcap.SolveModel2Ctx(ctx, m2)
+		res, err := memcap.SolveModel2(ctx, m2)
 		if err != nil {
 			return nil, err
 		}

@@ -187,16 +187,16 @@ func CheckFractional(in *model.Instance, T int64, fr *relax.Fractional) error {
 	return nil
 }
 
-// RelaxDiff runs relax.MinFeasibleTWS twice on in — once on a
+// RelaxDiff runs relax.MinFeasibleT twice on in — once on a
 // warm-starting workspace, once on a workspace with warm start disabled
 // (the cold oracle) — and fails unless both return the same T*, bitwise
 // identical witnesses, and a witness that CheckFractional accepts.
 func RelaxDiff(ctx context.Context, in *model.Instance) error {
 	warmWS := relax.NewWorkspace()
-	tWarm, frWarm, errWarm := relax.MinFeasibleTWS(ctx, in, warmWS)
+	tWarm, frWarm, errWarm := relax.MinFeasibleT(ctx, in, warmWS)
 	coldWS := relax.NewWorkspace()
 	coldWS.LP.SetWarmStart(false)
-	tCold, frCold, errCold := relax.MinFeasibleTWS(ctx, in, coldWS)
+	tCold, frCold, errCold := relax.MinFeasibleT(ctx, in, coldWS)
 	if (errWarm == nil) != (errCold == nil) {
 		return fmt.Errorf("error disagreement: warm=%v cold=%v", errWarm, errCold)
 	}
@@ -223,12 +223,12 @@ func RelaxDiff(ctx context.Context, in *model.Instance) error {
 	return nil
 }
 
-// ProbeMonotone binary-searches like relax.MinFeasibleTWS but probes
+// ProbeMonotone binary-searches like relax.MinFeasibleT but probes
 // every T in [T*-pad, T*+pad] on the warm workspace afterwards, failing
 // if feasibility is not monotone in T or disagrees with a cold probe.
 func ProbeMonotone(ctx context.Context, in *model.Instance, pad int64) error {
 	ws := relax.NewWorkspace()
-	tStar, _, err := relax.MinFeasibleTWS(ctx, in, ws)
+	tStar, _, err := relax.MinFeasibleT(ctx, in, ws)
 	if err != nil {
 		return nil // nothing to scan
 	}
@@ -239,11 +239,11 @@ func ProbeMonotone(ctx context.Context, in *model.Instance, pad int64) error {
 		lo = 1
 	}
 	for T := lo; T <= tStar+pad; T++ {
-		okWarm, err := relax.ProbeFeasibleWS(ctx, in, T, ws)
+		okWarm, err := relax.ProbeFeasible(ctx, in, T, ws)
 		if err != nil {
 			return fmt.Errorf("probe T=%d: %w", T, err)
 		}
-		okCold, err := relax.ProbeFeasibleWS(ctx, in, T, cold)
+		okCold, err := relax.ProbeFeasible(ctx, in, T, cold)
 		if err != nil {
 			return fmt.Errorf("cold probe T=%d: %w", T, err)
 		}

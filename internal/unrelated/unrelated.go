@@ -60,31 +60,19 @@ func (in *Instance) minProc(j int) (int64, int) {
 	return best, arg
 }
 
-// FeasibleLPWS solves the R||Cmax feasibility relaxation at makespan T
-// and returns a vertex solution x[j][i] when feasible. This is the
-// canonical spelling: the simplex solve aborts between pivots once ctx
-// is done (the error wraps ctx.Err()), and the caller-held simplex
-// Workspace lets further solves reuse one tableau (nil falls back to the
-// solver's internal pool).
-func FeasibleLPWS(ctx context.Context, in *Instance, T int64, ws *lp.Workspace) (bool, [][]float64, error) {
+// FeasibleLP solves the R||Cmax feasibility relaxation at makespan T and
+// returns a vertex solution x[j][i] when feasible. The simplex solve
+// aborts between pivots once ctx is done (the error wraps ctx.Err()), and
+// the caller-held simplex Workspace lets further solves reuse one tableau
+// (nil falls back to the solver's internal pool).
+func FeasibleLP(ctx context.Context, in *Instance, T int64, ws *lp.Workspace) (bool, [][]float64, error) {
 	if ws != nil {
 		// Witness solves run cold: the vertex returned here feeds rounding
 		// and the golden outputs. Warm start only accelerates the
-		// verdict-only probes inside MinFeasibleTWS.
+		// verdict-only probes inside MinFeasibleT.
 		ws.InvalidateWarmStart()
 	}
 	return feasibleLP(ctx, in, T, &lpScratch{ws: ws})
-}
-
-// FeasibleLP is FeasibleLPWS with context.Background() and a pooled
-// workspace — one-shot-caller shorthand.
-func FeasibleLP(in *Instance, T int64) (bool, [][]float64, error) {
-	return FeasibleLPWS(context.Background(), in, T, nil)
-}
-
-// FeasibleLPCtx is FeasibleLPWS with a pooled workspace — compat wrapper.
-func FeasibleLPCtx(ctx context.Context, in *Instance, T int64) (bool, [][]float64, error) {
-	return FeasibleLPWS(ctx, in, T, nil)
 }
 
 // pair is one (job, machine) LP variable of the feasibility relaxation.
@@ -154,7 +142,7 @@ func feasibleLP(ctx context.Context, in *Instance, T int64, sc *lpScratch) (bool
 			sc.prob.MustAddConstraint(sc.idx, sc.val, lp.LE, float64(T))
 		}
 	}
-	ok, x, err := sc.prob.FeasibleWS(ctx, sc.ws)
+	ok, x, err := sc.prob.Feasible(ctx, sc.ws)
 	if err != nil || !ok {
 		return false, nil, err
 	}
@@ -168,13 +156,13 @@ func feasibleLP(ctx context.Context, in *Instance, T int64, sc *lpScratch) (bool
 	return true, out, nil
 }
 
-// MinFeasibleTWS binary-searches the minimal integer T with a feasible
-// relaxation and returns a vertex solution at that T. This is the
-// canonical spelling: the binary search checks ctx before every probe
-// (each probe itself aborts between simplex pivots), and every probe
-// rebuilds into one build scratch backed by the caller-held simplex
-// workspace (nil allocates a private one for the whole search).
-func MinFeasibleTWS(ctx context.Context, in *Instance, ws *lp.Workspace) (int64, [][]float64, error) {
+// MinFeasibleT binary-searches the minimal integer T with a feasible
+// relaxation and returns a vertex solution at that T. The binary search
+// checks ctx before every probe (each probe itself aborts between simplex
+// pivots), and every probe rebuilds into one build scratch backed by the
+// caller-held simplex workspace (nil allocates a private one for the whole
+// search).
+func MinFeasibleT(ctx context.Context, in *Instance, ws *lp.Workspace) (int64, [][]float64, error) {
 	var lo, hi int64 = 1, 0
 	for j := 0; j < in.N(); j++ {
 		v, _ := in.minProc(j)
@@ -226,12 +214,6 @@ func MinFeasibleTWS(ctx context.Context, in *Instance, ws *lp.Workspace) (int64,
 		best = x
 	}
 	return lo, best, nil
-}
-
-// MinFeasibleT is MinFeasibleTWS with context.Background() and a private
-// workspace — one-shot-caller shorthand.
-func MinFeasibleT(in *Instance) (int64, [][]float64, error) {
-	return MinFeasibleTWS(context.Background(), in, nil)
 }
 
 // RoundVertex applies the LST rounding to a vertex solution x at makespan
@@ -302,14 +284,13 @@ func RoundVertex(in *Instance, T int64, x [][]float64) ([]int, error) {
 	return assign, nil
 }
 
-// LSTWS runs the full Lenstra–Shmoys–Tardos pipeline: binary search for
-// the minimal LP-feasible T*, then round the vertex solution. The
-// returned assignment has makespan at most 2·T* ≤ 2·OPT. This is the
-// canonical spelling: ctx aborts the search between simplex pivots, and
-// the caller-held workspace carries one tableau across every probe (nil
-// allocates a private one).
-func LSTWS(ctx context.Context, in *Instance, ws *lp.Workspace) (assign []int, lpT int64, err error) {
-	T, x, err := MinFeasibleTWS(ctx, in, ws)
+// LST runs the full Lenstra–Shmoys–Tardos pipeline: binary search for the
+// minimal LP-feasible T*, then round the vertex solution. The returned
+// assignment has makespan at most 2·T* ≤ 2·OPT. ctx aborts the search
+// between simplex pivots, and the caller-held workspace carries one
+// tableau across every probe (nil allocates a private one).
+func LST(ctx context.Context, in *Instance, ws *lp.Workspace) (assign []int, lpT int64, err error) {
+	T, x, err := MinFeasibleT(ctx, in, ws)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -318,12 +299,6 @@ func LSTWS(ctx context.Context, in *Instance, ws *lp.Workspace) (assign []int, l
 		return nil, 0, err
 	}
 	return assign, T, nil
-}
-
-// LST is LSTWS with context.Background() and a private workspace —
-// one-shot-caller shorthand.
-func LST(in *Instance) (assign []int, lpT int64, err error) {
-	return LSTWS(context.Background(), in, nil)
 }
 
 // LPT is the greedy baseline: jobs in decreasing order of their best

@@ -1,6 +1,7 @@
 package unrelated
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -59,7 +60,7 @@ func TestLSTWithinTwiceLP(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randInstance(rng, 1+rng.Intn(14), 2+rng.Intn(5), 0.2)
-		assign, lpT, err := LST(in)
+		assign, lpT, err := LST(context.Background(), in, nil)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -86,7 +87,7 @@ func TestLSTVersusExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
 		in := randInstance(rng, 1+rng.Intn(8), 2+rng.Intn(3), 0.15)
-		assign, lpT, err := LST(in)
+		assign, lpT, err := LST(context.Background(), in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestLSTVersusExact(t *testing.T) {
 func TestMinFeasibleTMatchesExactLowerBound(t *testing.T) {
 	// For identical machines the LP bound equals max(max p, ceil(Σp/m)).
 	in := &Instance{P: [][]int64{{5, 5}, {5, 5}, {8, 8}}}
-	T, _, err := MinFeasibleT(in)
+	T, _, err := MinFeasibleT(context.Background(), in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestLPTBaseline(t *testing.T) {
 
 func TestNoUsableMachine(t *testing.T) {
 	in := &Instance{P: [][]int64{{model.Infinity, model.Infinity}}}
-	if _, _, err := MinFeasibleT(in); err == nil {
+	if _, _, err := MinFeasibleT(context.Background(), in, nil); err == nil {
 		t.Fatal("unschedulable job accepted")
 	}
 }
@@ -137,7 +138,7 @@ func TestNoUsableMachine(t *testing.T) {
 func TestScheduleAssignmentValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	in := randInstance(rng, 10, 3, 0)
-	assign, _, err := LST(in)
+	assign, _, err := LST(context.Background(), in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

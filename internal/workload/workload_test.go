@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -137,7 +138,7 @@ func TestAttachModel1Solvable(t *testing.T) {
 		if err := m1.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := memcap.SolveModel1(m1); err != nil {
+		if _, err := memcap.SolveModel1(context.Background(), m1); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
@@ -158,7 +159,7 @@ func TestAttachModel2Solvable(t *testing.T) {
 	if err := m2.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := memcap.SolveModel2(m2); err != nil {
+	if _, err := memcap.SolveModel2(context.Background(), m2); err != nil {
 		t.Fatal(err)
 	}
 }
