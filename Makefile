@@ -4,8 +4,7 @@
 GO ?= go
 
 .PHONY: all build vet fmt-check lint-docs test race bench-quick bench-packs \
-	bench-shard bench-merge bench-sharded bench-alloc bench-hot profile \
-	hspd-smoke fuzz-smoke bench-check ci
+	bench-full bench-alloc bench-hot profile hspd-smoke fuzz-smoke bench-check ci
 
 all: build vet test
 
@@ -49,33 +48,11 @@ bench-packs:
 	$(GO) run ./cmd/hbench -quick -parallel -pack memcap -json -bench-out BENCH_hbench.json
 	$(GO) run ./cmd/hbench -quick -parallel -pack dag -json -bench-out BENCH_hbench.json
 
-# Sharded suite execution. Each shard process derives the same
-# deterministic plan — cost-balanced (LPT) from the committed trajectory
-# when a record matches the run key, round-robin otherwise — and runs
-# only its subset; -bench-out here is the read-only cost source, never
-# appended to. bench-merge validates the shards form one complete
-# disjoint run and asserts the merged JSONL is byte-identical to the
-# sequential run. CI runs bench-shard in a 3-way matrix and bench-merge
-# in the follow-up job; bench-sharded is the same flow in one process
-# for local use.
-SHARDS ?= 3
-SHARD_OUT ?= out/shards
-
-bench-shard:
-	@mkdir -p $(SHARD_OUT)
-	$(GO) run ./cmd/hbench -quick -parallel -bench-out BENCH_hbench.json \
-		-shard $(SHARD)/$(SHARDS) > $(SHARD_OUT)/shard$(SHARD).jsonl
-
-bench-merge:
-	$(GO) run ./cmd/hbench -quick -parallel -json > $(SHARD_OUT)/sequential.jsonl
-	$(GO) run ./cmd/hbench -merge $(SHARD_OUT)/merged.jsonl $(SHARD_OUT)/shard*.jsonl
-	cmp $(SHARD_OUT)/sequential.jsonl $(SHARD_OUT)/merged.jsonl
-
-bench-sharded:
-	@rm -rf $(SHARD_OUT)
-	@for i in $$(seq 1 $(SHARDS)); do \
-		$(MAKE) bench-shard SHARD=$$i SHARDS=$(SHARDS) || exit 1; done
-	$(MAKE) bench-merge SHARDS=$(SHARDS)
+# The full suite of every registered pack in one process, each
+# experiment under a deadline, so a runaway solve fails instead of
+# hanging; appends a drift-checked record to the trajectory.
+bench-full:
+	$(GO) run ./cmd/hbench -pack all -parallel -json -timeout 2m -bench-out BENCH_hbench.json
 
 # Allocation budgets (see PERFORMANCE.md): the alloc-budget tests pin the
 # LP pivot loop, the exact branch-and-bound DFS and the Problem
@@ -170,4 +147,4 @@ profile:
 		> $(PROFILE_OUT)/run.jsonl
 	@echo "profiles written: $(PROFILE_OUT)/cpu.pprof $(PROFILE_OUT)/heap.pprof"
 
-ci: build vet fmt-check lint-docs race bench-alloc bench-check fuzz-smoke bench-quick bench-packs hspd-smoke
+ci: build vet fmt-check lint-docs race bench-alloc bench-check fuzz-smoke bench-quick bench-packs bench-full hspd-smoke

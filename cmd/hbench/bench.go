@@ -15,9 +15,7 @@ import (
 // machine-readable summary of one hbench run, appended per invocation so
 // successive records chart the reproduction and its performance over
 // time. Statuses and per-experiment wall times are kept so the next run
-// can diff against this one (drift detection) without re-running — and so
-// shard planning can balance shards by measured cost (see Plan in
-// internal/expt).
+// can diff against this one (drift detection) without re-running.
 type benchRecord struct {
 	Schema int    `json:"schema"`
 	Time   string `json:"time"` // RFC 3339 with nanoseconds, UTC
@@ -40,10 +38,7 @@ type benchRecord struct {
 	// Other counts results whose status is none of the known five, so
 	// Pass+Fail+Errors+Timeouts+Canceled+Other == Experiments always
 	// holds; a future status can never silently vanish from the counters.
-	Other int `json:"other,omitempty"`
-	// Shards is the shard count of a merged multi-process run (hbench
-	// -merge); zero for a single-process run.
-	Shards      int                `json:"shards,omitempty"`
+	Other       int                `json:"other,omitempty"`
 	WallMS      float64            `json:"wall_ms"`
 	Statuses    map[string]string  `json:"statuses"`
 	DurationsMS map[string]float64 `json:"durations_ms"`
@@ -64,8 +59,7 @@ type driftReport struct {
 
 // benchKey builds the trajectory key identifying comparable runs. The ids
 // are order-normalized (lexicographically, matching the historical record
-// format), so a merged shard run and a sequential run of the same suite
-// share one trajectory.
+// format), so the key names the experiment set, not the order it ran in.
 func benchKey(pack string, quick bool, seed int64, ids []string) string {
 	sorted := append([]string(nil), ids...)
 	sort.Strings(sorted)
@@ -74,9 +68,8 @@ func benchKey(pack string, quick bool, seed int64, ids []string) string {
 
 // appendBenchRecord appends one record to path (JSONL) and returns
 // human-readable drift lines versus the previous record for the same
-// key, if one exists. shards is nonzero only for merged multi-process
-// runs.
-func appendBenchRecord(path, pack string, quick bool, seed int64, workers, shards int, results []expt.Result, wall time.Duration) ([]string, error) {
+// key, if one exists.
+func appendBenchRecord(path, pack string, quick bool, seed int64, workers int, results []expt.Result, wall time.Duration) ([]string, error) {
 	ids := make([]string, len(results))
 	for i, r := range results {
 		ids[i] = r.ID
@@ -90,7 +83,6 @@ func appendBenchRecord(path, pack string, quick bool, seed int64, workers, shard
 		Quick:       quick,
 		Seed:        seed,
 		Workers:     workers,
-		Shards:      shards,
 		GoVersion:   runtime.Version(),
 		Experiments: len(results),
 		WallMS:      float64(wall.Nanoseconds()) / 1e6,

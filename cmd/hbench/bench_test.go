@@ -50,9 +50,4 @@ func TestDriftSurvivesCorruptedTrajectory(t *testing.T) {
 	if rec.Drift == nil {
 		t.Fatal("drift not computed against the intact record")
 	}
-	// And the corrupted file still serves as a cost source for planning.
-	costs, err := loadCosts(path, rec.Key)
-	if err != nil || len(costs) == 0 {
-		t.Fatalf("loadCosts over corrupted trajectory: costs=%v err=%v", costs, err)
-	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,6 +20,11 @@ import (
 // supposed to alter experiment output:
 //
 //	go run ./cmd/hbench -quick -parallel -pack <pack> -json > cmd/hbench/testdata/golden_quick_<pack>.jsonl
+//
+// The "alone" case runs every golden experiment by itself (-run ID) and
+// checks its line: an experiment's seed derives from the base seed and
+// its ID only (expt.DeriveSeed), so its record must not depend on which
+// experiments run beside it.
 func TestGoldenByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suites")
@@ -29,12 +35,13 @@ func TestGoldenByteIdentity(t *testing.T) {
 		// extra coverage (races are caught by the runner tests).
 		t.Skip("full quick suites under -race duplicate the reproduction gate")
 	}
-	for _, tc := range []struct{ pack, golden string }{
+	goldens := []struct{ pack, golden string }{
 		{"paper", "golden_quick_paper.jsonl"},
 		{"rt", "golden_quick_rt.jsonl"},
 		{"memcap", "golden_quick_memcap.jsonl"},
 		{"dag", "golden_quick_dag.jsonl"},
-	} {
+	}
+	for _, tc := range goldens {
 		t.Run(tc.pack, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
 			if err != nil {
@@ -52,6 +59,33 @@ func TestGoldenByteIdentity(t *testing.T) {
 			}
 		})
 	}
+	t.Run("alone", func(t *testing.T) {
+		for _, tc := range goldens {
+			data, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range bytes.SplitAfter(data, []byte("\n")) {
+				if len(want) == 0 {
+					continue
+				}
+				var rec struct {
+					ID string `json:"id"`
+				}
+				if err := json.Unmarshal(want, &rec); err != nil {
+					t.Fatalf("%s: %v", tc.golden, err)
+				}
+				var out bytes.Buffer
+				if err := run(context.Background(), []string{"-run", rec.ID, "-quick", "-json"}, &out); err != nil {
+					t.Fatalf("%s: %v", rec.ID, err)
+				}
+				if !bytes.Equal(out.Bytes(), want) {
+					t.Errorf("%s run alone diverged from its %s line\ngot  %q\nwant %q",
+						rec.ID, tc.golden, out.Bytes(), want)
+				}
+			}
+		}
+	})
 }
 
 // firstDiffLine returns the first line where got and want differ.

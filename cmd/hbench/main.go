@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	hbench                          # the paper pack (minutes)
+//	hbench                          # the paper pack (~20 s)
 //	hbench -quick                   # reduced trial counts (seconds)
 //	hbench -seed 11                 # another base seed (default 7)
 //	hbench -pack rt                 # a registered pack (paper, rt, memcap, all)
@@ -22,20 +22,11 @@
 //	hbench -quick -json-full        # JSONL with wall times and table payloads
 //	hbench -csv out/                # additionally write CSV files
 //	hbench -bench-out BENCH_hbench.json   # append a drift-checked per-run record
-//	hbench -shard 2/3 > s2.jsonl    # run the 2nd of 3 deterministically planned shards
-//	hbench -merge out.jsonl s1.jsonl s2.jsonl s3.jsonl   # merge shard runs
 //	hbench -cpuprofile cpu.pprof -memprofile heap.pprof  # profile the run (PERFORMANCE.md)
-//
-// Sharding splits a suite across processes (or machines): every shard
-// process derives the same deterministic plan, runs only its subset, and
-// tags its JSONL with shard metadata; -merge validates the shards form
-// one complete disjoint run and reassembles output byte-identical to a
-// single sequential -json run.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -73,9 +64,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		stream    = fs.Bool("stream", false, "emit each record the moment its experiment finishes (JSONL in completion order; byte-stable modulo order unless -json-full)")
 		parallel  = fs.Bool("parallel", false, "run experiments on a bounded worker pool (GOMAXPROCS workers)")
 		timeout   = fs.Duration("timeout", 0, "per-experiment deadline; cancels the experiment's context, aborting its solver loops (0 = none)")
-		benchOut  = fs.String("bench-out", "", "append a per-run record (status counts, wall times) to this JSONL file, drift-checked against the previous record with the same pack/quick/seed/experiment-set key; with -shard the file is only read, as the cost source for shard balancing, and with -merge the merged run appends exactly one record")
-		shard     = fs.String("shard", "", "i/N: run only the i-th of N deterministically planned shards of the selected suite (implies -json; output is tagged with shard metadata for -merge)")
-		merge     = fs.String("merge", "", "merge mode: validate the shard JSONL files given as positional arguments and write their records, in canonical order, to this path (byte-identical to a sequential -json run)")
+		benchOut  = fs.String("bench-out", "", "append a per-run record (status counts, wall times) to this JSONL file, drift-checked against the previous record with the same pack/quick/seed/experiment-set key")
 		cpuProf   = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file (see PERFORMANCE.md)")
 		memProf   = fs.String("memprofile", "", "write a pprof heap profile, taken after the run, to this file (see PERFORMANCE.md)")
 	)
@@ -119,43 +108,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		printPacks(stdout)
 		return nil
 	}
-	if *merge != "" {
-		return runMerge(*merge, fs.Args(), *benchOut, stdout)
-	}
 
 	ids, packName, err := selectExperiments(*runID, *pack)
 	if err != nil {
 		return err
-	}
-
-	var shardMeta *shardInfo
-	if *shard != "" {
-		index, of, err := parseShardSpec(*shard)
-		if err != nil {
-			return err
-		}
-		if *jsonFull {
-			return errors.New("-shard emits byte-stable records for -merge; -json-full is incompatible")
-		}
-		all := ids
-		if len(all) == 0 { // -pack all selects every registered experiment
-			all = expt.IDs()
-		}
-		canonical := append([]string(nil), all...)
-		expt.SortIDs(canonical)
-		costs, err := loadCosts(*benchOut, benchKey(packName, *quick, *seed, canonical))
-		if err != nil {
-			return fmt.Errorf("shard costs: %w", err)
-		}
-		ids = expt.Plan(canonical, of, costs)[index-1]
-		shardMeta = &shardInfo{
-			Index: index, Of: of,
-			Pack: packName, Quick: *quick, Seed: *seed,
-			IDs: ids, All: canonical,
-		}
-		if !*stream {
-			*jsonOut = true
-		}
 	}
 
 	opts := expt.JSONOptions{Full: *jsonFull}
@@ -181,15 +137,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	start := time.Now()
-	var results []expt.Result
-	if shardMeta == nil || len(ids) > 0 {
-		// An empty shard (more shards than experiments) must not fall
-		// through to Run's nil-means-everything default; it runs nothing
-		// and still emits its metadata line so -merge counts it.
-		results, err = r.Run(ctx, ids)
-		if err != nil {
-			return err
-		}
+	results, err := r.Run(ctx, ids)
+	if err != nil {
+		return err
 	}
 	wall := time.Since(start)
 	if sinkErr != nil {
@@ -213,17 +163,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	switch {
-	case shardMeta != nil:
-		// A shard run never appends to the trajectory — -merge appends the
-		// one record for the whole distributed run. The measured wall
-		// times ride in the metadata line instead.
-		shardMeta.Workers = r.Workers
-		if err := writeShardMeta(stdout, *shardMeta, results, wall); err != nil {
-			return err
-		}
-	case *benchOut != "":
-		drift, err := appendBenchRecord(*benchOut, packName, *quick, *seed, r.Workers, 0, results, wall)
+	if *benchOut != "" {
+		drift, err := appendBenchRecord(*benchOut, packName, *quick, *seed, r.Workers, results, wall)
 		if err != nil {
 			return fmt.Errorf("bench record: %w", err)
 		}

@@ -272,7 +272,7 @@ func TestBenchRecordStatusCounterInvariant(t *testing.T) {
 		{ID: "B", Status: expt.StatusFail},
 		{ID: "C", Status: expt.Status("someday-a-new-status")},
 	}
-	if _, err := appendBenchRecord(path, "subset", true, 7, 1, 0, results, time.Millisecond); err != nil {
+	if _, err := appendBenchRecord(path, "subset", true, 7, 1, results, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -298,7 +298,7 @@ func TestBenchRecordTimeResolutionAndWallRatio(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_hbench.json")
 	results := []expt.Result{{ID: "A", Status: expt.StatusPass}}
 	for i := 0; i < 2; i++ {
-		if _, err := appendBenchRecord(path, "subset", true, 7, 1, 0, results, time.Millisecond); err != nil {
+		if _, err := appendBenchRecord(path, "subset", true, 7, 1, results, time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 	}

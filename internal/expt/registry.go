@@ -100,24 +100,6 @@ func lessID(a, b string) bool {
 	return a < b
 }
 
-// SortIDs sorts experiment ids in place into suite order — the order
-// Experiments returns them and a sequential pack run emits them. Shard
-// planning and shard merging both canonicalize through it, which is what
-// makes merged multi-process output byte-identical to a single run.
-func SortIDs(ids []string) {
-	sort.Slice(ids, func(i, j int) bool { return lessID(ids[i], ids[j]) })
-}
-
-// IDs returns the registered experiment ids in suite order.
-func IDs() []string {
-	es := Experiments()
-	ids := make([]string, len(es))
-	for i, e := range es {
-		ids[i] = e.ID
-	}
-	return ids
-}
-
 func experimentNum(id string) (int, bool) {
 	if !strings.HasPrefix(id, "E") {
 		return 0, false

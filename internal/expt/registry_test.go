@@ -7,7 +7,10 @@ import (
 )
 
 func TestRegistryHasFullSuite(t *testing.T) {
-	ids := IDs()
+	var ids []string
+	for _, e := range Experiments() {
+		ids = append(ids, e.ID)
+	}
 	if len(ids) < 15 {
 		t.Fatalf("registry holds %d experiments, want ≥ 15: %v", len(ids), ids)
 	}

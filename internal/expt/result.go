@@ -55,12 +55,6 @@ type TableJSON struct {
 // Duration is the measured wall time of the experiment.
 func (r Result) Duration() time.Duration { return r.duration }
 
-// SetDuration sets the measured wall time. It exists for tools that
-// rehydrate Results from serialized records — hbench -merge restores each
-// shard's measured per-experiment durations from its shard metadata so
-// the merged bench record carries real wall times.
-func (r *Result) SetDuration(d time.Duration) { r.duration = d }
-
 // Failed reports whether the result should gate (anything but pass).
 func (r Result) Failed() bool { return r.Status != StatusPass }
 

@@ -22,7 +22,8 @@ import (
 //   - signature mismatch, including any negative RHS on either side (the
 //     cold path's sign normalization would flip row scaling);
 //   - an artificial variable still basic in the retained tableau;
-//   - the dual re-entry exceeds its pivot budget (cycling guard);
+//   - the dual re-entry exceeds its budget of 3·nrows pivots (see
+//     dualIterate for why the budget is safe);
 //   - an infeasibility certificate with a violation too small to trust
 //     against the cold path's phase-1 tolerance.
 //
@@ -462,15 +463,20 @@ func (t *tableau) verifyFarkas(p *Problem) bool {
 // primal feasibility (worst ≥ -zeroTol), a Farkas infeasibility
 // certificate (worst < -zeroTol with no admissible entering column; the
 // certificate row and ray orientation land in t.certRow / t.certFlip),
-// or a pivot budget that guards against cycling (a stall reports the
-// current worst violation clamped into the ambiguous band, with
-// pivots = budget). Banned columns are variables the presented problem
+// or a budget of 3·nrows pivots. Running out reports the current worst
+// violation clamped into the ambiguous band, with pivots = budget, and
+// solveWarm hands an ambiguous result to the cold path — so the budget
+// decides how long a re-entry may try, never what is returned. A
+// converging re-entry repairs about one violated row per pivot; one that
+// has used three pivots per row is cycling or drifting in a tableau that
+// is never refactorized, and handing over to the cold solve is cheaper
+// than continuing. Banned columns are variables the presented problem
 // fixed at zero: they may not enter, and one still basic at a positive
 // value is itself a violation — it leaves through the sign-mirrored
 // ratio test (bounded dual simplex with a [0,0] box on banned columns).
 // The context is polled between pivots like the primal loop.
 func (t *tableau) dualIterate() (int, float64, error) {
-	maxIter := 2000 + 200*(t.nrows+t.ncols)
+	maxIter := 3 * t.nrows
 	nc := t.ncols
 	bland := false
 	t.certRow, t.certFlip = -1, false

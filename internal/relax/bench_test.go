@@ -12,14 +12,32 @@ import (
 // benchInstance is the E12-shaped workload: an SMP-CMP hierarchy whose
 // (IP-3) binary search re-solves ~10 near-identical LPs per call.
 func benchInstance(b *testing.B, jobs int) *model.Instance {
-	b.Helper()
+	return smpcmpInstance(b, []int{2, 2, 2}, jobs, 42)
+}
+
+// e12LargeSeed is the workload seed of E12's last full-size row (m=32,
+// n=160) at hbench's default base seed 7: the fifth draw of E12's
+// row-seed generator, rand.NewSource(expt.DeriveSeed(7, "E12") + 9).
+const e12LargeSeed = 8994422357648994748
+
+// e12LargeInstance is E12's largest row: 32 machines under a five-level
+// binary SMP-CMP tree and 160 jobs. Each probe's (IP-3) LP has 10,080
+// variables and 223 rows, a 223×10,303 tableau.
+func e12LargeInstance(tb testing.TB) *model.Instance {
+	return smpcmpInstance(tb, []int{2, 2, 2, 2, 2}, 160, e12LargeSeed)
+}
+
+// smpcmpInstance generates E12's workload shape with singletons added,
+// as approx.TwoApprox presents it to MinFeasibleT.
+func smpcmpInstance(tb testing.TB, branching []int, jobs int, seed int64) *model.Instance {
+	tb.Helper()
 	in, err := workload.Generate(workload.Config{
-		Topology: workload.SMPCMP, Branching: []int{2, 2, 2},
-		Jobs: jobs, Seed: 42, MinWork: 10, MaxWork: 100,
+		Topology: workload.SMPCMP, Branching: branching,
+		Jobs: jobs, Seed: seed, MinWork: 10, MaxWork: 100,
 		SpeedSpread: 0.5, OverheadPerLevel: 0.3,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return in.WithSingletons()
 }
@@ -65,5 +83,33 @@ func BenchmarkMinFeasibleTWarm(b *testing.B) {
 	if st.Probes > 0 {
 		b.ReportMetric(float64(st.LP.Pivots)/float64(b.N), "pivots/op")
 		b.ReportMetric(float64(st.LP.WarmHits)/float64(st.LP.Solves), "warmhit-ratio")
+	}
+}
+
+// BenchmarkMinFeasibleTLarge runs the warm binary search on E12's
+// largest row, the shape where an unbounded dual re-entry once ran for
+// minutes. The cold variant is the oracle configuration; compare the
+// two pivots/op figures for the warm path's saving at this size.
+func BenchmarkMinFeasibleTLarge(b *testing.B) {
+	in := e12LargeInstance(b)
+	for _, warm := range []bool{true, false} {
+		name := "warm"
+		if !warm {
+			name = "cold"
+		}
+		b.Run(name, func(b *testing.B) {
+			ctx := context.Background()
+			ws := relax.NewWorkspace()
+			ws.LP.SetWarmStart(warm)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := relax.MinFeasibleT(ctx, in, ws); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(ws.Stats().LP.Pivots)/float64(b.N), "pivots/op")
+		})
 	}
 }

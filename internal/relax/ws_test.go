@@ -3,8 +3,10 @@ package relax_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"hsp/internal/relax"
+	"hsp/internal/testenv"
 	"hsp/internal/workload"
 )
 
@@ -48,4 +50,44 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWarmSearchBoundedOnLargeShape pins the dual re-entry's pivot
+// budget on E12's largest row. There, an unbounded re-entry drifted
+// through tens of thousands of pivots per probe and the warm search ran
+// for minutes where the cold search takes seconds. The warm search must
+// find the cold T* and spend no more simplex pivots than the cold one.
+func TestWarmSearchBoundedOnLargeShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves E12's largest LP shape")
+	}
+	if testenv.RaceEnabled {
+		// Single-goroutine dense pivoting: race instrumentation only
+		// multiplies the wall time.
+		t.Skip("large single-goroutine LP search under -race")
+	}
+	in := e12LargeInstance(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	search := func(warm bool) (int64, relax.Stats) {
+		ws := relax.NewWorkspace()
+		ws.LP.SetWarmStart(warm)
+		T, _, err := relax.MinFeasibleT(ctx, in, ws)
+		if err != nil {
+			t.Fatalf("warm=%t: %v", warm, err)
+		}
+		return T, ws.Stats()
+	}
+	coldT, cold := search(false)
+	warmT, warm := search(true)
+	if warmT != coldT {
+		t.Fatalf("T* warm=%d cold=%d", warmT, coldT)
+	}
+	if warm.LP.Pivots > cold.LP.Pivots {
+		t.Fatalf("warm search pivoted %d times, cold %d (warm hits %d, fallbacks %d)",
+			warm.LP.Pivots, cold.LP.Pivots, warm.LP.WarmHits, warm.LP.WarmFallbacks)
+	}
+	t.Logf("T*=%d pivots warm=%d cold=%d; warm hits %d, fallbacks %d",
+		warmT, warm.LP.Pivots, cold.LP.Pivots, warm.LP.WarmHits, warm.LP.WarmFallbacks)
 }

@@ -81,7 +81,7 @@ func TestLastSkipsTruncatedLine(t *testing.T) {
 // A record carrying per-experiment fields for a large pack can exceed
 // bufio.Scanner's default 1 MiB token cap; Last must read arbitrarily
 // long lines rather than failing the whole trajectory (which would
-// silently disable drift checks and cost-aware shard planning).
+// silently disable drift checks).
 func TestLastOversizedLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trajectory.json")
 	mustAppend(t, path, record{Key: "big", Time: "t1", Blob: strings.Repeat("x", 2<<20)})
