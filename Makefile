@@ -64,12 +64,14 @@ bench-alloc:
 	$(GO) test -count=1 -run 'AllocFree|SteadyStateAllocs' ./internal/lp ./internal/exact
 
 # The hot-path benchmarks with allocation counts: the LP oracle per
-# solve, the Section V binary search, and one exact branch-and-bound
-# probe. Compare against the table in PERFORMANCE.md.
+# solve, the Section V binary search, one exact branch-and-bound probe,
+# and an rt admission sweep (four fresh tests vs one Tester). Compare
+# against the tables in PERFORMANCE.md.
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveWS$$' -benchmem ./internal/lp
 	$(GO) test -run '^$$' -bench 'BenchmarkMinFeasibleT$$' -benchmem ./internal/relax
 	$(GO) test -run '^$$' -bench 'BenchmarkFeasibleAssignment$$' -benchmem ./internal/exact
+	$(GO) test -run '^$$' -bench 'BenchmarkSweep$$' -benchmem ./internal/rt
 
 # Daemon smoke: build hspd, drive it with the synthetic-traffic harness
 # for a few seconds, and fail on zero successful answers, any outright
@@ -113,8 +115,9 @@ hspd-smoke:
 # untrusted instance decoders: the wire-format instance decoder (no
 # crash; accepted instances validate and round-trip) and the laminar
 # family constructor (no crash; accepted families keep their forest
-# invariants). Targets run one at a time — go test allows a single
-# -fuzz pattern per package.
+# invariants) — plus the rt Tester's memo (every answer of one Tester
+# over any frame sequence equals a fresh Tester's). Targets run one at a
+# time — go test allows a single -fuzz pattern per package.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -125,6 +128,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCacheKey' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -run '^$$' -fuzz 'FuzzNew' -fuzztime $(FUZZTIME) ./internal/laminar
+	$(GO) test -run '^$$' -fuzz 'FuzzTesterMatchesTest' -fuzztime $(FUZZTIME) ./internal/rt
 
 # The repository benchmark (BENCHMARK.json) is a Go module of its own in
 # hspbench/, which the root `go test ./...` does not enter: vet it and

@@ -246,13 +246,21 @@ const (
 // times = mask-dependent WCETs) fits a frame of the given length; the
 // returned one-frame schedule repeats verbatim every frame.
 func TestSchedulability(ctx context.Context, in *Instance, frame int64, opts RTOptions) (*RTResult, error) {
-	return rt.Test(ctx, in, frame, opts)
+	t, err := rt.NewTester(in, nil)
+	if err != nil {
+		return nil, err
+	}
+	return t.Test(ctx, frame, opts)
 }
 
 // MinFrame brackets the minimal schedulable frame length: [LP bound,
 // best constructive makespan].
 func MinFrame(ctx context.Context, in *Instance) (lower, upper int64, err error) {
-	return rt.MinFrame(ctx, in)
+	t, err := rt.NewTester(in, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	return t.MinFrame(ctx)
 }
 
 // UnrollSchedule repeats a one-frame schedule for the given frame count.

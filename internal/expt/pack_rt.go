@@ -48,13 +48,21 @@ func rtTaskSets(rng *rand.Rand, trials, jobs int) ([]*rtTaskSet, bool) {
 		if sumMin <= 0 {
 			return nil, false
 		}
-		sets = append(sets, &rtTaskSet{in: in, sumMin: sumMin})
+		tester, err := rt.NewTester(in, nil)
+		if err != nil {
+			return nil, false
+		}
+		sets = append(sets, &rtTaskSet{in: in, tester: tester, sumMin: sumMin})
 	}
 	return sets, true
 }
 
+// rtTaskSet is one task set with the Tester that answers every frame
+// RT1 probes it at, so T* and the constructive schedules are computed
+// once per set, not once per utilization row.
 type rtTaskSet struct {
 	in     *model.Instance
+	tester *rt.Tester
 	sumMin int64
 }
 
@@ -89,7 +97,7 @@ func (s Suite) RT1(ctx context.Context) *Table {
 			if frame < 1 {
 				frame = 1
 			}
-			res, err := rt.Test(ctx, ts.in, frame, rt.Options{ExactNodes: 100_000})
+			res, err := ts.tester.Test(ctx, frame, rt.Options{ExactNodes: 100_000})
 			if err != nil {
 				continue
 			}
@@ -145,7 +153,11 @@ func (s Suite) RT2(ctx context.Context) *Table {
 			return t
 		}
 		in := generatedN(rng, workload.SMPCMP, 10, 0.3, 0)
-		lower, upper, err := rt.MinFrame(ctx, in)
+		tester, err := rt.NewTester(in, nil)
+		if err != nil {
+			continue
+		}
+		lower, upper, err := tester.MinFrame(ctx)
 		if err != nil || lower <= 0 {
 			continue
 		}
@@ -153,7 +165,7 @@ func (s Suite) RT2(ctx context.Context) *Table {
 		if r := float64(upper) / float64(lower); r > maxRatio {
 			maxRatio = r
 		}
-		if res, err := rt.Test(ctx, in, upper, rt.Options{}); err == nil && res.Verdict == rt.Schedulable {
+		if res, err := tester.Test(ctx, upper, rt.Options{}); err == nil && res.Verdict == rt.Schedulable {
 			schedUp++
 			if res.Makespan <= upper {
 				tight++
@@ -164,7 +176,7 @@ func (s Suite) RT2(ctx context.Context) *Table {
 			}
 		}
 		if lower >= 2 {
-			if res, err := rt.Test(ctx, in, lower-1, rt.Options{}); err == nil &&
+			if res, err := tester.Test(ctx, lower-1, rt.Options{}); err == nil &&
 				res.Verdict == rt.Unschedulable && res.LPBound > lower-1 {
 				unschedLow++
 			}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -282,5 +283,48 @@ func TestWarmSolveSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs > 2 {
 		t.Errorf("warm re-solve allocates %v/op steady-state, want ≤ 2 (Solution + X)", allocs)
+	}
+}
+
+// TestFallbackPivotsCounted forces a warm re-entry that falls back to
+// the cold path and checks that its dual pivots land in Pivots. One job
+// split over two machines, x1 + x2 = 1 and 2·x_i ≤ T, is feasible iff
+// T ≥ 1. Anchored at T = 4 with x2 = 1, the re-entry at T = 1 − 10⁻⁶
+// repairs machine 2's row with one dual pivot and is then left with a
+// violation of 2·10⁻⁶ on machine 1's: an infeasibility too marginal to
+// trust, which the warm path hands to the cold solve.
+func TestFallbackPivotsCounted(t *testing.T) {
+	build := func(T float64) *Problem {
+		p := NewProblem(2)
+		p.SetObjectiveCoeff(0, 1)
+		p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 1)
+		p.MustAddConstraint([]int{0}, []float64{2}, LE, T)
+		p.MustAddConstraint([]int{1}, []float64{2}, LE, T)
+		return p
+	}
+	ws := NewWorkspace()
+	if sol, err := build(4).Solve(context.Background(), ws); err != nil || sol.Status != Optimal {
+		t.Fatalf("anchor: %v %v", sol, err)
+	}
+	before := ws.Stats()
+	sol, err := build(1-1e-6).Solve(context.Background(), ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := ws.Stats()
+	if sol.Status != Infeasible || sol.Warm {
+		t.Fatalf("status %v warm=%t, want a cold Infeasible", sol.Status, sol.Warm)
+	}
+	if after.WarmFallbacks != before.WarmFallbacks+1 {
+		t.Fatalf("fallbacks %d → %d, want one more", before.WarmFallbacks, after.WarmFallbacks)
+	}
+	// The cold solve's pivots are sol.Iterations; the rest of the delta
+	// is the fallen-back re-entry's.
+	if fell := after.Pivots - before.Pivots - sol.Iterations; fell <= 0 {
+		t.Fatalf("Pivots grew by %d for a %d-pivot cold solve: the fallback's dual pivots are missing",
+			after.Pivots-before.Pivots, sol.Iterations)
+	}
+	if after.WarmPivots != before.WarmPivots {
+		t.Fatalf("WarmPivots grew %d → %d without a warm hit", before.WarmPivots, after.WarmPivots)
 	}
 }

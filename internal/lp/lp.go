@@ -233,7 +233,6 @@ func (p *Problem) Solve(ctx context.Context, ws *Workspace) (*Solution, error) {
 					ws.counters.SubsetHits++
 				}
 				ws.counters.WarmPivots += sol.Iterations
-				ws.counters.Pivots += sol.Iterations
 				return sol, nil
 			}
 			ws.counters.WarmFallbacks++

@@ -50,7 +50,8 @@ type warmState struct {
 
 // Counters aggregates solver effort across the lifetime of a Workspace
 // (reset with ResetStats). Pivots counts both phases of cold solves and
-// the dual re-entry pivots of warm solves.
+// the pivots of every warm re-entry, including re-entries that fell back
+// to the cold path; WarmPivots counts only those of warm hits.
 type Counters struct {
 	Solves        int // Solve entries (cold, warm, and fallbacks)
 	ColdSolves    int // solves answered by two-phase simplex
@@ -251,7 +252,8 @@ const certTol = 1e-7
 // variable p pruned; banned from entering, it stays nonbasic at zero so
 // the anchor tableau solves exactly p). The boolean reports whether the
 // warm path produced a trustworthy answer; false means fall back to the
-// cold path (never an error by itself).
+// cold path (never an error by itself). Its pivots count toward
+// Pivots on every path, fallbacks and errors included.
 func (ws *Workspace) solveWarm(p *Problem, oldToNew []int) (*Solution, bool, error) {
 	t := &ws.t
 	if oldToNew != nil {
@@ -302,6 +304,7 @@ func (ws *Workspace) solveWarm(p *Problem, oldToNew []int) (*Solution, bool, err
 	t.blandMode = false
 
 	pivots, worst, err := t.dualIterate()
+	defer func() { ws.counters.Pivots += pivots }()
 	if err != nil {
 		return nil, false, err
 	}
@@ -312,7 +315,8 @@ func (ws *Workspace) solveWarm(p *Problem, oldToNew []int) (*Solution, bool, err
 		// the ratio-test tolerances left a marginally negative reduced
 		// cost, then read the vertex off the basis.
 		it, err := t.iterate(t.cost2, false)
-		sol.Iterations += it
+		pivots += it
+		sol.Iterations = pivots
 		if err != nil || t.unbounded {
 			// A cycling or unbounded polish under a basis that is already
 			// primal-feasible signals numerical trouble: let the cold

@@ -16,6 +16,13 @@
 //     is returned and repeats each frame);
 //   - otherwise                 → Unknown (the gap of the 2-approximation;
 //     an exact search with a node budget can close it on small task sets).
+//
+// None of the three checks depends on the frame, so a Tester holds one
+// task set and answers any number of frames from one T*, one
+// 2-approximation and one greedy + local-search schedule: an admission
+// sweep over k frames costs one test plus k cheap comparisons. NewTester
+// takes the caller's relaxation workspace, so a daemon worker runs rt's
+// LP work on the same warm tableau as every other solver.
 package rt
 
 import (
@@ -72,20 +79,110 @@ type Result struct {
 	Schedule   *sched.Schedule  // one frame; repeats every Frame time units
 }
 
-// Test decides whether the task set (tasks = jobs of the instance, WCETs =
-// processing times) is schedulable with frame length F. The LP
-// certificate, the constructive attempts and the optional exact search
-// all poll ctx and abort with an error wrapping ctx.Err() once it is done.
-func Test(ctx context.Context, in *model.Instance, frame int64, opts Options) (*Result, error) {
-	if frame <= 0 {
-		return nil, fmt.Errorf("rt: frame length must be positive, got %d", frame)
-	}
+// Tester answers schedulability questions about one task set (tasks =
+// jobs of the instance, WCETs = processing times) at any frame length.
+// The three frame-independent stages of the trichotomy — the LP bound
+// T*, the certified 2-approximation and the greedy + local-search
+// schedule (on the task set for Test, on the 2-approximation's
+// singleton-extended copy for MinFrame, as the bracket has always been
+// defined) — are computed at most once each, on the Tester's relaxation
+// workspace, and reused by every later Test and MinFrame call. Only
+// successes are memoized: a stage that failed, including one whose
+// context died, runs again on the next call, so every answer equals what
+// a fresh Tester would return. The exact fallback (Options.ExactNodes)
+// runs per call and is never memoized.
+//
+// Results of one Tester share the memoized assignments and schedules;
+// treat them as read-only. A Tester is not goroutine-safe.
+type Tester struct {
+	in     *model.Instance
+	ws     *relax.Workspace
+	tStar  int64          // 0 until the LP bound succeeded
+	approx *approx.Result // nil until the 2-approximation succeeded
+	greedy heuristic      // on in, for Test
+	ext    heuristic      // on approx.Instance, for MinFrame
+}
+
+// heuristic memoizes the greedy + local-search result on one instance
+// and the schedule that realizes it (nil when the hierarchical
+// scheduler rejects the assignment; the heuristic then never answers).
+type heuristic struct {
+	res *baselines.Result
+	s   *sched.Schedule
+}
+
+// NewTester validates the task set and returns a Tester that runs its
+// LP work on ws (nil allocates a private workspace for the Tester).
+func NewTester(in *model.Instance, ws *relax.Workspace) (*Tester, error) {
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
+	if ws == nil {
+		ws = relax.NewWorkspace()
+	}
+	return &Tester{in: in, ws: ws}, nil
+}
+
+// lpBound returns T*(in), the Section V LP bound. A dead ctx fails even
+// when T* is memoized, as the search it stands for would have.
+func (t *Tester) lpBound(ctx context.Context) (int64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	if t.tStar == 0 {
+		tStar, _, err := relax.MinFeasibleT(ctx, t.in, t.ws)
+		if err != nil {
+			return 0, err
+		}
+		t.tStar = tStar
+	}
+	return t.tStar, nil
+}
+
+// twoApprox returns the Theorem V.2 2-approximation.
+func (t *Tester) twoApprox(ctx context.Context) (*approx.Result, error) {
+	if t.approx == nil {
+		ar, err := approx.TwoApprox(ctx, t.in, t.ws)
+		if err != nil {
+			return nil, err
+		}
+		t.approx = ar
+	}
+	return t.approx, nil
+}
+
+// heuristicOn returns the greedy + local-search result on inst (in, or
+// the 2-approximation's singleton-extended copy), nil when it failed.
+func (t *Tester) heuristicOn(inst *model.Instance) *heuristic {
+	h := &t.greedy
+	if inst != t.in {
+		h = &t.ext
+	}
+	if h.res == nil {
+		hr, err := baselines.GreedyWithLocalSearch(inst)
+		if err != nil {
+			return nil
+		}
+		h.res = hr
+		if s, err := hier.Schedule(inst, hr.Assignment, hr.Makespan); err == nil {
+			h.s = s
+		}
+	}
+	return h
+}
+
+// Test decides whether the task set is schedulable with frame length F.
+// The LP certificate, the constructive attempts and the optional exact
+// search all poll ctx and abort with an error wrapping ctx.Err() once it
+// is done.
+func (t *Tester) Test(ctx context.Context, frame int64, opts Options) (*Result, error) {
+	if frame <= 0 {
+		return nil, fmt.Errorf("rt: frame length must be positive, got %d", frame)
+	}
+	in := t.in
 	res := &Result{Frame: frame, Instance: in}
 
-	tStar, _, err := relax.MinFeasibleT(ctx, in, nil)
+	tStar, err := t.lpBound(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
@@ -97,7 +194,7 @@ func Test(ctx context.Context, in *model.Instance, frame int64, opts Options) (*
 
 	// Constructive attempts, cheapest first: the certified 2-approximation,
 	// then the greedy + local search, then (optionally) exact search.
-	if ar, err := approx.TwoApprox(ctx, in, nil); err == nil && ar.Makespan <= frame {
+	if ar, err := t.twoApprox(ctx); err == nil && ar.Makespan <= frame {
 		res.Verdict = Schedulable
 		res.Makespan = ar.Makespan
 		res.Assignment = ar.Assignment
@@ -105,14 +202,12 @@ func Test(ctx context.Context, in *model.Instance, frame int64, opts Options) (*
 		res.Schedule = ar.Schedule
 		return res, nil
 	}
-	if hr, err := baselines.GreedyWithLocalSearch(in); err == nil && hr.Makespan <= frame {
-		if s, err := hier.Schedule(in, hr.Assignment, hr.Makespan); err == nil {
-			res.Verdict = Schedulable
-			res.Makespan = hr.Makespan
-			res.Assignment = hr.Assignment
-			res.Schedule = s
-			return res, nil
-		}
+	if h := t.heuristicOn(in); h != nil && h.s != nil && h.res.Makespan <= frame {
+		res.Verdict = Schedulable
+		res.Makespan = h.res.Makespan
+		res.Assignment = h.res.Assignment
+		res.Schedule = h.s
+		return res, nil
 	}
 	if opts.ExactNodes > 0 {
 		a, opt, err := exact.Solve(ctx, in, exact.Options{MaxNodes: opts.ExactNodes}, nil)
@@ -140,23 +235,18 @@ func Test(ctx context.Context, in *model.Instance, frame int64, opts Options) (*
 // lower = the LP bound (no smaller frame can ever be schedulable),
 // upper = the best constructive makespan found (that frame provably works).
 // ctx is polled as in Test.
-func MinFrame(ctx context.Context, in *model.Instance) (lower, upper int64, err error) {
-	if err := in.Validate(); err != nil {
-		return 0, 0, fmt.Errorf("rt: %w", err)
-	}
-	lower, _, err = relax.MinFeasibleT(ctx, in, nil)
+func (t *Tester) MinFrame(ctx context.Context) (lower, upper int64, err error) {
+	lower, err = t.lpBound(ctx)
 	if err != nil {
 		return 0, 0, err
 	}
-	ar, err := approx.TwoApprox(ctx, in, nil)
+	ar, err := t.twoApprox(ctx)
 	if err != nil {
 		return 0, 0, err
 	}
 	upper = ar.Makespan
-	if hr, err := baselines.GreedyWithLocalSearch(ar.Instance); err == nil && hr.Makespan < upper {
-		if _, err := hier.Schedule(ar.Instance, hr.Assignment, hr.Makespan); err == nil {
-			upper = hr.Makespan
-		}
+	if h := t.heuristicOn(ar.Instance); h != nil && h.s != nil && h.res.Makespan < upper {
+		upper = h.res.Makespan
 	}
 	return lower, upper, nil
 }

@@ -19,10 +19,21 @@ func TestVerdictString(t *testing.T) {
 	}
 }
 
+// newTester returns a Tester on a private workspace, failing the test on
+// an invalid instance.
+func newTester(tb testing.TB, in *model.Instance) *Tester {
+	tb.Helper()
+	ts, err := NewTester(in, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ts
+}
+
 func TestExampleII1Schedulability(t *testing.T) {
-	in := model.ExampleII1()
+	ts := newTester(t, model.ExampleII1())
 	// Frame 1 < LP bound 2: unschedulable with certificate.
-	r, err := Test(context.Background(), in, 1, Options{})
+	r, err := ts.Test(context.Background(), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +42,7 @@ func TestExampleII1Schedulability(t *testing.T) {
 	}
 	// Frame 2 = the optimum: schedulable — needs the exact search, because
 	// the 2-approximation's partitioned rounding cannot beat 3.
-	r, err = Test(context.Background(), in, 2, Options{ExactNodes: 100000})
+	r, err = ts.Test(context.Background(), 2, Options{ExactNodes: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +50,7 @@ func TestExampleII1Schedulability(t *testing.T) {
 		t.Fatalf("frame 2: %v makespan=%d, want schedulable at 2", r.Verdict, r.Makespan)
 	}
 	// Frame 3: the constructive pipeline suffices.
-	r, err = Test(context.Background(), in, 3, Options{})
+	r, err = ts.Test(context.Background(), 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +67,15 @@ func TestTestReturnsValidPeriodicSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi, err := MinFrame(context.Background(), in)
+	ts := newTester(t, in)
+	lo, hi, err := ts.MinFrame(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lo > hi {
 		t.Fatalf("bracket inverted: [%d, %d]", lo, hi)
 	}
-	r, err := Test(context.Background(), in, hi, Options{})
+	r, err := ts.Test(context.Background(), hi, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,18 +113,22 @@ func TestTrichotomyProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lo, hi, err := MinFrame(context.Background(), in)
+		ts, err := NewTester(in, nil)
+		if err != nil {
+			return false
+		}
+		lo, hi, err := ts.MinFrame(context.Background())
 		if err != nil {
 			return false
 		}
 		if lo > 1 {
-			r, err := Test(context.Background(), in, lo-1, Options{})
+			r, err := ts.Test(context.Background(), lo-1, Options{})
 			if err != nil || r.Verdict != Unschedulable {
 				t.Logf("seed %d: frame %d below LP bound not rejected (%v)", seed, lo-1, r.Verdict)
 				return false
 			}
 		}
-		r, err := Test(context.Background(), in, hi, Options{})
+		r, err := ts.Test(context.Background(), hi, Options{})
 		if err != nil || r.Verdict != Schedulable {
 			t.Logf("seed %d: frame %d not schedulable (%v)", seed, hi, err)
 			return false
@@ -137,12 +153,12 @@ func TestUtilization(t *testing.T) {
 
 func TestTestRejectsBadInput(t *testing.T) {
 	in := model.ExampleII1()
-	if _, err := Test(context.Background(), in, 0, Options{}); err == nil {
+	if _, err := newTester(t, in).Test(context.Background(), 0, Options{}); err == nil {
 		t.Fatal("zero frame accepted")
 	}
 	bad := model.New(in.Family)
 	bad.Proc = append(bad.Proc, []int64{1}) // arity mismatch
-	if _, err := Test(context.Background(), bad, 5, Options{}); err == nil {
+	if _, err := NewTester(bad, nil); err == nil {
 		t.Fatal("invalid instance accepted")
 	}
 }

@@ -33,5 +33,7 @@
 // solve than to queue. A batch submits many requests as ONE task: one
 // queue slot, one worker, one set of warmed workspaces, answers in input
 // order. The per-item deadline still applies per request inside the
-// batch.
+// batch. rt requests of one task on byte-identical instances share one
+// rt.Tester, so an admission sweep over several frames computes T* and
+// the 2-approximation once; the memo ends with the task.
 package serve

@@ -19,20 +19,53 @@ import (
 
 // Workspaces is one worker's reusable solver state: the relaxation
 // workspace (simplex tableau plus constraint arenas, threaded through
-// the LP bound, the 2-approximation and the heuristic pipeline) and the
-// exact branch-and-bound workspace. Both grow to the largest instance
-// seen and are reused request to request; neither retains the previous
-// request's instance or context between runs. Not goroutine-safe — one
-// Workspaces per worker.
+// the LP bound, the 2-approximation, the heuristic pipeline and rt's
+// tests) and the exact branch-and-bound workspace. Both grow to the
+// largest instance seen and are reused request to request; neither
+// retains the previous request's instance or context between runs.
+//
+// The one piece of per-instance state is a one-entry rt memo: the
+// instance bytes of the last rt request and the rt.Tester that answered
+// it, so an admission sweep of several frames on one task set computes
+// T* and the constructive schedules once. The Server's worker drops it
+// at the end of every task, so nothing from one task's instance outlives
+// that task. Not goroutine-safe — one Workspaces per worker.
 type Workspaces struct {
 	Relax *relax.Workspace
 	Exact *exact.Workspace
+
+	rtDoc    []byte // instance bytes rtTester was built from
+	rtTester *rt.Tester
 }
 
 // NewWorkspaces returns warmed-up-able empty workspaces.
 func NewWorkspaces() *Workspaces {
 	return &Workspaces{Relax: relax.NewWorkspace(), Exact: exact.NewWorkspace()}
 }
+
+// tester returns the rt.Tester for in, reusing the memoized one when doc
+// (the request's instance bytes, which in was decoded from) is byte-equal
+// to the memo's key. A request without instance bytes is never memoized.
+func (ws *Workspaces) tester(in *model.Instance, doc []byte) (*rt.Tester, error) {
+	if ws.rtTester != nil && len(doc) > 0 && bytes.Equal(doc, ws.rtDoc) {
+		return ws.rtTester, nil
+	}
+	t, err := rt.NewTester(in, ws.Relax)
+	if err != nil {
+		return nil, err
+	}
+	if len(doc) > 0 {
+		ws.rtDoc, ws.rtTester = doc, t
+	}
+	return t, nil
+}
+
+// endTask drops the rt memo, ending its task-scoped lifetime.
+func (ws *Workspaces) endTask() { ws.rtDoc, ws.rtTester = nil, nil }
+
+// testRT runs one rt test; tests replace it to feed the certification
+// checks an answer no real Tester would give.
+var testRT = (*rt.Tester).Test
 
 // Outcome is the typed result of one query: what the daemon serializes
 // into a Response and what cmd/hsched prints. Instance is the instance
@@ -119,9 +152,23 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 		if req.Frame <= 0 {
 			return nil, badRequestf("algo %q requires a positive frame, got %d", AlgoRT, req.Frame)
 		}
-		res, err := rt.Test(ctx, in, req.Frame, rt.Options{ExactNodes: req.MaxNodes})
+		t, err := ws.tester(in, req.Instance)
 		if err != nil {
 			return nil, err
+		}
+		res, err := testRT(t, ctx, req.Frame, rt.Options{ExactNodes: req.MaxNodes})
+		if err != nil {
+			return nil, err
+		}
+		// One memoized schedule answers many frames, so every
+		// schedulable answer is certified on its own before it leaves.
+		if res.Verdict == rt.Schedulable {
+			if err := validate(res.Instance, res.Assignment, res.Schedule); err != nil {
+				return nil, err
+			}
+			if res.Makespan > res.Frame {
+				return nil, fmt.Errorf("rt: schedulable verdict with makespan %d exceeds frame %d", res.Makespan, res.Frame)
+			}
 		}
 		out.Instance = res.Instance
 		out.Assignment = res.Assignment

@@ -317,7 +317,8 @@ func (s *Server) Submit(ctx context.Context, reqs []*Request) ([]Result, error) 
 
 // worker consumes tasks until Close. The Workspaces live as long as the
 // worker: every request it serves reuses the same simplex tableau,
-// constraint arenas and branch-and-bound buffers.
+// constraint arenas and branch-and-bound buffers. The rt memo lives one
+// task: requests of one batch share it, the next task starts without it.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	ws := NewWorkspaces()
@@ -334,6 +335,7 @@ func (s *Server) worker() {
 				last = solverTotals{}
 			}
 		}
+		ws.endTask()
 		cur := totalsOf(ws)
 		s.addSolverDelta(cur, last)
 		last = cur
