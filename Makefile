@@ -55,23 +55,25 @@ bench-full:
 	$(GO) run ./cmd/hbench -pack all -parallel -json -timeout 2m -bench-out BENCH_hbench.json
 
 # Allocation budgets (see PERFORMANCE.md): the alloc-budget tests pin the
-# LP pivot loop, the exact branch-and-bound DFS and the Problem
-# rebuild path at zero steady-state allocations, and a warmed SolveWS at
-# its contract minimum. Run WITHOUT -race: race instrumentation
+# LP pivot loop, the exact branch-and-bound DFS, the Problem rebuild
+# path and memcap's constrained-LP probe rebuild at zero steady-state
+# allocations, and a warmed SolveWS at its contract minimum. Run WITHOUT -race: race instrumentation
 # allocates, so these tests skip themselves under it — this target is the
 # gate CI relies on.
 bench-alloc:
-	$(GO) test -count=1 -run 'AllocFree|SteadyStateAllocs' ./internal/lp ./internal/exact
+	$(GO) test -count=1 -run 'AllocFree|SteadyStateAllocs' ./internal/lp ./internal/exact ./internal/memcap
 
 # The hot-path benchmarks with allocation counts: the LP oracle per
 # solve, the Section V binary search, one exact branch-and-bound probe,
-# and an rt admission sweep (four fresh tests vs one Tester). Compare
-# against the tables in PERFORMANCE.md.
+# an rt admission sweep (four fresh tests vs one Tester), and memcap's
+# Model 1 and Model 2 solves (fresh vs warmed workspace). Compare against
+# the tables in PERFORMANCE.md.
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveWS$$' -benchmem ./internal/lp
 	$(GO) test -run '^$$' -bench 'BenchmarkMinFeasibleT$$' -benchmem ./internal/relax
 	$(GO) test -run '^$$' -bench 'BenchmarkFeasibleAssignment$$' -benchmem ./internal/exact
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep$$' -benchmem ./internal/rt
+	$(GO) test -run '^$$' -bench 'BenchmarkSolveModel[12]$$' -benchmem ./internal/memcap
 
 # Daemon smoke: build hspd, drive it with the synthetic-traffic harness
 # for a few seconds, and fail on zero successful answers, any outright
@@ -116,7 +118,9 @@ hspd-smoke:
 # crash; accepted instances validate and round-trip) and the laminar
 # family constructor (no crash; accepted families keep their forest
 # invariants) — plus the rt Tester's memo (every answer of one Tester
-# over any frame sequence equals a fresh Tester's). Targets run one at a
+# over any frame sequence equals a fresh Tester's) — plus memcap's
+# workspace reuse (every Model 1/2 answer on a workspace shared with
+# other solves equals a fresh workspace's). Targets run one at a
 # time — go test allows a single -fuzz pattern per package.
 FUZZTIME ?= 10s
 
@@ -129,6 +133,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -run '^$$' -fuzz 'FuzzNew' -fuzztime $(FUZZTIME) ./internal/laminar
 	$(GO) test -run '^$$' -fuzz 'FuzzTesterMatchesTest' -fuzztime $(FUZZTIME) ./internal/rt
+	$(GO) test -run '^$$' -fuzz 'FuzzMemcapWorkspace' -fuzztime $(FUZZTIME) ./internal/memcap
 
 # The repository benchmark (BENCHMARK.json) is a Go module of its own in
 # hspbench/, which the root `go test ./...` does not enter: vet it and

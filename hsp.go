@@ -173,7 +173,7 @@ func SolveBest(ctx context.Context, in *Instance) (*Result, error) {
 // SolveGeneral runs the Section II 8-approximation for non-laminar
 // admissible families.
 func SolveGeneral(ctx context.Context, g *GeneralInstance) (*GeneralResult, error) {
-	return approx.EightApprox(ctx, g)
+	return approx.EightApprox(ctx, g, nil)
 }
 
 // SolveExact computes the optimal assignment and makespan by branch and
@@ -215,14 +215,14 @@ func ValidateSchedule(in *Instance, a Assignment, s *Schedule) error {
 // VI.1 bicriteria target (makespan ≤ 3T, memory ≤ 3B_i). The binary
 // search and every iterative-rounding LP poll ctx between simplex pivots.
 func SolveMemory1(ctx context.Context, m1 *Memory1) (*MemoryResult, error) {
-	return memcap.SolveModel1(ctx, m1)
+	return memcap.SolveModel1(ctx, m1, nil)
 }
 
 // SolveMemory2 solves the per-level-capacity extension with the Theorem
 // VI.3 target (σ = 2 + H_k on both criteria). ctx is polled as in
 // SolveMemory1.
 func SolveMemory2(ctx context.Context, m2 *Memory2) (*MemoryResult, error) {
-	return memcap.SolveModel2(ctx, m2)
+	return memcap.SolveModel2(ctx, m2, nil)
 }
 
 // Real-time layer: frame-based periodic schedulability (see internal/rt).

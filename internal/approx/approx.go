@@ -23,6 +23,7 @@ import (
 
 	"hsp/internal/baselines"
 	"hsp/internal/hier"
+	"hsp/internal/lp"
 	"hsp/internal/model"
 	"hsp/internal/relax"
 	"hsp/internal/sched"
@@ -168,13 +169,14 @@ type GeneralResult struct {
 // projection lower-bounds the original optimum, and nonpreemptive vs
 // preemptive optima differ by at most a factor 4 [Lin–Vitter], giving a
 // factor 8 overall. The LST binary search polls ctx between simplex
-// pivots and aborts with an error wrapping ctx.Err() once it is done.
-func EightApprox(ctx context.Context, g *model.GeneralInstance) (*GeneralResult, error) {
+// pivots and aborts with an error wrapping ctx.Err() once it is done, and
+// runs on the caller-held simplex workspace (nil allocates a private one).
+func EightApprox(ctx context.Context, g *model.GeneralInstance, ws *lp.Workspace) (*GeneralResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("approx: %w", err)
 	}
 	u := unrelated.FromProjection(g.UnrelatedProjection())
-	assign, lpT, err := unrelated.LST(ctx, u, nil)
+	assign, lpT, err := unrelated.LST(ctx, u, ws)
 	if err != nil {
 		return nil, fmt.Errorf("approx: %w", err)
 	}

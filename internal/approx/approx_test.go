@@ -130,7 +130,7 @@ func TestEightApproxGeneralMasks(t *testing.T) {
 			{6, 6, 5, 5, 5},
 		},
 	}
-	res, err := EightApprox(context.Background(), g)
+	res, err := EightApprox(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestEightApproxRejectsInvalid(t *testing.T) {
 		Sets: [][]int{{0}, {0, 1}},
 		Proc: [][]int64{{1, 0}}, // singleton dearer than superset: p({0})=1 > p({0,1})=0
 	}
-	if _, err := EightApprox(context.Background(), g); err == nil {
+	if _, err := EightApprox(context.Background(), g, nil); err == nil {
 		t.Fatal("monotonicity violation accepted")
 	}
 }

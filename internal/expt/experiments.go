@@ -431,6 +431,7 @@ func (s Suite) E7(ctx context.Context) *Table {
 func (s Suite) E8(ctx context.Context) *Table {
 	t := newTable("E8", "m", "n", "trials", "max load factor", "max mem factor", "fallbacks")
 	rng := rand.New(rand.NewSource(s.Seed + 5))
+	ws := relax.NewWorkspace()
 	for _, mn := range [][2]int{{3, 8}, {4, 12}, {6, 18}} {
 		m, n := mn[0], mn[1]
 		trials := s.trials(12)
@@ -445,7 +446,7 @@ func (s Suite) E8(ctx context.Context) *Table {
 			if err != nil {
 				continue
 			}
-			res, err := memcap.SolveModel1(ctx, m1)
+			res, err := memcap.SolveModel1(ctx, m1, ws)
 			if err != nil {
 				continue
 			}
@@ -471,6 +472,7 @@ func (s Suite) E8(ctx context.Context) *Table {
 func (s Suite) E9(ctx context.Context) *Table {
 	t := newTable("E9", "levels k", "σ", "trials", "max load factor", "max mem factor", "fallbacks")
 	rng := rand.New(rand.NewSource(s.Seed + 6))
+	ws := relax.NewWorkspace()
 	shapes := [][]int{{2, 2}, {2, 2, 2}, {2, 2, 2, 2}}
 	for _, br := range shapes {
 		trials := s.trials(10)
@@ -490,7 +492,7 @@ func (s Suite) E9(ctx context.Context) *Table {
 			if err != nil {
 				continue
 			}
-			res, err := memcap.SolveModel2(ctx, m2)
+			res, err := memcap.SolveModel2(ctx, m2, ws)
 			if err != nil {
 				continue
 			}
@@ -640,7 +642,7 @@ func (s Suite) E11(ctx context.Context) *Table {
 				return t
 			}
 			g := workload.GenerateGeneral(m, n, extra, rng.Int63())
-			res, err := approx.EightApprox(ctx, g)
+			res, err := approx.EightApprox(ctx, g, nil)
 			if err != nil {
 				continue
 			}

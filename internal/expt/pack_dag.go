@@ -9,6 +9,7 @@ import (
 	"hsp/internal/approx"
 	"hsp/internal/dag"
 	"hsp/internal/memcap"
+	"hsp/internal/relax"
 	"hsp/internal/workload"
 )
 
@@ -208,6 +209,7 @@ func (s Suite) DAG2(ctx context.Context) *Table {
 func (s Suite) DAG3(ctx context.Context) *Table {
 	t := newTable("DAG3", "trials", "solved", "fallback-free", "max load factor", "max mem factor")
 	rng := rand.New(rand.NewSource(s.Seed + 13))
+	ws := relax.NewWorkspace()
 	trials := s.trials(8)
 	solved, clean := 0, 0
 	var maxLoad, maxMem float64
@@ -223,7 +225,7 @@ func (s Suite) DAG3(ctx context.Context) *Table {
 		if err != nil || c.Memory1 == nil {
 			continue
 		}
-		res, err := memcap.SolveModel1(ctx, c.Memory1)
+		res, err := memcap.SolveModel1(ctx, c.Memory1, ws)
 		if err != nil {
 			continue
 		}

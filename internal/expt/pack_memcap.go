@@ -7,6 +7,7 @@ import (
 
 	"hsp/internal/laminar"
 	"hsp/internal/memcap"
+	"hsp/internal/relax"
 	"hsp/internal/workload"
 )
 
@@ -41,6 +42,7 @@ func init() {
 func (s Suite) MC1(ctx context.Context) *Table {
 	t := newTable("MC1", "budget slack", "trials", "solved", "fallback-free", "max load factor", "max mem factor")
 	rng := rand.New(rand.NewSource(s.Seed + 2))
+	ws := relax.NewWorkspace()
 	slacks := []float64{3.0, 2.0, 1.4, 1.15}
 	if s.Quick {
 		slacks = []float64{3.0, 1.15}
@@ -61,7 +63,7 @@ func (s Suite) MC1(ctx context.Context) *Table {
 			if err != nil {
 				continue
 			}
-			res, err := memcap.SolveModel1(ctx, m1)
+			res, err := memcap.SolveModel1(ctx, m1, ws)
 			if err != nil {
 				continue
 			}
@@ -99,6 +101,7 @@ func (s Suite) MC1(ctx context.Context) *Table {
 func (s Suite) MC2(ctx context.Context) *Table {
 	t := newTable("MC2", "µ", "branching", "σ", "trials", "solved", "fallback-free", "max load factor", "max mem factor")
 	rng := rand.New(rand.NewSource(s.Seed + 3))
+	ws := relax.NewWorkspace()
 	mus := []float64{1.3, 2.5, 5.0}
 	shapes := [][]int{{2, 2}, {2, 2, 2}}
 	if s.Quick {
@@ -127,7 +130,7 @@ func (s Suite) MC2(ctx context.Context) *Table {
 				if err != nil {
 					continue
 				}
-				res, err := memcap.SolveModel2(ctx, m2)
+				res, err := memcap.SolveModel2(ctx, m2, ws)
 				if err != nil {
 					continue
 				}

@@ -16,6 +16,13 @@
 // (1+ρ)·b_l. If neither step applies, a largest-fraction variable is fixed
 // and counted as a fallback (experiments E8/E9 report zero fallbacks on the
 // generated workloads, and the achieved factors stay within the theorems').
+//
+// Packings are sparse and sorted: each holds its variables in strictly
+// increasing order, built in one pass over the (set, job) pairs, so every
+// LP row and every residual sum of the drop rule follows one fixed order
+// and a solve's answer never depends on iteration order. Both models run
+// every binary-search probe and every rounding LP on one caller-held
+// relax.Workspace: its problem arenas and its simplex tableau.
 package memcap
 
 import (
@@ -23,15 +30,24 @@ import (
 	"fmt"
 
 	"hsp/internal/lp"
+	"hsp/internal/relax"
 )
 
 // Packing is one packing constraint Σ a_q·z_q ≤ B over master variables,
-// allowed to be violated up to (1+Rho)·B after rounding.
+// allowed to be violated up to (1+ρ)·B after rounding. It is sparse and
+// sorted: Idx holds the master variables with a_q > 0 in strictly
+// increasing order and Val their coefficients, so rows, residual sums and
+// every rounding decision follow one fixed order.
 type Packing struct {
-	Name string
-	Coef map[int]float64 // master var index → a_q (> 0 entries only)
-	B    float64
-	Rho  float64
+	Idx []int
+	Val []float64
+	B   float64
+}
+
+// add appends the entry a_v = a; v must exceed every index already held.
+func (pk *Packing) add(v int, a float64) {
+	pk.Idx = append(pk.Idx, v)
+	pk.Val = append(pk.Val, a)
 }
 
 // roundResult reports the rounding outcome.
@@ -41,14 +57,18 @@ type roundResult struct {
 	dropped   int
 }
 
-// iterativeRound selects one variable per job subject to the packings, in
-// the sense of Lemma VI.2: assignment constraints hold exactly, packing l
-// ends within (1+ρ_l)·B_l unless a fallback fired. varJob[v] is the job of
-// master variable v. Each residual LP solve polls ctx between pivots, so
-// cancellation aborts the rounding mid-iteration.
-func iterativeRound(ctx context.Context, varJob []int, nJobs int, packings []Packing) (*roundResult, error) {
+// iterativeRound selects one of b's master variables per job subject to
+// b's packings, in the sense of Lemma VI.2: assignment constraints hold
+// exactly, packing l ends within (1+ρ)·B_l unless a fallback fired. The
+// builder enumerates j-major, so each job's variables are contiguous.
+// Every residual LP is rebuilt into ws's problem and solved cold on its
+// tableau, polling ctx between pivots, so cancellation aborts the
+// rounding mid-iteration.
+func iterativeRound(ctx context.Context, b *builder, ws *relax.Workspace) (*roundResult, error) {
 	const tol = 1e-7
-	alive := make([]bool, len(varJob))
+	nv, nJobs, packings := len(b.pairs), b.in.N(), b.packs
+	job := func(v int) int { return b.pairs[v][1] }
+	alive := make([]bool, nv)
 	for v := range alive {
 		alive[v] = true
 	}
@@ -60,63 +80,81 @@ func iterativeRound(ctx context.Context, varJob []int, nJobs int, packings []Pac
 	droppedFlag := make([]bool, len(packings))
 	res := &roundResult{choice: choice}
 
-	// One LP problem and one simplex workspace for all rounding
-	// iterations: each residual LP rebuilds into the same arenas. Every
-	// solve here materializes a vertex the rounding reads, so warm start
-	// stays off: rounded assignments must be the cold path's, bit for bit.
-	var p lp.Problem
-	ws := lp.NewWorkspace()
-	ws.SetWarmStart(false)
+	// Fixing a variable charges the packings build entered it in: the load
+	// rows of its set's chain and its set's memory rows.
+	fixVar := func(v int) {
+		s, j := b.pairs[v][0], b.pairs[v][1]
+		choice[j] = v
+		for _, a := range b.in.Family.Chain(s) {
+			fixedUse[a] += float64(b.in.Proc[j][s])
+		}
+		for _, l := range b.memOf[s] {
+			fixedUse[l] += b.size(j, l)
+		}
+		alive[v] = false
+	}
+
+	// Residual LP scratch: idxOf[v] is v's column (-1 = not in the
+	// residual LP), vars lists the columns' variables, and job j's columns
+	// are [jobLo[j], jobHi[j]).
+	idxOf := make([]int, nv)
+	vars := make([]int, 0, nv)
+	jobLo := make([]int, nJobs)
+	jobHi := make([]int, nJobs)
+	var rowIdx []int
+	var rowVal []float64
+	p := ws.Problem()
 	unassigned := nJobs
 	for iter := 0; unassigned > 0; iter++ {
-		if iter > 4*(len(varJob)+len(packings)+4) {
+		if iter > 4*(nv+len(packings)+4) {
 			return nil, fmt.Errorf("memcap: iterative rounding did not converge")
 		}
 		// Build the residual LP over alive vars of unassigned jobs.
-		idxOf := make(map[int]int)
-		var vars []int
+		vars = vars[:0]
+		for j := range jobLo {
+			jobLo[j], jobHi[j] = 0, 0
+		}
 		for v, ok := range alive {
-			if ok && choice[varJob[v]] < 0 {
-				idxOf[v] = len(vars)
+			idxOf[v] = -1
+			if j := job(v); ok && choice[j] < 0 {
+				k := len(vars)
+				idxOf[v] = k
 				vars = append(vars, v)
+				if jobHi[j] == 0 {
+					jobLo[j] = k
+				}
+				jobHi[j] = k + 1
 			}
 		}
 		p.Reset(len(vars))
-		jobVars := make(map[int][]int)
-		for _, v := range vars {
-			jobVars[varJob[v]] = append(jobVars[varJob[v]], idxOf[v])
-		}
 		for j := 0; j < nJobs; j++ {
 			if choice[j] >= 0 {
 				continue
 			}
-			vs := jobVars[j]
-			if len(vs) == 0 {
+			if jobHi[j] == 0 {
 				return nil, fmt.Errorf("memcap: job %d lost all candidate variables", j)
 			}
-			val := make([]float64, len(vs))
-			for k := range val {
-				val[k] = 1
-			}
-			p.MustAddConstraint(vs, val, lp.EQ, 1)
+			p.MustAddConstraint(b.seq[jobLo[j]:jobHi[j]], b.ones[:jobHi[j]-jobLo[j]], lp.EQ, 1)
 		}
 		for l, pk := range packings {
 			if droppedFlag[l] {
 				continue
 			}
-			var idx []int
-			var val []float64
-			for v, a := range pk.Coef {
-				if k, ok := idxOf[v]; ok {
-					idx = append(idx, k)
-					val = append(val, a)
+			rowIdx, rowVal = rowIdx[:0], rowVal[:0]
+			for t, v := range pk.Idx {
+				if k := idxOf[v]; k >= 0 {
+					rowIdx = append(rowIdx, k)
+					rowVal = append(rowVal, pk.Val[t])
 				}
 			}
-			if len(idx) > 0 {
-				p.MustAddConstraint(idx, val, lp.LE, pk.B-fixedUse[l])
+			if len(rowIdx) > 0 {
+				p.MustAddConstraint(rowIdx, rowVal, lp.LE, pk.B-fixedUse[l])
 			}
 		}
-		sol, err := p.Solve(ctx, ws)
+		// Every solve here materializes a vertex the rounding reads, so it
+		// runs cold: rounded assignments are the cold path's, bit for bit.
+		ws.LP.InvalidateWarmStart()
+		sol, err := p.Solve(ctx, ws.LP)
 		if err != nil {
 			return nil, fmt.Errorf("memcap: %w", err)
 		}
@@ -144,7 +182,7 @@ func iterativeRound(ctx context.Context, varJob []int, nJobs int, packings []Pac
 		// Remove zero variables; fix integral ones.
 		for _, v := range vars {
 			z := sol.X[idxOf[v]]
-			j := varJob[v]
+			j := job(v)
 			if choice[j] >= 0 {
 				continue
 			}
@@ -152,12 +190,12 @@ func iterativeRound(ctx context.Context, varJob []int, nJobs int, packings []Pac
 			case z <= tol:
 				// Safe: the job's assignment row sums to one, so support
 				// above tol remains.
-				if countAlive(jobVars[j], sol.X, tol) > 0 {
+				if countAbove(sol.X[jobLo[j]:jobHi[j]], tol) > 0 {
 					alive[v] = false
 					progress = true
 				}
 			case z >= 1-tol:
-				fixVar(v, varJob, choice, alive, packings, fixedUse)
+				fixVar(v)
 				unassigned--
 				progress = true
 			}
@@ -165,18 +203,19 @@ func iterativeRound(ctx context.Context, varJob []int, nJobs int, packings []Pac
 		if progress {
 			continue
 		}
-		// Drop rule of Lemma VI.2: residual worst-case violation ≤ ρ·B.
+		// Drop rule of Lemma VI.2: residual worst-case violation ≤ ρ·B,
+		// summed in increasing variable order.
 		for l, pk := range packings {
 			if droppedFlag[l] {
 				continue
 			}
 			residual := 0.0
-			for v, a := range pk.Coef {
-				if k, ok := idxOf[v]; ok {
-					residual += a * (1 - sol.X[k])
+			for t, v := range pk.Idx {
+				if k := idxOf[v]; k >= 0 {
+					residual += pk.Val[t] * (1 - sol.X[k])
 				}
 			}
-			if residual <= pk.Rho*pk.B+tol {
+			if residual <= b.rho*pk.B+tol {
 				droppedFlag[l] = true
 				res.dropped++
 				progress = true
@@ -188,7 +227,7 @@ func iterativeRound(ctx context.Context, varJob []int, nJobs int, packings []Pac
 		// Fallback: fix the largest fractional variable.
 		bestV, bestZ := -1, -1.0
 		for _, v := range vars {
-			if choice[varJob[v]] >= 0 {
+			if choice[job(v)] >= 0 {
 				continue
 			}
 			if z := sol.X[idxOf[v]]; z > bestZ {
@@ -198,33 +237,21 @@ func iterativeRound(ctx context.Context, varJob []int, nJobs int, packings []Pac
 		if bestV < 0 {
 			return nil, fmt.Errorf("memcap: no variable left to round")
 		}
-		fixVar(bestV, varJob, choice, alive, packings, fixedUse)
+		fixVar(bestV)
 		unassigned--
 		res.fallbacks++
 	}
 	return res, nil
 }
 
-// countAlive counts the job's variables with value above tol — used to
-// ensure a job never loses its whole support.
-func countAlive(jobVarIdx []int, x []float64, tol float64) int {
+// countAbove counts the values above tol — used to ensure a job never
+// loses its whole support.
+func countAbove(x []float64, tol float64) int {
 	n := 0
-	for _, k := range jobVarIdx {
-		if x[k] > tol {
+	for _, z := range x {
+		if z > tol {
 			n++
 		}
 	}
 	return n
-}
-
-// fixVar assigns varJob[v]'s job to v and charges every packing.
-func fixVar(v int, varJob []int, choice []int, alive []bool, packings []Packing, fixedUse []float64) {
-	j := varJob[v]
-	choice[j] = v
-	for l := range packings {
-		if a, ok := packings[l].Coef[v]; ok {
-			fixedUse[l] += a
-		}
-	}
-	alive[v] = false
 }

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"hsp/internal/hier"
 	"hsp/internal/lp"
 	"hsp/internal/model"
+	"hsp/internal/relax"
 	"hsp/internal/sched"
 )
 
@@ -101,6 +101,16 @@ func SigmaTwoLevel(m int) float64 {
 	return 3 + 1/float64(m)
 }
 
+// Sigma returns the σ Theorem VI.3 certifies on m2's family: 3 + 1/m for
+// two levels, 2 + H_k for k levels otherwise.
+func (m2 *Model2) Sigma() float64 {
+	f := m2.In.Family
+	if f.Levels() == 2 {
+		return SigmaTwoLevel(f.M())
+	}
+	return Sigma(f.Levels())
+}
+
 // Result reports a bicriteria solution.
 type Result struct {
 	Instance   *model.Instance
@@ -116,162 +126,142 @@ type Result struct {
 	Fallbacks  int // rounding steps outside the Lemma VI.2 drop rule
 }
 
-// pairVars enumerates master variables (set, job) with p ≤ T and, for
-// model 1, memory that fits every machine of the set.
-func pairVars(in *model.Instance, T int64, fits func(set, job int) bool) (varJob []int, pairs [][2]int) {
+// builder holds one solve's constrained relaxation at a probe T: the
+// master variables (set, job) with p ≤ T that the model admits, their
+// warm-start keys, and the packings — one load row per set, then the
+// model's memory rows, all with violation ratio rho. Every probe
+// rebuilds it in place, so after the first (largest-T) probe a rebuild
+// allocates nothing.
+type builder struct {
+	in    *model.Instance
+	rho   float64
+	admit []bool                 // [j*nsets+s]: the model admits the pair; nil admits all
+	memOf [][]int                // set → the memory packings its pairs charge
+	size  func(j, l int) float64 // job j's coefficient in memory packing l
+
+	pairs  [][2]int // master variable → (set, job), j-major and s-minor
+	keys   []uint64 // master variable → j·nsets + s, for warm subset matching
+	jobEnd []int    // job j's variables are [jobEnd[j-1], jobEnd[j])
+	packs  []Packing
+	seq    []int     // 0, 1, 2, …: the index list of a job's EQ row
+	ones   []float64 // the value list of a job's EQ row
+}
+
+// newBuilder returns a builder with one load packing per set followed by
+// one memory packing per capacity in mem; memOf and size are as on
+// builder. The packings' entries are filled per probe.
+func newBuilder(in *model.Instance, rho float64, mem []float64, memOf [][]int, size func(j, l int) float64) *builder {
+	nsets := in.Family.Len()
+	b := &builder{
+		in:     in,
+		rho:    rho,
+		memOf:  memOf,
+		size:   size,
+		jobEnd: make([]int, in.N()),
+		packs:  make([]Packing, nsets+len(mem)),
+	}
+	for k, B := range mem {
+		b.packs[nsets+k].B = B
+	}
+	return b
+}
+
+// build enumerates the master variables at T and fills every packing in
+// one pass over them: pair (s, j) charges p_sj to the load row of s and
+// of each ancestor (Family.Chain), and its size to the memory rows
+// memOf[s]. Variables arrive in increasing order, so every packing's Idx
+// is strictly increasing.
+func (b *builder) build(T int64) {
+	in, f := b.in, b.in.Family
+	nsets := f.Len()
+	b.pairs, b.keys = b.pairs[:0], b.keys[:0]
+	for l := range b.packs {
+		b.packs[l].Idx, b.packs[l].Val = b.packs[l].Idx[:0], b.packs[l].Val[:0]
+	}
+	for s := 0; s < nsets; s++ {
+		b.packs[s].B = float64(f.Size(s)) * float64(T)
+	}
 	for j := 0; j < in.N(); j++ {
-		for s := 0; s < in.Family.Len(); s++ {
-			if in.Proc[j][s] <= T && (fits == nil || fits(s, j)) {
-				varJob = append(varJob, j)
-				pairs = append(pairs, [2]int{s, j})
+		for s := 0; s < nsets; s++ {
+			if in.Proc[j][s] > T || (b.admit != nil && !b.admit[j*nsets+s]) {
+				continue
+			}
+			v := len(b.pairs)
+			b.pairs = append(b.pairs, [2]int{s, j})
+			b.keys = append(b.keys, uint64(j)*uint64(nsets)+uint64(s))
+			p := float64(in.Proc[j][s])
+			for _, a := range f.Chain(s) {
+				b.packs[a].add(v, p)
+			}
+			for _, l := range b.memOf[s] {
+				if c := b.size(j, l); c > 0 {
+					b.packs[l].add(v, c)
+				}
 			}
 		}
+		b.jobEnd[j] = len(b.pairs)
 	}
-	return
+	for len(b.seq) < len(b.pairs) {
+		b.seq = append(b.seq, len(b.seq))
+		b.ones = append(b.ones, 1)
+	}
+}
+
+// load writes the probe's LP into p: one EQ row per job, then every
+// nonempty packing as an LE row. It reports false, leaving p partly
+// built, when some job has no variable (the probe is then infeasible).
+func (b *builder) load(p *lp.Problem) bool {
+	p.Reset(len(b.pairs))
+	p.SetVarKeys(b.keys)
+	start := 0
+	for _, end := range b.jobEnd {
+		if end == start {
+			return false
+		}
+		p.MustAddConstraint(b.seq[start:end], b.ones[:end-start], lp.EQ, 1)
+		start = end
+	}
+	for _, pk := range b.packs {
+		if len(pk.Idx) > 0 {
+			p.MustAddConstraint(pk.Idx, pk.Val, lp.LE, pk.B)
+		}
+	}
+	return true
 }
 
 // feasibleConstrainedLP reports whether the (IP-3)+memory relaxation is
-// feasible at T. The packing builder receives the variable list. The
-// caller-held problem and simplex workspace are reused probe to probe
-// (the problem is rebuilt in place via Reset; a nil workspace falls back
-// to the solver's internal pool).
-func feasibleConstrainedLP(ctx context.Context, in *model.Instance, varJob []int, pairs [][2]int, packings []Packing, p *lp.Problem, ws *lp.Workspace) (bool, error) {
-	p.Reset(len(pairs))
-	// Keys identify (job, set) variables across probes at different T so
-	// the verdict-only binary search warm-starts even as pruning shrinks
-	// the variable set (subset matching in internal/lp). pairVars
-	// enumerates j-major, s-minor, so the keys are strictly increasing.
-	nsets := in.Family.Len()
-	keys := make([]uint64, len(pairs))
-	for v, pr := range pairs {
-		keys[v] = uint64(pr[1])*uint64(nsets) + uint64(pr[0])
+// feasible at T. The probe rebuilds into the workspace's problem and
+// solves on its simplex workspace, keeping the warm basis: the keys let
+// a smaller-T probe re-enter a larger one's basis even as pruning
+// shrinks the variable set (subset matching in internal/lp).
+func feasibleConstrainedLP(ctx context.Context, b *builder, T int64, ws *relax.Workspace) (bool, error) {
+	b.build(T)
+	p := ws.Problem()
+	if !b.load(p) {
+		return false, nil
 	}
-	p.SetVarKeys(keys)
-	jobVars := make([][]int, in.N())
-	for v, j := range varJob {
-		jobVars[j] = append(jobVars[j], v)
-	}
-	for j := 0; j < in.N(); j++ {
-		if len(jobVars[j]) == 0 {
-			return false, nil
-		}
-		val := make([]float64, len(jobVars[j]))
-		for k := range val {
-			val[k] = 1
-		}
-		p.MustAddConstraint(jobVars[j], val, lp.EQ, 1)
-	}
-	for _, pk := range packings {
-		var idx []int
-		for v := range pk.Coef {
-			idx = append(idx, v)
-		}
-		// Map iteration order is random; sorted entries keep the arena
-		// signature stable probe to probe so warm matching can see that
-		// only the right-hand sides changed.
-		sort.Ints(idx)
-		val := make([]float64, len(idx))
-		for k, v := range idx {
-			val[k] = pk.Coef[v]
-		}
-		if len(idx) > 0 {
-			p.MustAddConstraint(idx, val, lp.LE, pk.B)
-		}
-	}
-	ok, _, err := p.Feasible(ctx, ws)
+	ok, _, err := p.Feasible(ctx, ws.LP)
 	return ok, err
-}
-
-// loadPackings builds the (3a) load constraints as packings with ratio rho.
-func loadPackings(in *model.Instance, pairs [][2]int, T int64, rho float64) []Packing {
-	f := in.Family
-	out := make([]Packing, f.Len())
-	inSubtree := make([]map[int]bool, f.Len())
-	for s := 0; s < f.Len(); s++ {
-		inSubtree[s] = map[int]bool{}
-		for _, b := range f.SubsetIDs(s) {
-			inSubtree[s][b] = true
-		}
-	}
-	for s := 0; s < f.Len(); s++ {
-		coef := map[int]float64{}
-		for v, pr := range pairs {
-			if inSubtree[s][pr[0]] {
-				coef[v] = float64(in.Proc[pr[1]][pr[0]])
-			}
-		}
-		out[s] = Packing{
-			Name: fmt.Sprintf("load(set %d)", s),
-			Coef: coef,
-			B:    float64(f.Size(s)) * float64(T),
-			Rho:  rho,
-		}
-	}
-	return out
 }
 
 // SolveModel1 finds the minimal T with a feasible constrained relaxation
 // and rounds it iteratively, targeting makespan ≤ 3T and memory ≤ 3B_i
 // (Theorem VI.1, ρ = 2). The binary search and every iterative-rounding
-// LP poll ctx between simplex pivots.
-func SolveModel1(ctx context.Context, m1 *Model1) (*Result, error) {
+// LP run on the caller-held workspace (nil allocates a private one) and
+// poll ctx between simplex pivots.
+func SolveModel1(ctx context.Context, m1 *Model1, ws *relax.Workspace) (*Result, error) {
 	if err := m1.Validate(); err != nil {
 		return nil, err
 	}
-	in := m1.In.WithSingletons()
-	// Size rows are per machine, unaffected by the singleton extension.
-	const rho = 2
-
-	fits := func(s, j int) bool {
-		for _, i := range in.Family.Machines(s) {
-			if m1.Size[j][i] > m1.Budget[i] {
-				return false
-			}
-		}
-		return true
-	}
-	memPackings := func(pairs [][2]int) []Packing {
-		out := make([]Packing, in.M())
-		for i := 0; i < in.M(); i++ {
-			coef := map[int]float64{}
-			for v, pr := range pairs {
-				if in.Family.Contains(pr[0], i) && m1.Size[pr[1]][i] > 0 {
-					coef[v] = float64(m1.Size[pr[1]][i])
-				}
-			}
-			out[i] = Packing{
-				Name: fmt.Sprintf("mem(machine %d)", i),
-				Coef: coef,
-				B:    float64(m1.Budget[i]),
-				Rho:  rho,
-			}
-		}
-		return out
-	}
-
-	build := func(T int64) ([]int, [][2]int, []Packing) {
-		varJob, pairs := pairVars(in, T, fits)
-		packs := append(loadPackings(in, pairs, T, rho), memPackings(pairs)...)
-		return varJob, pairs, packs
-	}
-	tlp, err := minFeasibleT(ctx, in, build)
-	if err != nil {
-		return nil, err
-	}
-	varJob, pairs, packs := build(tlp)
-	rr, err := iterativeRound(ctx, varJob, in.N(), packs)
-	if err != nil {
-		return nil, err
-	}
-	a := choiceToAssignment(rr.choice, pairs, in.N())
-	res, err := finish(in, a, tlp, rr.fallbacks)
+	res, err := solve(ctx, model1Builder(m1), ws)
 	if err != nil {
 		return nil, err
 	}
 	// Memory factor: worst usage/budget over machines.
+	in := res.Instance
 	for i := 0; i < in.M(); i++ {
 		var use int64
-		for j, s := range a {
+		for j, s := range res.Assignment {
 			if in.Family.Contains(s, i) {
 				use += m1.Size[j][i]
 			}
@@ -283,83 +273,136 @@ func SolveModel1(ctx context.Context, m1 *Model1) (*Result, error) {
 	return res, nil
 }
 
+// model1Builder sets up Model 1's relaxation on the singleton-extended
+// instance: one memory row per machine, charged s_ij by every pair whose
+// set contains machine i, and only pairs whose job fits every machine of
+// the set admitted.
+func model1Builder(m1 *Model1) *builder {
+	in := m1.In.WithSingletons()
+	f := in.Family
+	nsets := f.Len()
+	// Size rows are per machine, unaffected by the singleton extension.
+	mem := make([]float64, in.M())
+	for i, B := range m1.Budget {
+		mem[i] = float64(B)
+	}
+	memOf := make([][]int, nsets)
+	admit := make([]bool, in.N()*nsets)
+	for s := 0; s < nsets; s++ {
+		for _, i := range f.Machines(s) {
+			memOf[s] = append(memOf[s], nsets+i)
+		}
+		for j := 0; j < in.N(); j++ {
+			fits := true
+			for _, i := range f.Machines(s) {
+				if m1.Size[j][i] > m1.Budget[i] {
+					fits = false
+					break
+				}
+			}
+			admit[j*nsets+s] = fits
+		}
+	}
+	const rho = 2
+	b := newBuilder(in, rho, mem, memOf, func(j, l int) float64 { return float64(m1.Size[j][l-nsets]) })
+	b.admit = admit
+	return b
+}
+
 // SolveModel2 finds the minimal T with a feasible (IP-4) relaxation and
 // rounds it with ρ = 1 + H_k, targeting σ = 2 + H_k on both criteria
-// (Theorem VI.3). ctx is polled as in SolveModel1.
-func SolveModel2(ctx context.Context, m2 *Model2) (*Result, error) {
+// (Theorem VI.3). ctx and ws are as in SolveModel1.
+func SolveModel2(ctx context.Context, m2 *Model2, ws *relax.Workspace) (*Result, error) {
 	if err := m2.Validate(); err != nil {
 		return nil, err
 	}
-	in := m2.In
-	f := in.Family
+	res, err := solve(ctx, model2Builder(m2), ws)
+	if err != nil {
+		return nil, err
+	}
+	f := m2.In.Family
 	root := f.Roots()[0]
-	k := f.Levels()
-	rho := Sigma(k) - 1 // 1 + H_k
-	if k == 2 {
-		rho = SigmaTwoLevel(f.M()) - 1 // the sharper 2 + 1/m of Theorem VI.3
-	}
-
-	capOf := func(s int) float64 { return math.Pow(m2.Mu, float64(f.Height(s))) }
-	memPackings := func(pairs [][2]int) []Packing {
-		var out []Packing
-		for s := 0; s < f.Len(); s++ {
-			if s == root {
-				continue // the root has unbounded capacity
-			}
-			coef := map[int]float64{}
-			for v, pr := range pairs {
-				if pr[0] == s && m2.JobSize[pr[1]] > 0 {
-					coef[v] = m2.JobSize[pr[1]]
-				}
-			}
-			out = append(out, Packing{
-				Name: fmt.Sprintf("mem(set %d)", s),
-				Coef: coef,
-				B:    capOf(s),
-				Rho:  rho,
-			})
-		}
-		return out
-	}
-	build := func(T int64) ([]int, [][2]int, []Packing) {
-		varJob, pairs := pairVars(in, T, nil)
-		packs := append(loadPackings(in, pairs, T, rho), memPackings(pairs)...)
-		return varJob, pairs, packs
-	}
-	tlp, err := minFeasibleT(ctx, in, build)
-	if err != nil {
-		return nil, err
-	}
-	varJob, pairs, packs := build(tlp)
-	rr, err := iterativeRound(ctx, varJob, in.N(), packs)
-	if err != nil {
-		return nil, err
-	}
-	a := choiceToAssignment(rr.choice, pairs, in.N())
-	res, err := finish(in, a, tlp, rr.fallbacks)
-	if err != nil {
-		return nil, err
-	}
 	for s := 0; s < f.Len(); s++ {
 		if s == root {
 			continue
 		}
 		use := 0.0
-		for j, set := range a {
+		for j, set := range res.Assignment {
 			if set == s {
 				use += m2.JobSize[j]
 			}
 		}
-		if fct := use / capOf(s); fct > res.MemFactor {
+		if fct := use / m2.capacity(s); fct > res.MemFactor {
 			res.MemFactor = fct
 		}
 	}
 	return res, nil
 }
 
+// capacity is µ^h, the memory capacity of a set of height h.
+func (m2 *Model2) capacity(s int) float64 {
+	return math.Pow(m2.Mu, float64(m2.In.Family.Height(s)))
+}
+
+// model2Builder sets up Model 2's relaxation: one memory row per set but
+// the root (which has unbounded capacity), charged s_j by the pairs
+// assigned exactly to that set.
+func model2Builder(m2 *Model2) *builder {
+	in := m2.In
+	f := in.Family
+	root := f.Roots()[0]
+	rho := m2.Sigma() - 1 // 1 + H_k, or the sharper 2 + 1/m for two levels
+	var mem []float64
+	memOf := make([][]int, f.Len())
+	for s := 0; s < f.Len(); s++ {
+		if s != root {
+			memOf[s] = []int{f.Len() + len(mem)}
+			mem = append(mem, m2.capacity(s))
+		}
+	}
+	return newBuilder(in, rho, mem, memOf, func(j, _ int) float64 { return m2.JobSize[j] })
+}
+
+// solve runs both models' pipeline on ws: the binary search for T_LP,
+// Lemma VI.2's rounding of the relaxation at T_LP, and the schedule.
+func solve(ctx context.Context, b *builder, ws *relax.Workspace) (*Result, error) {
+	if ws == nil {
+		ws = relax.NewWorkspace()
+	}
+	tlp, err := minFeasibleT(ctx, b, ws)
+	if err != nil {
+		return nil, err
+	}
+	b.build(tlp)
+	rr, err := iterativeRound(ctx, b, ws)
+	if err != nil {
+		return nil, err
+	}
+	a := make(model.Assignment, b.in.N())
+	for j, v := range rr.choice {
+		a[j] = b.pairs[v][0]
+	}
+	mk := a.MinMakespan(b.in)
+	s, err := hier.Schedule(b.in, a, mk)
+	if err != nil {
+		return nil, fmt.Errorf("memcap: scheduling rounded assignment: %w", err)
+	}
+	return &Result{
+		Instance:   b.in,
+		Assignment: a,
+		TLP:        tlp,
+		Makespan:   mk,
+		Schedule:   s,
+		LoadFactor: float64(mk) / float64(tlp),
+		Fallbacks:  rr.fallbacks,
+	}, nil
+}
+
 // minFeasibleT binary-searches the minimal T whose constrained relaxation
-// is feasible. Each probe's LP polls ctx between pivots.
-func minFeasibleT(ctx context.Context, in *model.Instance, build func(T int64) ([]int, [][2]int, []Packing)) (int64, error) {
+// is feasible. Every probe rebuilds into ws's problem and solves on its
+// tableau; each probe's LP polls ctx between pivots.
+func minFeasibleT(ctx context.Context, b *builder, ws *relax.Workspace) (int64, error) {
+	in := b.in
 	lo := in.LowerBoundSimple()
 	if lo < 1 {
 		lo = 1
@@ -371,22 +414,18 @@ func minFeasibleT(ctx context.Context, in *model.Instance, build func(T int64) (
 	if hi < lo {
 		hi = lo
 	}
-	// One problem and one simplex workspace across every probe of the
-	// binary search: each probe rebuilds into the same arenas and tableau.
-	var prob lp.Problem
-	ws := lp.NewWorkspace()
-	check := func(T int64) (bool, error) {
-		varJob, pairs, packs := build(T)
-		return feasibleConstrainedLP(ctx, in, varJob, pairs, packs, &prob, ws)
-	}
-	if ok, err := check(hi); err != nil {
+	// The search starts cold, as on a fresh workspace, and warm-starts
+	// probe to probe from there: its pivots never depend on what the
+	// workspace solved before.
+	ws.LP.InvalidateWarmStart()
+	if ok, err := feasibleConstrainedLP(ctx, b, hi, ws); err != nil {
 		return 0, err
 	} else if !ok {
 		return 0, fmt.Errorf("memcap: memory constraints fractionally infeasible at any makespan")
 	}
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		ok, err := check(mid)
+		ok, err := feasibleConstrainedLP(ctx, b, mid, ws)
 		if err != nil {
 			return 0, err
 		}
@@ -397,31 +436,4 @@ func minFeasibleT(ctx context.Context, in *model.Instance, build func(T int64) (
 		}
 	}
 	return lo, nil
-}
-
-// choiceToAssignment maps chosen master variables back to set ids.
-func choiceToAssignment(choice []int, pairs [][2]int, n int) model.Assignment {
-	a := make(model.Assignment, n)
-	for j := 0; j < n; j++ {
-		a[j] = pairs[choice[j]][0]
-	}
-	return a
-}
-
-// finish schedules the rounded assignment at its own minimal makespan.
-func finish(in *model.Instance, a model.Assignment, tlp int64, fallbacks int) (*Result, error) {
-	mk := a.MinMakespan(in)
-	s, err := hier.Schedule(in, a, mk)
-	if err != nil {
-		return nil, fmt.Errorf("memcap: scheduling rounded assignment: %w", err)
-	}
-	return &Result{
-		Instance:   in,
-		Assignment: a,
-		TLP:        tlp,
-		Makespan:   mk,
-		Schedule:   s,
-		LoadFactor: float64(mk) / float64(tlp),
-		Fallbacks:  fallbacks,
-	}, nil
 }

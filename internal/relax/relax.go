@@ -116,6 +116,11 @@ type Workspace struct {
 // MinFeasibleT.
 func NewWorkspace() *Workspace { return &Workspace{LP: lp.NewWorkspace()} }
 
+// Problem returns the workspace's reusable LP problem, for callers that
+// build their own relaxations on its arenas (internal/memcap). Every
+// probe here rebuilds it from Reset, so callers may leave anything in it.
+func (ws *Workspace) Problem() *lp.Problem { return &ws.prob }
+
 // Stats aggregates solver effort across the workspace's lifetime: how
 // many feasibility probes ran and what they cost at the simplex level,
 // including how many were answered from a warm basis. Binary searches

@@ -19,10 +19,11 @@ import (
 
 // Workspaces is one worker's reusable solver state: the relaxation
 // workspace (simplex tableau plus constraint arenas, threaded through
-// the LP bound, the 2-approximation, the heuristic pipeline and rt's
-// tests) and the exact branch-and-bound workspace. Both grow to the
-// largest instance seen and are reused request to request; neither
-// retains the previous request's instance or context between runs.
+// the LP bound, the 2-approximation, the heuristic pipeline, rt's tests
+// and both memory models) and the exact branch-and-bound workspace. Both
+// grow to the largest instance seen and are reused request to request;
+// neither retains the previous request's instance or context between
+// runs.
 //
 // The one piece of per-instance state is a one-entry rt memo: the
 // instance bytes of the last rt request and the rt.Tester that answered
@@ -66,6 +67,13 @@ func (ws *Workspaces) endTask() { ws.rtDoc, ws.rtTester = nil, nil }
 // testRT runs one rt test; tests replace it to feed the certification
 // checks an answer no real Tester would give.
 var testRT = (*rt.Tester).Test
+
+// solveModel1 and solveModel2 run the memory models; tests replace them
+// as testRT is replaced.
+var (
+	solveModel1 = memcap.SolveModel1
+	solveModel2 = memcap.SolveModel2
+)
 
 // Outcome is the typed result of one query: what the daemon serializes
 // into a Response and what cmd/hsched prints. Instance is the instance
@@ -184,8 +192,11 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 			return nil, badRequestf("algo %q requires a memory spec", AlgoMemory1)
 		}
 		m1 := &memcap.Model1{In: in, Budget: req.Memory.Budget, Size: req.Memory.Size}
-		res, err := memcap.SolveModel1(ctx, m1)
+		res, err := solveModel1(ctx, m1, ws.Relax)
 		if err != nil {
+			return nil, err
+		}
+		if err := certifyMemory(res, 3, "Theorem VI.1"); err != nil {
 			return nil, err
 		}
 		fillMemory(out, res)
@@ -196,8 +207,11 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 			return nil, badRequestf("algo %q requires a memory spec", AlgoMemory2)
 		}
 		m2 := &memcap.Model2{In: in, JobSize: req.Memory.JobSize, Mu: req.Memory.Mu}
-		res, err := memcap.SolveModel2(ctx, m2)
+		res, err := solveModel2(ctx, m2, ws.Relax)
 		if err != nil {
+			return nil, err
+		}
+		if err := certifyMemory(res, m2.Sigma(), "Theorem VI.3"); err != nil {
 			return nil, err
 		}
 		fillMemory(out, res)
@@ -234,6 +248,25 @@ func RunScenario(ctx context.Context, wl scenario.Workload, req *Request, ws *Wo
 	out.Segments = c.Segments
 	out.MaxLive = c.MaxLive
 	return out, nil
+}
+
+// certifyMemory checks a memory model's answer before it leaves: the
+// schedule must realize the assignment, the makespan must be at least the
+// positive relaxation bound, and a rounding without fallbacks must keep
+// both factors within the theorem's bound.
+func certifyMemory(res *memcap.Result, bound float64, theorem string) error {
+	if err := validate(res.Instance, res.Assignment, res.Schedule); err != nil {
+		return err
+	}
+	if res.TLP <= 0 || res.Makespan < res.TLP {
+		return fmt.Errorf("memcap: makespan %d below its relaxation bound %d", res.Makespan, res.TLP)
+	}
+	const tol = 1e-6 // the experiments' factor-check tolerance
+	if res.Fallbacks == 0 && (res.LoadFactor > bound+tol || res.MemFactor > bound+tol) {
+		return fmt.Errorf("memcap: %s violated: load factor %g, memory factor %g exceed %g",
+			theorem, res.LoadFactor, res.MemFactor, bound)
+	}
+	return nil
 }
 
 // fillMemory copies a bicriteria result into the outcome.

@@ -13,7 +13,9 @@ import (
 // TestOneSpellingPerSolver: every solver has exactly one exported entry
 // point, context first and workspace last. No exported function or
 // method in the solver packages or the root package may end in Ctx or
-// WS, since such a name is a second spelling of a solver. The one
+// WS, since such a name is a second spelling of a solver, and every
+// exported package-level function of a solver package whose first
+// parameter is a context.Context must take a *…Workspace last. The one
 // exception is approx.TwoApproxCtx, a deprecated wrapper kept for the
 // benchmark module.
 func TestOneSpellingPerSolver(t *testing.T) {
@@ -50,6 +52,11 @@ func TestOneSpellingPerSolver(t *testing.T) {
 			}
 			checked++
 			name := fn.Name.Name
+			if f.Name.Name != "hsp" && fn.Recv == nil && !allowed[f.Name.Name+"."+name] &&
+				takesContext(fn.Type.Params) && !endsInWorkspace(fn.Type.Params) {
+				t.Errorf("%s: %s.%s takes a context but no *Workspace last; use the (ctx, …, ws) form",
+					fset.Position(fn.Pos()), f.Name.Name, name)
+			}
 			if !strings.HasSuffix(name, "Ctx") && !strings.HasSuffix(name, "WS") {
 				continue
 			}
@@ -63,4 +70,33 @@ func TestOneSpellingPerSolver(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no exported functions found; the file list is stale")
 	}
+}
+
+// takesContext reports whether the first parameter is a context.Context.
+func takesContext(params *ast.FieldList) bool {
+	if params == nil || len(params.List) == 0 {
+		return false
+	}
+	sel, ok := params.List[0].Type.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "context" && sel.Sel.Name == "Context"
+}
+
+// endsInWorkspace reports whether the last parameter is a pointer to a
+// type named Workspace, from this package or another.
+func endsInWorkspace(params *ast.FieldList) bool {
+	star, ok := params.List[len(params.List)-1].Type.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	switch x := star.X.(type) {
+	case *ast.Ident:
+		return x.Name == "Workspace"
+	case *ast.SelectorExpr:
+		return x.Sel.Name == "Workspace"
+	}
+	return false
 }
