@@ -75,34 +75,30 @@ bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep$$' -benchmem ./internal/rt
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveModel[12]$$' -benchmem ./internal/memcap
 
-# Daemon smoke: build hspd, drive it with the synthetic-traffic harness
-# for a few seconds, and fail on zero successful answers, any outright
-# failure, or any paper-guarantee claim violation in the responses
-# (hspd -loadtest exits nonzero on all three). The latency summary lands
-# in $(SMOKE_OUT) for the CI artifact upload, and the run appends a
-# drift-checked record to the BENCH_hspd.json trajectory — the gate only
-# trips on catastrophic regressions (factor HSPD_DRIFT_FAIL) because CI
-# machine speed varies run to run.
+# Daemon smoke: the repository benchmark's two serving workloads
+# (hspbench, BENCHMARK.json) for 3 seconds each against an in-process
+# daemon. serve-cold sends distinct requests with the cache off;
+# serve-zipf sends Zipf-skewed repeats through a 512-entry cache.
+# hspbench checks every answer against its paper certificate. The
+# target fails unless each result line has "correct":true and
+# "failed":0, and unless serve-zipf's facts line has a nonzero cache
+# hit ratio. Each run's facts and result lines land in
+# $(SMOKE_OUT)/<workload>.jsonl for the CI artifact, and one record per
+# workload, {time, key, facts, result}, is appended to the
+# BENCH_hspd.json trajectory, keyed by workload, seed, GOMAXPROCS and
+# Go version.
 SMOKE_OUT ?= out/hspd
-SMOKE_DURATION ?= 3s
-HSPD_DRIFT_FAIL ?= 25
 
-# The second run repeats the traffic with the content-addressed cache
-# enabled: the loadtest itself fails on a zero hit ratio (repeat-heavy
-# probes against an in-process cache must hit), and its summary lands
-# next to the uncached one in the artifact. The cached run appends under
-# its own trajectory key (…|cache=512), so the two latency profiles are
-# tracked separately.
 hspd-smoke:
 	@mkdir -p $(SMOKE_OUT)
-	$(GO) build -o $(SMOKE_OUT)/hspd ./cmd/hspd
-	$(SMOKE_OUT)/hspd -loadtest -duration $(SMOKE_DURATION) -concurrency 8 \
-		-summary $(SMOKE_OUT)/latency.json \
-		-bench-out BENCH_hspd.json -drift-fail $(HSPD_DRIFT_FAIL)
-	$(SMOKE_OUT)/hspd -loadtest -duration $(SMOKE_DURATION) -concurrency 8 \
-		-cache-entries 512 \
-		-summary $(SMOKE_OUT)/latency-cached.json \
-		-bench-out BENCH_hspd.json -drift-fail $(HSPD_DRIFT_FAIL)
+	@set -e; for w in serve-cold serve-zipf; do \
+		out=$(SMOKE_OUT)/$$w.jsonl; \
+		bash hspbench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 > $$out; \
+		cat $$out; \
+		jq -se 'length == 2 and .[1].correct == true and .[1].failed == 0 and (.[0].workload != "serve-zipf" or .[0].hit_ratio > 0)' $$out > /dev/null \
+			|| { echo "hspd-smoke: $$w failed its gate" >&2; exit 1; }; \
+		jq -sc '{time: (now | todate), key: "hspbench|\(.[0].workload)|seed=\(.[0].seed)|gomaxprocs=\(.[0].machine.gomaxprocs)|\(.[0].machine.go)", facts: .[0], result: .[1]}' $$out >> BENCH_hspd.json; \
+	done
 
 # Coverage-guided fuzzing smoke: a short budget per target on every CI
 # run (regression corpus under testdata/fuzz always runs with plain

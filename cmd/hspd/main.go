@@ -8,7 +8,6 @@
 //
 //	hspd -addr :8080                      # serve until SIGINT/SIGTERM
 //	hspd -workers 8 -queue 64             # pool and admission-queue sizing
-//	hspd -loadtest -duration 5s           # synthetic-traffic harness
 //
 // Endpoints: POST /v1/solve, POST /v1/batch, GET /healthz, GET /statsz.
 // See README.md for the request schema and the serving playbook entry in
@@ -32,13 +31,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	if err := run(os.Args[1:], os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "hspd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("hspd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -51,21 +50,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		maxBatch = fs.Int("max-batch", 64, "max requests per /v1/batch task")
 		cacheEnt = fs.Int("cache-entries", 0, "content-addressed response cache capacity in entries (0 = caching disabled)")
 		cacheB   = fs.Int64("cache-bytes", 0, "cache total-bytes bound, keys+responses (0 = 64 MiB when -cache-entries > 0)")
-
-		loadtest = fs.Bool("loadtest", false, "run the synthetic-traffic harness instead of serving")
-		ltDur    = fs.Duration("duration", 3*time.Second, "loadtest: traffic duration")
-		ltConc   = fs.Int("concurrency", 8, "loadtest: concurrent clients")
-		ltSeed   = fs.Int64("seed", 1, "loadtest: workload seed")
-		ltURL    = fs.String("url", "", "loadtest: target an already-running daemon (default: in-process)")
-		ltSum    = fs.String("summary", "", "loadtest: write the JSON summary to this file")
-		ltBench  = fs.String("bench-out", "", "loadtest: append the summary to this trajectory file (JSONL)")
-		ltDrift  = fs.Float64("drift-fail", 0, "loadtest: fail when p99 grows (or QPS shrinks) by more than this factor vs the previous same-key -bench-out record (0 = report only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	cfg := serve.Config{
+	srv := serve.New(serve.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		DefaultTimeout: *timeout,
@@ -74,22 +64,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		MaxBatch:       *maxBatch,
 		CacheEntries:   *cacheEnt,
 		CacheBytes:     *cacheB,
-	}
-
-	if *loadtest {
-		return runLoadtest(loadConfig{
-			cfg:         cfg,
-			duration:    *ltDur,
-			concurrency: *ltConc,
-			seed:        *ltSeed,
-			url:         *ltURL,
-			summaryPath: *ltSum,
-			benchOut:    *ltBench,
-			driftFail:   *ltDrift,
-		}, stdout, stderr)
-	}
-
-	srv := serve.New(cfg)
+	})
 	defer srv.Close()
 
 	ln, err := net.Listen("tcp", *addr)

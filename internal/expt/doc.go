@@ -17,11 +17,10 @@
 // experiment ids in suite order.
 //
 // Execution. Runner (runner.go) executes any subset on a bounded worker
-// pool (parallel.go caps total concurrency across the experiment pool
-// and the per-experiment trial pools with one shared semaphore). Every
-// experiment runs with a seed derived deterministically from the base
-// seed and its ID (DeriveSeed), so results are independent of worker
-// count and completion order. Each Run receives a context it must honor:
+// pool (parallel.go); each experiment runs its trials in order on the
+// worker goroutine that picked it up. Every experiment runs with a seed
+// derived deterministically from the base seed and its ID (DeriveSeed),
+// so results are independent of worker count and completion order. Each Run receives a context it must honor:
 // the solver hot loops underneath (LP simplex pivots in internal/lp, the
 // branch-and-bound DFS in internal/exact) poll the context, and the
 // sweep loops inside each experiment check it between trials, so a

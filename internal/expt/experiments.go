@@ -330,53 +330,30 @@ func (s Suite) E6(ctx context.Context) *Table {
 			if ctx.Err() != nil {
 				return t
 			}
-			trials := s.trials(15)
-			// Draw all instances sequentially (determinism), then solve
-			// the trials — each dominated by an exact branch-and-bound —
-			// on the worker pool.
-			ins := make([]*model.Instance, trials)
-			for k := range ins {
-				ins[k] = generatedN(rng, topo, n, 0.5, 0.2)
-			}
-			type outcome struct {
-				ok        bool
-				rOpt, rLP float64
-			}
-			outs := make([]outcome, trials)
-			forEachTrial(trials, func(k int) {
-				if ctx.Err() != nil {
-					return
-				}
-				res, err := approx.TwoApprox(ctx, ins[k], nil)
-				if err != nil {
-					return
-				}
-				_, opt, err := exact.Solve(ctx, ins[k], exact.Options{MaxNodes: 2_000_000}, nil)
-				if err != nil {
-					return
-				}
-				outs[k] = outcome{
-					ok:   true,
-					rOpt: float64(res.Makespan) / float64(opt),
-					rLP:  float64(res.Makespan) / float64(res.LPBound),
-				}
-			})
 			var sumOpt, maxOpt, sumLP, maxLP float64
 			cnt, within := 0, 0
-			for _, o := range outs {
-				if !o.ok {
+			for k := s.trials(15); k > 0 && ctx.Err() == nil; k-- {
+				in := generatedN(rng, topo, n, 0.5, 0.2)
+				res, err := approx.TwoApprox(ctx, in, nil)
+				if err != nil {
 					continue
 				}
-				sumOpt += o.rOpt
-				sumLP += o.rLP
-				if o.rOpt > maxOpt {
-					maxOpt = o.rOpt
+				_, opt, err := exact.Solve(ctx, in, exact.Options{MaxNodes: 2_000_000}, nil)
+				if err != nil {
+					continue
 				}
-				if o.rLP > maxLP {
-					maxLP = o.rLP
+				rOpt := float64(res.Makespan) / float64(opt)
+				rLP := float64(res.Makespan) / float64(res.LPBound)
+				sumOpt += rOpt
+				sumLP += rLP
+				if rOpt > maxOpt {
+					maxOpt = rOpt
+				}
+				if rLP > maxLP {
+					maxLP = rLP
 				}
 				cnt++
-				if o.rOpt <= 2.0000001 {
+				if rOpt <= 2.0000001 {
 					within++
 				}
 			}

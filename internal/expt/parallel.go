@@ -5,24 +5,12 @@ import (
 	"sync"
 )
 
-// sharedSem bounds total concurrency across every pool in the package —
-// the Runner's experiment-level pool and each experiment's trial-level
-// forEachTrial — so nesting them doesn't oversubscribe the machine to
-// workers², which would turn trial parallelism into contention and skew
-// E12's wall-time column.
-var sharedSem = make(chan struct{}, runtime.GOMAXPROCS(0))
-
-// forEachBounded runs fn(k) for k = 0..n-1 with at most `workers` tasks
-// in flight for this call (≤ 0 means GOMAXPROCS), each additionally
-// holding a slot of the shared package semaphore. When the machine is
-// saturated a task runs inline on the caller's goroutine instead of
-// queueing — slots are only ever held by running leaf work, so nested
-// pools (Runner over experiments over trials) cannot deadlock and total
-// goroutines stay O(GOMAXPROCS). Determinism contract: callers draw all
-// randomness (seeds, instances) BEFORE calling, indexed by k, and fn
-// writes only to its own slot of a results slice; aggregation happens
-// after the pool drains, so inline-vs-goroutine execution cannot change
-// results.
+// forEachBounded runs fn(k) for k = 0..n-1 on at most `workers`
+// goroutines (≤ 0 means GOMAXPROCS; 1 runs every task inline on the
+// caller). Determinism contract: fn writes only to its own slot of a
+// results slice, so the schedule cannot change results. A panicking
+// task must not kill the process from a pool goroutine: the first panic
+// is captured and re-raised on the caller once every task has run.
 func forEachBounded(n, workers int, fn func(k int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -36,52 +24,34 @@ func forEachBounded(n, workers int, fn func(k int)) {
 		}
 		return
 	}
-	// A panicking task must not kill the process from a pool goroutine:
-	// the first panic is captured and re-raised on the caller once the
-	// pool drains, so it surfaces on the experiment's own goroutine where
-	// Runner's isolation can turn it into StatusError.
 	var (
 		wg       sync.WaitGroup
-		panicMu  sync.Mutex
+		first    sync.Once
 		panicVal any
 	)
-	capture := func(k int) {
-		defer func() {
-			if p := recover(); p != nil {
-				panicMu.Lock()
-				if panicVal == nil {
-					panicVal = p
-				}
-				panicMu.Unlock()
+	tasks := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range tasks {
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							first.Do(func() { panicVal = p })
+						}
+					}()
+					fn(k)
+				}()
 			}
 		}()
-		fn(k)
 	}
-	local := make(chan struct{}, workers)
 	for k := 0; k < n; k++ {
-		local <- struct{}{}
-		select {
-		case sharedSem <- struct{}{}:
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				defer func() { <-sharedSem; <-local }()
-				capture(k)
-			}(k)
-		default:
-			capture(k)
-			<-local
-		}
+		tasks <- k
 	}
+	close(tasks)
 	wg.Wait()
 	if panicVal != nil {
 		panic(panicVal)
 	}
-}
-
-// forEachTrial runs fn(k) for k = 0..n-1 on the shared bounded pool.
-// The experiments that dominate wall time (exact branch-and-bound per
-// trial) parallelize across trials this way.
-func forEachTrial(n int, fn func(k int)) {
-	forEachBounded(n, 0, fn)
 }

@@ -130,10 +130,8 @@ func (r Runner) runOne(ctx context.Context, e Experiment) Result {
 	defer cancel()
 
 	start := time.Now()
-	// Inline, on this worker goroutine: any sharedSem slot the caller
-	// holds stays accounted to running work, nested forEachTrial pools
-	// keep their parallelism headroom, and — because the experiment polls
-	// runCtx — a deadline or cancellation makes the experiment itself
+	// Inline, on this worker goroutine: because the experiment polls
+	// runCtx, a deadline or cancellation makes the experiment itself
 	// return, rather than abandoning it in the background.
 	out := runIsolated(runCtx, e, s)
 	res.duration = time.Since(start)

@@ -103,33 +103,26 @@ func TestRunnerPanicIsolation(t *testing.T) {
 	}
 }
 
-func TestRunnerPanicInTrialPool(t *testing.T) {
-	// A panic on a forEachTrial worker goroutine must surface on the
-	// experiment's goroutine and become StatusError — not kill the
-	// process past the Runner's isolation.
-	Register(Experiment{ID: "ZTRIALPANIC", Title: "panics in trial pool",
-		Run: func(Suite, context.Context) *Table {
-			forEachTrial(8, func(k int) {
-				if k == 3 {
-					panic("trial kaboom")
-				}
-			})
-			return &Table{ID: "ZTRIALPANIC"}
-		}})
-	defer Unregister("ZTRIALPANIC")
-
-	r := Runner{Suite: Suite{Quick: true, Seed: 7}, Workers: 2}
-	results, err := r.Run(context.Background(), []string{"E1", "ZTRIALPANIC"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Status != StatusPass {
-		t.Fatalf("trial panic hit healthy experiment: %+v", results[0])
-	}
-	bad := results[1]
-	if bad.Status != StatusError || !strings.Contains(bad.Error, "trial kaboom") {
-		t.Fatalf("trial panic not isolated: %+v", bad)
-	}
+// TestForEachBoundedReraisesPanic: a panic on a pool goroutine must
+// surface on the caller once the pool drains — not kill the process —
+// and must not stop the other tasks from running.
+func TestForEachBoundedReraisesPanic(t *testing.T) {
+	var ran atomic.Int32
+	defer func() {
+		if p := recover(); p != "kaboom" {
+			t.Fatalf("recovered %v, want the task's panic", p)
+		}
+		if got := ran.Load(); got != 7 {
+			t.Fatalf("%d other tasks ran, want 7", got)
+		}
+	}()
+	forEachBounded(8, 2, func(k int) {
+		if k == 3 {
+			panic("kaboom")
+		}
+		ran.Add(1)
+	})
+	t.Fatal("panic not re-raised")
 }
 
 func TestRunnerNilTable(t *testing.T) {

@@ -1,8 +1,8 @@
-// Package trajectory appends to and reads back the JSONL trajectory
-// files the commands keep (hbench's BENCH_hbench.json, hspd's
-// BENCH_hspd.json): one JSON record per line, each carrying a "key"
-// field that identifies comparable runs. What a record holds and how
-// two records are compared (drift) stays with each command.
+// Package trajectory appends to and reads back JSONL trajectory files
+// such as hbench's BENCH_hbench.json: one JSON record per line, each
+// carrying a "key" field that identifies comparable runs. What a record
+// holds and how two records are compared (drift) stays with the
+// command.
 package trajectory
 
 import (

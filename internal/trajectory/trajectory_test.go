@@ -76,6 +76,23 @@ func TestLastSkipsTruncatedLine(t *testing.T) {
 	if err != nil || rec == nil || rec.Time != good.Time {
 		t.Fatalf("unterminated fragment broke the reader: rec=%+v err=%v", rec, err)
 	}
+
+	// Append straight after the unterminated fragment: the new record
+	// must land on a line of its own — glued onto the fragment it would
+	// be unparsable, and both would be lost.
+	mustAppend(t, path, record{Key: "k", Time: "t3"})
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+	if len(lines) != 3 || !bytes.Equal(lines[1], fragment) {
+		t.Fatalf("append did not terminate the fragment first:\n%s", data)
+	}
+	rec, err = Last[record](path, "k")
+	if err != nil || rec == nil || rec.Time != "t3" {
+		t.Fatalf("record appended after the fragment unreachable: rec=%+v err=%v", rec, err)
+	}
 }
 
 // A record carrying per-experiment fields for a large pack can exceed
