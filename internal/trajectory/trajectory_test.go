@@ -76,10 +76,27 @@ func TestLastSkipsTruncatedLine(t *testing.T) {
 	if err != nil || rec == nil || rec.Time != good.Time {
 		t.Fatalf("unterminated fragment broke the reader: rec=%+v err=%v", rec, err)
 	}
+}
 
-	// Append straight after the unterminated fragment: the new record
-	// must land on a line of its own — glued onto the fragment it would
-	// be unparsable, and both would be lost.
+// TestAppendRepairsTruncatedTrajectory appends straight after an
+// unterminated fragment (a writer that died mid-append): the new record
+// must land on a line of its own — glued onto the fragment it would be
+// unparsable, and both would be lost.
+func TestAppendRepairsTruncatedTrajectory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trajectory.json")
+	good := record{Key: "k", Time: "t1"}
+	mustAppend(t, path, good)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := append([]byte{}, bytes.TrimSpace(data)...)
+	fragment := append([]byte{}, line[:len(line)/2]...)
+	crashed := append(append(append([]byte{}, line...), '\n'), fragment...)
+	if err := os.WriteFile(path, crashed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	mustAppend(t, path, record{Key: "k", Time: "t3"})
 	data, err = os.ReadFile(path)
 	if err != nil {
@@ -89,7 +106,7 @@ func TestLastSkipsTruncatedLine(t *testing.T) {
 	if len(lines) != 3 || !bytes.Equal(lines[1], fragment) {
 		t.Fatalf("append did not terminate the fragment first:\n%s", data)
 	}
-	rec, err = Last[record](path, "k")
+	rec, err := Last[record](path, "k")
 	if err != nil || rec == nil || rec.Time != "t3" {
 		t.Fatalf("record appended after the fragment unreachable: rec=%+v err=%v", rec, err)
 	}
