@@ -65,15 +65,17 @@ bench-alloc:
 
 # The hot-path benchmarks with allocation counts: the LP oracle per
 # solve, the Section V binary search, one exact branch-and-bound probe,
-# an rt admission sweep (four fresh tests vs one Tester), and memcap's
-# Model 1 and Model 2 solves (fresh vs warmed workspace). Compare against
-# the tables in PERFORMANCE.md.
+# an rt admission sweep (four fresh tests vs one Tester), memcap's
+# Model 1 and Model 2 solves (fresh vs warmed workspace), and one cache
+# hit through the daemon's HTTP handler. Compare against the tables in
+# PERFORMANCE.md.
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveWS$$' -benchmem ./internal/lp
 	$(GO) test -run '^$$' -bench 'BenchmarkMinFeasibleT$$' -benchmem ./internal/relax
 	$(GO) test -run '^$$' -bench 'BenchmarkFeasibleAssignment$$' -benchmem ./internal/exact
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep$$' -benchmem ./internal/rt
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveModel[12]$$' -benchmem ./internal/memcap
+	$(GO) test -run '^$$' -bench 'BenchmarkCacheHit$$' -benchmem ./internal/serve
 
 # Daemon smoke: the repository benchmark's two serving workloads
 # (hspbench, BENCHMARK.json) for 3 seconds each against an in-process

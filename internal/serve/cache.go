@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -14,7 +13,10 @@ import (
 // This file is the content-addressed solve cache: admission sweeps and
 // retry-heavy clients re-send byte-identical requests, and the solvers
 // are deterministic, so a response computed once can be served again
-// without burning a single pivot or DFS node. Three pieces:
+// without burning a single pivot or DFS node. Server.Submit consults it
+// at admission, before any queueing, and it stores each response as the
+// exact bytes the wire carries, so a hit costs a hash and a copy to the
+// socket. Three pieces:
 //
 //   - CanonicalRequest: a canonical, injective byte encoding of every
 //     request field that can influence the response bytes (algo,
@@ -26,9 +28,10 @@ import (
 //     canonical length held verbatim plus the SHA-256 of the canonical
 //     bytes. A collision between non-identical canonical requests
 //     therefore needs same algo, same length, AND a SHA-256 collision.
-//   - cache: a mutex-guarded LRU bounded by entry count and total
-//     bytes, with singleflight collapsing — of N concurrent identical
-//     requests, one leader solves while the rest wait on its result.
+//   - cache: a mutex-guarded LRU of response bodies bounded by entry
+//     count and total bytes, with singleflight collapsing — of N
+//     concurrent identical requests, one leader solves while the rest
+//     wait on its result.
 //
 // Only successful responses are ever cached: a canceled, timed-out, or
 // failed solve says nothing reusable about the instance (and a timeout
@@ -117,19 +120,19 @@ func CanonicalRequest(dst []byte, req *Request) []byte {
 }
 
 // flight is one in-progress solve that identical concurrent requests
-// collapse onto: the leader solves, settles resp (nil when it failed),
-// and closes done; followers wait on done under their own contexts.
+// collapse onto: the leader solves, settles body (nil when it failed or
+// was shed), and closes done; followers wait on done under their own
+// contexts.
 type flight struct {
 	done chan struct{}
-	resp *Response
+	body []byte
 }
 
-// cacheEntry is one LRU-resident response. size is the accounting
-// charge: canonical-key bytes plus the response's JSON length, the two
-// buffers a hit actually stands in for.
+// cacheEntry is one LRU-resident response body. size is the accounting
+// charge: the canonical encoding's length plus the body's.
 type cacheEntry struct {
 	key  CacheKey
-	resp *Response
+	body []byte
 	size int64
 }
 
@@ -161,17 +164,17 @@ func newCache(maxEntries int, maxBytes int64) *cache {
 }
 
 // acquire resolves a key atomically into exactly one of three outcomes:
-// a cached response (hit), an in-progress flight to wait on, or
-// leadership of a new flight (the caller MUST settle it). The miss for
-// a leader is counted here so hits+misses+collapsed reconciles with the
-// number of requests that reached the cache.
-func (c *cache) acquire(key CacheKey) (resp *Response, fl *flight, leader bool) {
+// a cached body (hit), an in-progress flight to wait on, or leadership
+// of a new flight (the caller MUST settle it). The miss for a leader is
+// counted here so hits+misses+collapsed reconciles with the number of
+// requests that reached the cache.
+func (c *cache) acquire(key CacheKey) (body []byte, fl *flight, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e)
 		c.hits.Add(1)
-		return e.Value.(*cacheEntry).resp, nil, false
+		return e.Value.(*cacheEntry).body, nil, false
 	}
 	if fl, ok := c.flights[key]; ok {
 		return nil, fl, false
@@ -182,58 +185,51 @@ func (c *cache) acquire(key CacheKey) (resp *Response, fl *flight, leader bool) 
 	return nil, fl, true
 }
 
-// settle publishes the leader's outcome (resp nil on failure) and
+// settle publishes the leader's outcome (body nil on failure) and
 // releases the flight so later requests go back through the LRU.
-func (c *cache) settle(key CacheKey, fl *flight, resp *Response) {
+func (c *cache) settle(key CacheKey, fl *flight, body []byte) {
 	c.mu.Lock()
 	delete(c.flights, key)
 	c.mu.Unlock()
-	fl.resp = resp
+	fl.body = body
 	close(fl.done)
 }
 
 // wait blocks a follower until the leader settles or the follower's own
-// context dies. It returns (resp, nil) on a collapsed hit, (nil, nil)
-// when the leader failed — the follower must solve for itself — and
-// (nil, ctx.Err()) when the follower's context ended first.
-func (c *cache) wait(ctx context.Context, fl *flight) (*Response, error) {
+// context dies. It returns (body, nil) on a collapsed hit, (nil, nil)
+// when the leader failed or was shed — the follower must re-attempt —
+// and (nil, ctx.Err()) when the follower's context ended first. A
+// settled flight wins over a context that died at the same time.
+func (c *cache) wait(ctx context.Context, fl *flight) ([]byte, error) {
 	select {
 	case <-fl.done:
-		if fl.resp != nil {
-			c.collapsed.Add(1)
-			return fl.resp, nil
-		}
-		return nil, nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		select {
+		case <-fl.done:
+		default:
+			return nil, ctx.Err()
+		}
 	}
+	if fl.body != nil {
+		c.collapsed.Add(1)
+	}
+	return fl.body, nil
 }
 
-// store inserts a successful response, charging len(canon) plus the
-// response's JSON length, then evicts from the LRU tail until both
-// bounds hold again. Entries that could never fit are not stored; a key
-// already present (two followers re-solving after a failed leader) is
-// refreshed in place.
-func (c *cache) store(key CacheKey, canon []byte, resp *Response) {
-	b, err := json.Marshal(resp)
-	if err != nil {
-		return // unmarshalable responses cannot be served twice anyway
-	}
-	size := int64(len(canon)) + int64(len(b))
+// store inserts a successful response body, charging the canonical
+// encoding's length (key.Len) plus len(body), then evicts from the LRU
+// tail until both bounds hold again. Entries that could never fit are
+// not stored. The caller leads the key's flight, so the key is absent:
+// a stored key is hit at acquire and never led again.
+func (c *cache) store(key CacheKey, body []byte) {
+	size := int64(key.Len) + int64(len(body))
 	if size > c.maxBytes {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		ent := e.Value.(*cacheEntry)
-		c.bytes += size - ent.size
-		ent.resp, ent.size = resp, size
-		c.lru.MoveToFront(e)
-	} else {
-		c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, resp: resp, size: size})
-		c.bytes += size
-	}
+	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, body: body, size: size})
+	c.bytes += size
 	for (len(c.entries) > c.maxEntries || c.bytes > c.maxBytes) && c.lru.Len() > 0 {
 		tail := c.lru.Back()
 		ent := tail.Value.(*cacheEntry)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,29 +12,34 @@ import (
 
 // lookup probes the cache read-only: a would-be leader's flight is
 // settled empty immediately so the cache state is unchanged.
-func lookup(c *cache, key CacheKey) (*Response, bool) {
-	resp, fl, leader := c.acquire(key)
+func lookup(c *cache, key CacheKey) ([]byte, bool) {
+	body, fl, leader := c.acquire(key)
 	if leader {
 		c.settle(key, fl, nil)
 	}
-	return resp, resp != nil
+	return body, body != nil
 }
 
-// mkEntry builds a distinct request (keyed by i) and a response whose
-// JSON length grows with pad, for size-sensitive LRU tests.
-func mkEntry(i, pad int) (*Request, *Response) {
+// mkEntry builds a distinct request (keyed by i) and a response body
+// whose length grows with pad, for size-sensitive LRU tests.
+func mkEntry(t *testing.T, i, pad int) (*Request, []byte) {
+	t.Helper()
 	req := &Request{Algo: AlgoLP, Instance: json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))}
 	resp := &Response{Algo: AlgoLP, LPBound: int64(i)}
 	if pad > 0 {
 		resp.Assignment = make([]int, pad)
 	}
-	return req, resp
+	body, err := encodeJSON(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return req, body
 }
 
 // storeOne runs the leader flow for one request: acquire, store, settle.
-func storeOne(t *testing.T, c *cache, req *Request, resp *Response) CacheKey {
+func storeOne(t *testing.T, c *cache, req *Request, body []byte) CacheKey {
 	t.Helper()
-	key, canon := KeyRequest(req)
+	key, _ := KeyRequest(req)
 	got, fl, leader := c.acquire(key)
 	if got != nil {
 		return key // already cached
@@ -41,8 +47,8 @@ func storeOne(t *testing.T, c *cache, req *Request, resp *Response) CacheKey {
 	if !leader {
 		t.Fatalf("unexpected concurrent flight for %v", key)
 	}
-	c.store(key, canon, resp)
-	c.settle(key, fl, resp)
+	c.store(key, body)
+	c.settle(key, fl, body)
 	return key
 }
 
@@ -53,15 +59,15 @@ func TestCacheLRUOrderMixedSizes(t *testing.T) {
 	c := newCache(3, 1<<20)
 	var keys [4]CacheKey
 	for i := 0; i < 3; i++ {
-		req, resp := mkEntry(i, 10*i) // sizes differ on purpose
-		keys[i] = storeOne(t, c, req, resp)
+		req, body := mkEntry(t, i, 10*i) // sizes differ on purpose
+		keys[i] = storeOne(t, c, req, body)
 	}
 	// Touch 0: the LRU victim is now 1.
 	if _, ok := lookup(c, keys[0]); !ok {
 		t.Fatal("entry 0 missing before eviction")
 	}
-	req, resp := mkEntry(3, 0)
-	keys[3] = storeOne(t, c, req, resp)
+	req, body := mkEntry(t, 3, 0)
+	keys[3] = storeOne(t, c, req, body)
 	if _, ok := lookup(c, keys[1]); ok {
 		t.Fatal("LRU violation: untouched entry 1 survived over-capacity insert")
 	}
@@ -86,11 +92,11 @@ func TestCacheBoundsProperty(t *testing.T) {
 		maxBytes := int64(150 + rng.Intn(2500))
 		c := newCache(maxEntries, maxBytes)
 		for op := 0; op < 60; op++ {
-			// Duplicate keys re-store (the follower-after-failed-leader
-			// path); fresh keys grow the LRU until the bounds bite.
+			// Duplicate keys hit while resident and re-insert after
+			// eviction; fresh keys grow the LRU until the bounds bite.
 			i := rng.Intn(20)
-			req, resp := mkEntry(i, rng.Intn(120))
-			storeOne(t, c, req, resp)
+			req, body := mkEntry(t, i, rng.Intn(120))
+			storeOne(t, c, req, body)
 
 			c.mu.Lock()
 			var sum int64
@@ -118,10 +124,10 @@ func TestCacheBoundsProperty(t *testing.T) {
 // bound is skipped rather than evicting everything else for nothing.
 func TestCacheOversizedEntryNotStored(t *testing.T) {
 	c := newCache(8, 128)
-	small, smallResp := mkEntry(1, 0)
-	smallKey := storeOne(t, c, small, smallResp)
-	big, bigResp := mkEntry(2, 1000)
-	bigKey := storeOne(t, c, big, bigResp)
+	small, smallBody := mkEntry(t, 1, 0)
+	smallKey := storeOne(t, c, small, smallBody)
+	big, bigBody := mkEntry(t, 2, 1000)
+	bigKey := storeOne(t, c, big, bigBody)
 	if _, ok := lookup(c, bigKey); ok {
 		t.Fatal("oversized entry was stored")
 	}
@@ -225,8 +231,8 @@ func TestCacheNeverCachesFailures(t *testing.T) {
 }
 
 // TestCacheHitServesIdenticalBytes: the basic contract on the real
-// solvers — the second identical request is a hit and its response
-// serializes to exactly the first one's bytes.
+// solvers — the second identical request is a hit and its wire bytes
+// are exactly the first one's.
 func TestCacheHitServesIdenticalBytes(t *testing.T) {
 	s := newCachedServer(t, Config{Workers: 1})
 	reqs := []*Request{{Algo: AlgoBest, Instance: instanceJSON(t), WantSchedule: true}}
@@ -236,13 +242,9 @@ func TestCacheHitServesIdenticalBytes(t *testing.T) {
 		if err != nil || results[0].Err != nil {
 			t.Fatalf("try %d: err=%v resultErr=%v", i, err, results[0].Err)
 		}
-		b, err := json.Marshal(results[0].Resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bodies[i] = b
+		bodies[i] = results[0].Body
 	}
-	if string(bodies[0]) != string(bodies[1]) {
+	if !bytes.Equal(bodies[0], bodies[1]) {
 		t.Fatalf("cache hit drifted from the cold solve:\ncold %s\nwarm %s", bodies[0], bodies[1])
 	}
 	st := s.Stats()

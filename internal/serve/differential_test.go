@@ -17,10 +17,11 @@ import (
 // mix — every algorithm the daemon serves (including dag), single and
 // batch submissions, deterministic error paths, and requests that can
 // only time out — replayed through a cached and an uncached server must
-// be indistinguishable on the wire. Successful responses are compared
-// byte for byte (the cache serves stored responses, so any divergence
-// means a solver answer depends on workspace history — exactly the bug
-// a response cache would turn from a curiosity into a lie). Error texts
+// be indistinguishable on the wire. Successful answers' wire bytes
+// (Result.Body) are compared byte for byte (the cache serves stored
+// bytes, so any divergence means a solver answer depends on workspace
+// history — exactly the bug a response cache would turn from a
+// curiosity into a lie). Error texts
 // from real deadline kills embed pivot/node counts and are therefore
 // timing-dependent even without a cache; those are compared by kind.
 
@@ -234,16 +235,8 @@ func TestCacheDifferentialReplay(t *testing.T) {
 		w, g := want[k], got[k]
 		switch {
 		case w.Err == nil && g.Err == nil:
-			wb, err := json.Marshal(w.Resp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gb, err := json.Marshal(g.Resp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(wb, gb) {
-				t.Errorf("%s: cached response diverged\nuncached %s\ncached   %s", names[k], wb, gb)
+			if !bytes.Equal(w.Body, g.Body) {
+				t.Errorf("%s: cached response diverged\nuncached %s\ncached   %s", names[k], w.Body, g.Body)
 			}
 		case w.Err != nil && g.Err != nil:
 			wTO := errors.Is(w.Err, context.DeadlineExceeded)

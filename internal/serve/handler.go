@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,7 +19,7 @@ const statusClientClosed = 499
 // Handler returns the daemon's HTTP surface:
 //
 //	POST /v1/solve  — one Request in, one Response out
-//	POST /v1/batch  — []Request in, []Response out (one queue slot)
+//	POST /v1/batch  — []Request in, []Response out (at most one queue slot)
 //	GET  /healthz   — liveness
 //	GET  /statsz    — Stats counters as JSON
 func (s *Server) Handler() http.Handler {
@@ -46,13 +47,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, statusFor(res.Err), &Response{Algo: req.Algo, Error: res.Err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, res.Resp)
+	writeBody(w, http.StatusOK, res.Body)
 }
 
-// handleBatch serves a batch as one queued task. Admission failures
-// (queue full, oversized batch) fail the whole batch; solver failures
-// are per-item, reported in each Response's error field with the batch
-// itself answering 200.
+// handleBatch serves a batch as one call: its cache hits answered at
+// admission, the rest as one queued task. Admission failures (queue
+// full, oversized batch) fail the whole batch; solver failures are
+// per-item, reported in each Response's error field with the batch
+// itself answering 200. The body is the per-item bodies joined into a
+// JSON array, byte for byte what encoding the []*Response would write.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var reqs []*Request
 	if !s.decodeBody(w, r, &reqs) {
@@ -63,15 +66,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitError(w, err)
 		return
 	}
-	out := make([]*Response, len(results))
+	out := []byte{'['}
 	for i, res := range results {
+		body := res.Body
 		if res.Err != nil {
-			out[i] = &Response{Algo: reqs[i].Algo, Error: res.Err.Error()}
-		} else {
-			out[i] = res.Resp
+			body, _ = encodeJSON(&Response{Algo: reqs[i].Algo, Error: res.Err.Error()})
 		}
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, bytes.TrimSuffix(body, []byte{'\n'})...)
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeBody(w, http.StatusOK, append(out, ']', '\n'))
 }
 
 // handleHealth answers liveness probes.
@@ -129,9 +135,26 @@ func statusFor(err error) int {
 
 // writeJSON writes one JSON document with the right headers.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, _ := encodeJSON(v)
+	writeBody(w, status, body)
+}
+
+// writeBody writes an encoded JSON document with the right headers.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	_, _ = w.Write(body)
+}
+
+// encodeJSON is the daemon's one JSON encoding: HTML escaping off and a
+// trailing newline. Response bodies are encoded once with it, stored in
+// the cache as is, and written by writeBody.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }

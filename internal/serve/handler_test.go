@@ -18,7 +18,7 @@ import (
 )
 
 // instanceJSON returns Example II.1 in the wire format requests embed.
-func instanceJSON(t *testing.T) json.RawMessage {
+func instanceJSON(t testing.TB) json.RawMessage {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := model.Encode(&buf, model.ExampleII1()); err != nil {

@@ -38,14 +38,14 @@ type Config struct {
 	// MaxBody bounds the request body in bytes. Default: 8 MiB.
 	MaxBody int64
 	// CacheEntries enables the content-addressed response cache when
-	// positive: successful responses are stored under the SHA-256 of the
-	// request's canonical encoding (see cache.go) and identical requests
-	// are answered without solver work — concurrent identical requests
-	// collapse onto one solve. 0 disables caching entirely (today's
-	// behavior).
+	// positive: successful responses are stored, as their wire bytes,
+	// under the SHA-256 of the request's canonical encoding (see
+	// cache.go), and identical requests are answered at admission without
+	// a queue slot or solver work — concurrent identical requests
+	// collapse onto one solve. 0 disables caching entirely.
 	CacheEntries int
 	// CacheBytes bounds the cache's total bytes (canonical keys plus
-	// serialized responses). 0 = 64 MiB when the cache is enabled.
+	// response bodies). 0 = 64 MiB when the cache is enabled.
 	CacheBytes int64
 }
 
@@ -86,19 +86,29 @@ var ErrOverloaded = errors.New("serve: queue full, request shed")
 // ErrStopped reports a submit after Close.
 var ErrStopped = errors.New("serve: server stopped")
 
-// Result pairs one request's response with its failure, so the HTTP
-// layer can map failure kinds to status codes.
+// Result is one request's answer. Body is the response exactly as the
+// wire carries it — writeJSON's encoding, trailing newline included —
+// and may be shared with the cache, so it is read-only. Err is the
+// failure, which the HTTP layer maps to a status code.
 type Result struct {
-	Resp *Response
+	Body []byte
 	Err  error
 }
 
-// task is one unit of queued work: a single request or a batch, answered
-// in input order on one worker's workspaces.
+// task is one unit of queued work: the requests of one call that need a
+// solve, answered in input order on one worker's workspaces.
 type task struct {
-	ctx  context.Context
-	reqs []*Request
-	done chan []Result // buffered(1); the worker always answers
+	ctx       context.Context
+	reqs      []*Request
+	deadlines []time.Time   // per request; zero = starts when the worker does
+	done      chan []answer // buffered(1); the worker always answers
+}
+
+// answer is the worker's raw outcome for one request; the submitting
+// goroutine encodes and counts it.
+type answer struct {
+	resp *Response
+	err  error
 }
 
 // Stats is a monotonic-counter snapshot plus instantaneous gauges. The
@@ -109,12 +119,12 @@ type task struct {
 type Stats struct {
 	Workers    int    `json:"workers"`
 	QueueDepth int    `json:"queue_depth"`
-	Queued     int    `json:"queued"`   // tasks waiting right now
-	Accepted   uint64 `json:"accepted"` // requests admitted to the queue
-	Completed  uint64 `json:"completed"`
-	Shed       uint64 `json:"shed"`     // 429s: queue was full
-	Canceled   uint64 `json:"canceled"` // context died before or during solve
-	Failed     uint64 `json:"failed"`   // solver or request errors
+	Queued     int    `json:"queued"`    // tasks waiting right now
+	Accepted   uint64 `json:"accepted"`  // requests queued, or answered at admission (hit or collapse) in a call not shed
+	Completed  uint64 `json:"completed"` // answered successfully, cache hits included
+	Shed       uint64 `json:"shed"`      // 429s: the requests of a shed call that no worker had solved
+	Canceled   uint64 `json:"canceled"`  // context died before or during solve, or while waiting on a flight
+	Failed     uint64 `json:"failed"`    // solver or request errors
 
 	LPProbes       uint64 `json:"lp_probes"`       // LP feasibility probes (binary searches)
 	LPSolves       uint64 `json:"lp_solves"`       // simplex solves underneath the probes
@@ -128,9 +138,12 @@ type Stats struct {
 	ExactCanonical uint64 `json:"exact_canonical"` // canonical-tree nodes (node-cap currency)
 
 	// Content-addressed cache counters (all zero with the cache off).
-	// Every request that reaches an enabled cache is exactly one of
-	// hit, miss, or collapsed, so the three reconcile with the request
-	// count; entries/bytes are instantaneous gauges.
+	// Every request the cache answers or sends to a solve is exactly one
+	// of hit, miss, or collapsed, so the three reconcile with the request
+	// count; a follower whose own deadline ends while it waits, or
+	// before its re-attempt, is none of them (it counts as canceled).
+	// entries/bytes are instantaneous gauges. Once every call has
+	// returned, accepted = completed + canceled + failed.
 	CacheHits      uint64 `json:"cache_hits"`      // answered from the LRU
 	CacheMisses    uint64 `json:"cache_misses"`    // had to run the solver
 	CacheCollapsed uint64 `json:"cache_collapsed"` // waited on an identical in-flight solve
@@ -146,8 +159,10 @@ type Server struct {
 	queue chan *task
 	cache *cache // nil when Config.CacheEntries == 0
 
-	mu      sync.RWMutex // guards stopped vs. queue close
-	stopped bool
+	// mu orders enqueues against the queue's close; stopped is also read
+	// without it at admission, so a stopped server answers no hits.
+	mu      sync.RWMutex
+	stopped atomic.Bool
 	wg      sync.WaitGroup
 
 	accepted, completed, shed, canceled, failed atomic.Uint64
@@ -186,11 +201,11 @@ func (s *Server) Config() Config { return s.cfg }
 // that takes).
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.stopped {
+	if s.stopped.Load() {
 		s.mu.Unlock()
 		return
 	}
-	s.stopped = true
+	s.stopped.Store(true)
 	close(s.queue)
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -277,11 +292,19 @@ func (s *Server) addSolverDelta(cur, last solverTotals) {
 	s.exactCanonical.Add(uint64(cur.exactCanonical - last.exactCanonical))
 }
 
-// Submit enqueues the requests as one task and waits for the answers
-// (input order). It returns ErrOverloaded without blocking when the
-// queue is full and ErrStopped after Close; otherwise it waits for the
-// worker — solver stages poll ctx, so a dead context ends the wait
-// promptly with per-request cancellation errors in the results.
+// Submit answers the requests in input order. With the cache on, every
+// request is resolved at admission first: a hit is answered from the
+// stored bytes at once, a request whose identical solve is already in
+// flight waits for it on this goroutine, and the rest — the leaders of
+// new flights, or every request with the cache off — go to a worker as
+// ONE task. Followers whose leader failed or was shed re-attempt in a
+// further round, still under the deadline their first wait fixed. A
+// call resolved entirely at admission never touches the queue, so a
+// full queue never sheds it. Submit returns ErrOverloaded without
+// blocking when a task finds the queue full and ErrStopped after Close;
+// otherwise it waits for the worker — solver stages poll ctx, so a dead
+// context ends the wait promptly with per-request cancellation errors
+// in the results.
 func (s *Server) Submit(ctx context.Context, reqs []*Request) ([]Result, error) {
 	if len(reqs) == 0 {
 		return nil, badRequestf("empty request batch")
@@ -296,38 +319,263 @@ func (s *Server) Submit(ctx context.Context, reqs []*Request) ([]Result, error) 
 			return nil, badRequestf("batch element %d is null", i)
 		}
 	}
-	t := &task{ctx: ctx, reqs: reqs, done: make(chan []Result, 1)}
-
-	s.mu.RLock()
-	if s.stopped {
-		s.mu.RUnlock()
+	if s.stopped.Load() {
 		return nil, ErrStopped
+	}
+	c := &call{ctx: ctx, results: make([]Result, len(reqs))}
+	todo := make([]int, len(reqs))
+	for i := range todo {
+		todo[i] = i
+	}
+	for len(todo) > 0 {
+		var err error
+		if todo, err = s.admit(c, reqs, todo); err != nil {
+			if errors.Is(err, ErrOverloaded) {
+				s.shed.Add(c.admitted.total())
+			}
+			return nil, err
+		}
+	}
+	s.accepted.Add(c.admitted.total())
+	s.count(c.admitted)
+	return c.results, nil
+}
+
+// call is one Submit in progress. A request's deadline is fixed when its
+// time starts to run — a wait on a flight here, or a solve on a worker —
+// and binds every later round, so a re-attempt never gets a fresh
+// budget. Requests answered at admission are counted only when the call
+// returns: a call shed in a later round adds them to shed instead, so no
+// answer its client never received counts as completed. The requests
+// themselves travel beside the call, not in it, so that a single
+// request's slice can stay on its handler's stack.
+type call struct {
+	ctx       context.Context
+	results   []Result
+	deadlines []time.Time // nil until a follower waits; zero = not fixed yet
+	admitted  tally       // the answers given at admission
+}
+
+// deadlineOf reports request i's fixed deadline, zero if none is.
+func (c *call) deadlineOf(i int) time.Time {
+	if c.deadlines == nil {
+		return time.Time{}
+	}
+	return c.deadlines[i]
+}
+
+// job is one request bound for a worker: its index in the call and,
+// when it leads a cache flight, the key and the flight. body, once set,
+// is what the flight settles with.
+type job struct {
+	i    int
+	key  CacheKey
+	fl   *flight
+	body []byte
+}
+
+// follower is one request waiting on an identical in-flight solve.
+type follower struct {
+	i  int
+	fl *flight
+}
+
+// admit runs one admission round over the requests todo indexes and
+// fills their results. It returns the followers to re-attempt: those
+// whose leader failed or was shed, which solve rather than inherit the
+// leader's error.
+func (s *Server) admit(c *call, reqs []*Request, todo []int) ([]int, error) {
+	var work []job
+	var follows []follower
+	// A dead context skips the cache: the worker answers it as abandoned
+	// without a lookup, a store or a cache counter moving.
+	cached := s.cache != nil && c.ctx.Err() == nil
+	for _, i := range todo {
+		if !cached {
+			work = append(work, job{i: i})
+			continue
+		}
+		if d := c.deadlineOf(i); !d.IsZero() && !time.Now().Before(d) {
+			// A re-attempt whose deadline passed while it waited ends
+			// here, as its wait would have.
+			c.resolve(i, waitFailed(context.DeadlineExceeded))
+			continue
+		}
+		key, _ := KeyRequest(reqs[i])
+		body, fl, leader := s.cache.acquire(key)
+		switch {
+		case body != nil:
+			c.resolve(i, Result{Body: body})
+		case leader:
+			work = append(work, job{i: i, key: key, fl: fl})
+		default:
+			follows = append(follows, follower{i: i, fl: fl})
+		}
+	}
+	// The call's own flights settle inside runTask, before any follower
+	// waits: a batch may follow a flight it leads itself.
+	if len(work) > 0 {
+		if err := s.runTask(c, reqs, work); err != nil {
+			return nil, err
+		}
+	}
+	var retry []int
+	for _, f := range follows {
+		if c.deadlines == nil {
+			c.deadlines = make([]time.Time, len(reqs))
+		}
+		if c.deadlines[f.i].IsZero() {
+			c.deadlines[f.i] = s.deadline(reqs[f.i])
+		}
+		rctx, cancel := context.WithDeadline(c.ctx, c.deadlines[f.i])
+		body, err := s.cache.wait(rctx, f.fl)
+		cancel()
+		switch {
+		case err != nil:
+			c.resolve(f.i, waitFailed(err))
+		case body != nil:
+			c.resolve(f.i, Result{Body: body})
+		default:
+			retry = append(retry, f.i)
+		}
+	}
+	return retry, nil
+}
+
+// waitFailed is the answer of a follower whose deadline or client ended
+// before an identical solve it waited on succeeded.
+func waitFailed(err error) Result {
+	return Result{Err: fmt.Errorf("serve: canceled waiting on an identical in-flight solve: %w", err)}
+}
+
+// resolve records an answer given at admission, without the queue.
+func (c *call) resolve(i int, res Result) {
+	c.results[i] = res
+	c.admitted.add(res.Err)
+}
+
+// runTask queues the jobs as one task, waits for the worker, and encodes
+// each answer on the calling goroutine. Every flight a job leads is
+// settled before runTask returns — with the encoded bytes on success,
+// nil on a failure or a shed — so no follower waits on a solve that
+// failed or never ran.
+func (s *Server) runTask(c *call, reqs []*Request, work []job) error {
+	defer func() {
+		for _, j := range work {
+			if j.fl != nil {
+				s.cache.settle(j.key, j.fl, j.body)
+			}
+		}
+	}()
+	t := &task{
+		ctx:       c.ctx,
+		reqs:      make([]*Request, len(work)),
+		deadlines: make([]time.Time, len(work)),
+		done:      make(chan []answer, 1),
+	}
+	for k, j := range work {
+		t.reqs[k], t.deadlines[k] = reqs[j.i], c.deadlineOf(j.i)
+	}
+	if err := s.enqueue(t); err != nil {
+		return err
+	}
+	var answered tally
+	for k, a := range <-t.done {
+		j := &work[k]
+		res := encodeAnswer(a)
+		answered.add(res.Err)
+		if res.Err == nil && j.fl != nil {
+			// Store BEFORE the deferred settle, so no window exists where
+			// the flight is gone but the entry is absent (a second solve
+			// could slip through it).
+			s.cache.store(j.key, res.Body)
+			j.body = res.Body
+		}
+		c.results[j.i] = res
+	}
+	s.count(answered)
+	return nil
+}
+
+// enqueue admits a task to the bounded queue, or sheds it without
+// blocking when the queue is full.
+func (s *Server) enqueue(t *task) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.stopped.Load() {
+		return ErrStopped
 	}
 	select {
 	case s.queue <- t:
-		s.mu.RUnlock()
-		s.accepted.Add(uint64(len(reqs)))
+		s.accepted.Add(uint64(len(t.reqs)))
+		return nil
 	default:
-		s.mu.RUnlock()
-		s.shed.Add(uint64(len(reqs)))
-		return nil, ErrOverloaded
+		s.shed.Add(uint64(len(t.reqs)))
+		return ErrOverloaded
 	}
-	return <-t.done, nil
+}
+
+// encodeAnswer turns a worker's answer into wire bytes.
+func encodeAnswer(a answer) Result {
+	if a.err != nil {
+		return Result{Err: a.err}
+	}
+	body, err := encodeJSON(a.resp)
+	if err != nil {
+		return Result{Err: fmt.Errorf("serve: encoding response: %w", err)}
+	}
+	return Result{Body: body}
+}
+
+// tally counts final answers by outcome.
+type tally struct{ completed, canceled, failed uint64 }
+
+func (t *tally) add(err error) {
+	switch {
+	case err == nil:
+		t.completed++
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		t.canceled++
+	default:
+		t.failed++
+	}
+}
+
+func (t tally) total() uint64 { return t.completed + t.canceled + t.failed }
+
+// count folds a tally into the completion counters.
+func (s *Server) count(t tally) {
+	s.completed.Add(t.completed)
+	s.canceled.Add(t.canceled)
+	s.failed.Add(t.failed)
+}
+
+// deadline fixes one request's deadline, counted from now: its
+// timeout_ms, or the default, capped by MaxTimeout. The cap binds
+// whether the timeout came from the request or the default — otherwise
+// -timeout above -max-timeout reopens the hole the cap exists to close.
+func (s *Server) deadline(req *Request) time.Time {
+	timeout := s.cfg.DefaultTimeout
+	if req.TimeoutMS > 0 {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	}
+	return time.Now().Add(min(timeout, s.cfg.MaxTimeout))
 }
 
 // worker consumes tasks until Close. The Workspaces live as long as the
 // worker: every request it serves reuses the same simplex tableau,
 // constraint arenas and branch-and-bound buffers. The rt memo lives one
 // task: requests of one batch share it, the next task starts without it.
+// The worker never sees the cache; Submit resolves it at admission.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	ws := NewWorkspaces()
 	var last solverTotals
 	for t := range s.queue {
-		results := make([]Result, len(t.reqs))
+		answers := make([]answer, len(t.reqs))
 		for i, req := range t.reqs {
 			var panicked bool
-			results[i], panicked = s.serveOne(t.ctx, req, ws)
+			answers[i], panicked = s.serveOne(t.ctx, req, t.deadlines[i], ws)
 			if panicked {
 				// A panic may have left the pooled solver state
 				// half-mutated; start the next request from scratch.
@@ -339,95 +587,25 @@ func (s *Server) worker() {
 		cur := totalsOf(ws)
 		s.addSolverDelta(cur, last)
 		last = cur
-		t.done <- results
+		t.done <- answers
 	}
 }
 
-// serveOne runs one request under its own deadline, classifying the
-// outcome for the counters. The second return reports a recovered
-// solver panic, telling the worker to retire its workspaces.
-func (s *Server) serveOne(ctx context.Context, req *Request, ws *Workspaces) (Result, bool) {
+// serveOne runs one request under its deadline: the one an earlier wait
+// fixed, or else one that starts now. The second return reports a
+// recovered solver panic, telling the worker to retire its workspaces.
+func (s *Server) serveOne(ctx context.Context, req *Request, deadline time.Time, ws *Workspaces) (answer, bool) {
 	// A client that vanished while the task was queued costs nothing.
 	if err := ctx.Err(); err != nil {
-		s.canceled.Add(1)
-		return Result{Err: fmt.Errorf("serve: request abandoned in queue: %w", err)}, false
+		return answer{err: fmt.Errorf("serve: request abandoned in queue: %w", err)}, false
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	if deadline.IsZero() {
+		deadline = s.deadline(req)
 	}
-	// The cap binds whether the timeout came from the request or the
-	// default — otherwise -timeout above -max-timeout reopens the hole
-	// the cap exists to close.
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	rctx, cancel := context.WithTimeout(ctx, timeout)
+	rctx, cancel := context.WithDeadline(ctx, deadline)
 	defer cancel()
-	if s.cache != nil {
-		return s.serveCached(rctx, req, ws)
-	}
-	return s.classify(s.runRecovered(rctx, req, ws))
-}
-
-// classify folds one outcome into the completion counters.
-func (s *Server) classify(resp *Response, err error, panicked bool) (Result, bool) {
-	switch {
-	case err == nil:
-		s.completed.Add(1)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.canceled.Add(1)
-	default:
-		s.failed.Add(1)
-	}
-	return Result{Resp: resp, Err: err}, panicked
-}
-
-// serveCached answers one request through the content-addressed cache:
-// hit → the stored response, byte for byte what the solve produced;
-// identical request already in flight → wait for its leader and collapse
-// onto the same response; otherwise lead the solve and publish the
-// result. Only successful responses are stored — a canceled, timed-out
-// or failed solve settles the flight with nil and is never cached, so
-// error paths behave exactly as they do uncached.
-func (s *Server) serveCached(rctx context.Context, req *Request, ws *Workspaces) (Result, bool) {
-	key, canon := KeyRequest(req)
-	if resp, fl, leader := s.cache.acquire(key); resp != nil {
-		s.completed.Add(1)
-		return Result{Resp: resp}, false
-	} else if !leader {
-		resp, err := s.cache.wait(rctx, fl)
-		if err != nil {
-			s.canceled.Add(1)
-			return Result{Err: fmt.Errorf("serve: canceled waiting on an identical in-flight solve: %w", err)}, false
-		}
-		if resp != nil {
-			s.completed.Add(1)
-			return Result{Resp: resp}, false
-		}
-		// The leader failed; its failure may have been its own deadline,
-		// so solve under ours instead of inheriting the error. Counted as
-		// a miss — this request does pay for a solve.
-		s.cache.misses.Add(1)
-		resp, err, panicked := s.runRecovered(rctx, req, ws)
-		if err == nil && resp != nil {
-			s.cache.store(key, canon, resp)
-		}
-		return s.classify(resp, err, panicked)
-	} else {
-		// Leader: store BEFORE settling so no window exists where the
-		// flight is gone but the entry is absent (a second solve could
-		// slip through it); settle unconditionally via defer so a
-		// recovered panic can never strand the followers.
-		var stored *Response
-		defer func() { s.cache.settle(key, fl, stored) }()
-		resp, err, panicked := s.runRecovered(rctx, req, ws)
-		if err == nil && resp != nil {
-			s.cache.store(key, canon, resp)
-			stored = resp
-		}
-		return s.classify(resp, err, panicked)
-	}
+	resp, err, panicked := s.runRecovered(rctx, req, ws)
+	return answer{resp: resp, err: err}, panicked
 }
 
 // runRecovered shields the worker pool from a panicking solver: one

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -104,7 +105,10 @@ func checkResult(req *Request, res Result) error {
 	if res.Err != nil {
 		return fmt.Errorf("%s: %w", req.Algo, res.Err)
 	}
-	resp := res.Resp
+	var resp Response
+	if err := json.Unmarshal(res.Body, &resp); err != nil {
+		return fmt.Errorf("%s: decoding the answer: %w", req.Algo, err)
+	}
 	switch req.Algo {
 	case Algo2Approx, AlgoBest:
 		if resp.Makespan <= 0 || resp.Makespan > 2*resp.LPBound {
