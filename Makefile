@@ -64,14 +64,15 @@ bench-alloc:
 	$(GO) test -count=1 -run 'AllocFree|SteadyStateAllocs' ./internal/lp ./internal/exact ./internal/memcap
 
 # The hot-path benchmarks with allocation counts: the LP oracle per
-# solve, the Section V binary search, one exact branch-and-bound probe,
-# an rt admission sweep (four fresh tests vs one Tester), memcap's
-# Model 1 and Model 2 solves (fresh vs warmed workspace), and one cache
-# hit through the daemon's HTTP handler. Compare against the tables in
+# solve, the Section V binary search (fresh, and on a reused workspace
+# whose pivots/op is the search's effort ledger), one exact
+# branch-and-bound probe, an rt admission sweep (four fresh tests vs one
+# Tester), memcap's Model 1 and Model 2 solves (fresh vs warmed
+# workspace), and one cache hit through the daemon's HTTP handler. Compare against the tables in
 # PERFORMANCE.md.
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveWS$$' -benchmem ./internal/lp
-	$(GO) test -run '^$$' -bench 'BenchmarkMinFeasibleT$$' -benchmem ./internal/relax
+	$(GO) test -run '^$$' -bench 'BenchmarkMinFeasibleT$$|BenchmarkMinFeasibleTWarm$$' -benchmem ./internal/relax
 	$(GO) test -run '^$$' -bench 'BenchmarkFeasibleAssignment$$' -benchmem ./internal/exact
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep$$' -benchmem ./internal/rt
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveModel[12]$$' -benchmem ./internal/memcap

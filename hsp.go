@@ -188,8 +188,7 @@ func SolveExact(ctx context.Context, in *Instance, maxNodes int) (Assignment, in
 // LowerBoundLP returns the minimal integer T with a feasible fractional
 // relaxation of the assignment ILP — a lower bound on the optimum.
 func LowerBoundLP(ctx context.Context, in *Instance) (int64, error) {
-	t, _, err := relax.MinFeasibleT(ctx, in, nil)
-	return t, err
+	return relax.MinFeasibleT(ctx, in, nil)
 }
 
 // BuildSchedule realizes a feasible (assignment, T) as a valid schedule

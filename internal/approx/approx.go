@@ -7,9 +7,10 @@
 //
 //  1. binary-search the minimal T* with a feasible LP relaxation of
 //     (IP-3) — a lower bound on the optimal makespan;
-//  2. push the fractional solution down to the singleton sets
-//     (Lemma V.1), which certifies that the unrelated-machines relaxation
-//     with p'_ij = P_j({i}) is feasible at T*;
+//  2. by Lemma V.1, a fractional solution at T* pushes down to the
+//     singleton sets, so the unrelated-machines relaxation with
+//     p'_ij = P_j({i}) is feasible at T* (TwoApprox fails if it is not;
+//     experiment E5 reproduces the push-down itself);
 //  3. round a vertex of that unrelated relaxation with the classic
 //     Lenstra–Shmoys–Tardos algorithm, yielding an integral assignment
 //     with makespan at most 2·T* ≤ 2·OPT;
@@ -57,24 +58,16 @@ func TwoApprox(ctx context.Context, in *model.Instance, ws *relax.Workspace) (*R
 	if ws == nil {
 		ws = relax.NewWorkspace()
 	}
-	tStar, frac, err := relax.MinFeasibleT(ctx, ins, ws)
+	tStar, err := relax.MinFeasibleT(ctx, ins, ws)
 	if err != nil {
 		return nil, fmt.Errorf("approx: %w", err)
 	}
 
 	// Lemma V.1: a singleton-supported feasible solution exists at T*, so
-	// the unrelated relaxation below is feasible at T*. The push-down is
-	// executed to certify that claim (and is cross-checked in tests); the
-	// rounding itself re-solves the unrelated LP to obtain a vertex.
-	down, err := relax.PushDown(ins, tStar, frac)
-	if err != nil {
-		return nil, fmt.Errorf("approx: %w", err)
-	}
-	if !down.SingletonOnly(ins, 1e-6) {
-		return nil, fmt.Errorf("approx: push-down left mass on non-singleton sets")
-	}
-
-	u := singletonProjection(ins)
+	// the unrelated relaxation with p'_ij = P_j({i}) is feasible at T*.
+	// On a singleton-complete instance, machine i's minimal containing
+	// set is {i}, so the unrelated projection is exactly that relaxation.
+	u := unrelated.FromProjection(ins.UnrelatedProjection())
 	ok, x, err := unrelated.FeasibleLP(ctx, u, tStar, ws.LP)
 	if err != nil {
 		return nil, fmt.Errorf("approx: unrelated relaxation: %w", err)
@@ -137,21 +130,6 @@ func Best(ctx context.Context, in *model.Instance, ws *relax.Workspace) (*Result
 	res.Makespan = heur.Makespan
 	res.Schedule = s
 	return res, nil
-}
-
-// singletonProjection builds the unrelated instance I_u with
-// p'_ij = P_j({i}); the instance must contain all singletons.
-func singletonProjection(in *model.Instance) *unrelated.Instance {
-	m := in.M()
-	p := make([][]int64, in.N())
-	for j := range p {
-		row := make([]int64, m)
-		for i := 0; i < m; i++ {
-			row[i] = in.Proc[j][in.Family.Singleton(i)]
-		}
-		p[j] = row
-	}
-	return unrelated.FromProjection(p)
 }
 
 // GeneralResult is the outcome of the 8-approximation on general masks.

@@ -74,7 +74,7 @@ func BenchmarkExactSolveWarm(b *testing.B) {
 // once per step.
 func BenchmarkFeasibleAssignment(b *testing.B) {
 	in := benchInstance(b)
-	T, _, err := relax.MinFeasibleT(context.Background(), in.WithSingletons(), nil)
+	T, err := relax.MinFeasibleT(context.Background(), in.WithSingletons(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestDifferentialSolveSharedVsFresh(t *testing.T) {
 				t.Fatalf("fresh witness invalid: %v", err)
 			}
 			// The optimum can never beat the LP bound.
-			lpT, _, err := relax.MinFeasibleT(ctx, c.In, nil)
+			lpT, err := relax.MinFeasibleT(ctx, c.In, nil)
 			if err != nil {
 				t.Fatalf("lp bound: %v", err)
 			}

@@ -116,13 +116,13 @@ func Solve(ctx context.Context, in *model.Instance, opts Options, ws *Workspace)
 	}
 	// The LP lower bound reuses a workspace held by this exact workspace,
 	// so the probes of its binary search warm-start — and so do the
-	// searches of later Solve calls on the same workspace. T* and the
-	// (discarded) witness are byte-identical to a cold search: warm start
-	// changes how fast probes answer, never what they answer.
+	// searches of later Solve calls on the same workspace. T* is the
+	// same as a cold search's: warm start changes how fast probes answer,
+	// never what they answer.
 	if ws.relaxWS == nil {
 		ws.relaxWS = relax.NewWorkspace()
 	}
-	lo, _, err := relax.MinFeasibleT(ctx, in, ws.relaxWS)
+	lo, err := relax.MinFeasibleT(ctx, in, ws.relaxWS)
 	if err != nil {
 		return nil, 0, fmt.Errorf("exact: %w", err)
 	}

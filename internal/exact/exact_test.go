@@ -150,7 +150,7 @@ func TestSolveConsistentWithLPAndScheduler(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lpT, _, err := relax.MinFeasibleT(context.Background(), in, nil)
+		lpT, err := relax.MinFeasibleT(context.Background(), in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -124,7 +124,7 @@ func (s Suite) E1(ctx context.Context) *Table {
 	t.AddRow("OPT(I_u) unrelated", optU, 3)
 	t.CheckEq("OPT(I_u) unrelated", optU, 3)
 
-	tStar, _, err := relax.MinFeasibleT(ctx, in, nil)
+	tStar, err := relax.MinFeasibleT(ctx, in, nil)
 	if err == nil {
 		t.AddRow("LP bound T*", tStar, 2)
 		t.CheckEq("LP bound T*", tStar, 2)
@@ -297,8 +297,12 @@ func (s Suite) E5(ctx context.Context) *Table {
 			}
 			in := generated(rng, topo, 0.4, 0)
 			ins := in.WithSingletons()
-			T, fr, err := relax.MinFeasibleT(ctx, ins, rws)
+			T, err := relax.MinFeasibleT(ctx, ins, rws)
 			if err != nil {
+				continue
+			}
+			ok, fr, err := relax.Feasible(ctx, ins, T, rws)
+			if err != nil || !ok {
 				continue
 			}
 			down, err := relax.PushDown(ins, T, fr)

@@ -51,7 +51,7 @@ func (s Suite) E13(ctx context.Context) *Table {
 					return t
 				}
 				in := generatedN(rng, topo, n, 0.4, 0.2).WithSingletons()
-				tStar, _, err := relax.MinFeasibleT(ctx, in, rws)
+				tStar, err := relax.MinFeasibleT(ctx, in, rws)
 				if err != nil {
 					continue
 				}

@@ -24,7 +24,7 @@ func benchProblem(b *testing.B, jobs int) *lp.Problem {
 		b.Fatal(err)
 	}
 	ins := in.WithSingletons()
-	T, _, err := relax.MinFeasibleT(context.Background(), ins, nil)
+	T, err := relax.MinFeasibleT(context.Background(), ins, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func FuzzMemcapWorkspace(f *testing.F) {
 			step := fmt.Sprintf("op %d (%d)", k, op)
 			switch op % 3 {
 			case 0:
-				if _, _, err := relax.MinFeasibleT(ctx, in, ws); err != nil {
+				if _, err := relax.MinFeasibleT(ctx, in, ws); err != nil {
 					t.Fatalf("%s: MinFeasibleT: %v", step, err)
 				}
 			case 1:

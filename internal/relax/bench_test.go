@@ -49,7 +49,7 @@ func BenchmarkMinFeasibleT(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		T, _, err := relax.MinFeasibleT(context.Background(), in, nil)
+		T, err := relax.MinFeasibleT(context.Background(), in, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func BenchmarkMinFeasibleTWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		T, _, err := relax.MinFeasibleT(ctx, in, ws)
+		T, err := relax.MinFeasibleT(ctx, in, ws)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func BenchmarkMinFeasibleTLarge(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := relax.MinFeasibleT(ctx, in, ws); err != nil {
+				if _, err := relax.MinFeasibleT(ctx, in, ws); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -15,10 +15,10 @@ func TestMinFeasibleTCtxCanceled(t *testing.T) {
 	in := model.ExampleII1()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := MinFeasibleT(ctx, in, nil); !errors.Is(err, context.Canceled) {
+	if _, err := MinFeasibleT(ctx, in, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled search returned %v, want context.Canceled", err)
 	}
-	tStar, _, err := MinFeasibleT(context.Background(), in, nil)
+	tStar, err := MinFeasibleT(context.Background(), in, nil)
 	if err != nil || tStar != 2 {
 		t.Fatalf("background search failed: T*=%d err=%v", tStar, err)
 	}

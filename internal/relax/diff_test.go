@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"hsp/internal/model"
 	"hsp/internal/relax"
 	"hsp/internal/testdiff"
 )
@@ -63,17 +64,23 @@ func TestWarmStalenessInterleaved(t *testing.T) {
 	}
 	for _, i := range order {
 		c := cases[i]
-		tShared, frShared, err := relax.MinFeasibleT(ctx, c.In, shared)
+		tShared, err := relax.MinFeasibleT(ctx, c.In, shared)
 		if err != nil {
 			t.Fatalf("%s shared: %v", c.Name, err)
 		}
 		fresh := relax.NewWorkspace()
-		tFresh, frFresh, err := relax.MinFeasibleT(ctx, c.In, fresh)
+		tFresh, err := relax.MinFeasibleT(ctx, c.In, fresh)
 		if err != nil {
 			t.Fatalf("%s fresh: %v", c.Name, err)
 		}
 		if tShared != tFresh {
 			t.Fatalf("%s: shared-ws T*=%d, fresh T*=%d", c.Name, tShared, tFresh)
+		}
+		okShared, frShared, errShared := relax.Feasible(ctx, c.In, tShared, shared)
+		okFresh, frFresh, errFresh := relax.Feasible(ctx, c.In, tFresh, fresh)
+		if !okShared || !okFresh || errShared != nil || errFresh != nil {
+			t.Fatalf("%s: no witness at T*=%d: shared %v/%v, fresh %v/%v",
+				c.Name, tShared, okShared, errShared, okFresh, errFresh)
 		}
 		for s := range frShared.X {
 			for j := range frShared.X[s] {
@@ -85,25 +92,52 @@ func TestWarmStalenessInterleaved(t *testing.T) {
 	}
 }
 
+// bareSearchProbes counts the probes of a bare binary search over
+// [LowerBoundSimple, TrivialUpperBound] whose verdict at mid is
+// mid ≥ tStar, plus one probe at the upper bound when no probe was
+// feasible (tStar is then that bound, which the search never probed).
+func bareSearchProbes(in *model.Instance, tStar int64) int {
+	lo := max(in.LowerBoundSimple(), 1)
+	top := max(in.TrivialUpperBound(), lo)
+	probes := 0
+	for hi := top; lo < hi; probes++ {
+		if mid := lo + (hi-lo)/2; mid >= tStar {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if tStar == top {
+		probes++
+	}
+	return probes
+}
+
 // TestWarmStartActuallyFires guards the point of the whole exercise: on
 // a reused workspace the binary search must answer a meaningful share of
-// probes from the warm path, with strictly fewer pivots than cold.
+// probes from the warm path, with strictly fewer pivots than cold. It
+// also pins the search to verdict probes alone: no probe beyond the
+// bare binary search's steps, so no witness solve at T*.
 func TestWarmStartActuallyFires(t *testing.T) {
 	ctx := context.Background()
 	var warmHits, probes, warmPivots, coldPivots int
 	for _, c := range testdiff.Cases(3, 40) {
 		ws := relax.NewWorkspace()
-		if _, _, err := relax.MinFeasibleT(ctx, c.In, ws); err != nil {
+		tStar, err := relax.MinFeasibleT(ctx, c.In, ws)
+		if err != nil {
 			continue
 		}
 		st := ws.Stats()
+		if want := bareSearchProbes(c.In, tStar); st.Probes != want {
+			t.Fatalf("%s: search ran %d probes, a bare binary search %d", c.Name, st.Probes, want)
+		}
 		warmHits += st.LP.WarmHits
 		probes += st.Probes
 		warmPivots += st.LP.Pivots
 
 		cold := relax.NewWorkspace()
 		cold.LP.SetWarmStart(false)
-		if _, _, err := relax.MinFeasibleT(ctx, c.In, cold); err != nil {
+		if _, err := relax.MinFeasibleT(ctx, c.In, cold); err != nil {
 			continue
 		}
 		coldPivots += cold.Stats().LP.Pivots

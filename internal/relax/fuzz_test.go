@@ -64,10 +64,10 @@ func FuzzMinFeasibleT(f *testing.F) {
 		}
 		ctx := context.Background()
 		warm := relax.NewWorkspace()
-		tWarm, frWarm, errWarm := relax.MinFeasibleT(ctx, in, warm)
+		tWarm, errWarm := relax.MinFeasibleT(ctx, in, warm)
 		cold := relax.NewWorkspace()
 		cold.LP.SetWarmStart(false)
-		tCold, _, errCold := relax.MinFeasibleT(ctx, in, cold)
+		tCold, errCold := relax.MinFeasibleT(ctx, in, cold)
 		if (errWarm == nil) != (errCold == nil) {
 			t.Fatalf("error disagreement: warm=%v cold=%v", errWarm, errCold)
 		}
@@ -77,8 +77,8 @@ func FuzzMinFeasibleT(f *testing.F) {
 		if tWarm != tCold {
 			t.Fatalf("T* disagreement: warm=%d cold=%d", tWarm, tCold)
 		}
-		if frWarm == nil {
-			t.Fatalf("no witness at T*=%d", tWarm)
+		if ok, _, err := relax.Feasible(ctx, in, tWarm, warm); !ok || err != nil {
+			t.Fatalf("no witness at T*=%d (err=%v)", tWarm, err)
 		}
 		for _, d := range []int64{-1, 0, 1} {
 			T := tWarm + d

@@ -126,7 +126,7 @@ func (ws *Workspace) Problem() *lp.Problem { return &ws.prob }
 // including how many were answered from a warm basis. Binary searches
 // that warm-start pivot strictly less here at identical verdicts.
 type Stats struct {
-	Probes int         // LP feasibility probes (verdicts and witnesses)
+	Probes int         // LP feasibility probes: search verdicts and Feasible witnesses
 	LP     lp.Counters // simplex effort underneath the probes
 }
 
@@ -211,9 +211,9 @@ func Feasible(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	// Witness solves run cold: the Fractional returned here feeds rounding
-	// and the golden outputs, which pin the cold path's vertex byte for
-	// byte. Warm start only ever accelerates verdict-only probes.
+	// Witness solves run cold, so the Fractional returned here is the
+	// same vertex bit for bit whatever the workspace solved before. Warm
+	// start only ever accelerates verdict-only probes.
 	ws.LP.InvalidateWarmStart()
 	ok, x, err := feasibleWS(ctx, in, T, ws)
 	if err != nil || !ok {
@@ -261,14 +261,14 @@ func feasibleWS(ctx context.Context, in *model.Instance, T int64, ws *Workspace)
 
 // MinFeasibleT binary-searches the minimal integer T for which the LP
 // relaxation of (IP-3) is feasible. T* is a lower bound on the optimal
-// integral makespan; the returned Fractional is a feasible solution at T*.
+// integral makespan. The search answers from verdict probes alone; a
+// caller that needs a fractional solution at T* asks Feasible for it.
 // The binary search checks ctx before every LP probe and each probe itself
 // aborts between simplex pivots, so cancellation latency is one pivot, not
 // one search; the caller-held Workspace (nil allocates one for the whole
 // search) lets every probe reuse one tableau and one constraint arena, so
-// the search's steady-state allocations are the per-solve Solution plus
-// the final Fractional.
-func MinFeasibleT(ctx context.Context, in *model.Instance, ws *Workspace) (int64, *Fractional, error) {
+// the search's steady-state allocations are the per-solve Solutions.
+func MinFeasibleT(ctx context.Context, in *model.Instance, ws *Workspace) (int64, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
@@ -278,7 +278,7 @@ func MinFeasibleT(ctx context.Context, in *model.Instance, ws *Workspace) (int64
 	}
 	hi := in.TrivialUpperBound()
 	if hi >= model.Infinity {
-		return 0, nil, fmt.Errorf("relax: some job has no admissible set")
+		return 0, fmt.Errorf("relax: some job has no admissible set")
 	}
 	if hi < lo {
 		hi = lo
@@ -288,7 +288,7 @@ func MinFeasibleT(ctx context.Context, in *model.Instance, ws *Workspace) (int64
 		mid := lo + (hi-lo)/2
 		ok, _, err := feasibleWS(ctx, in, mid, ws)
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		if ok {
 			hi = mid
@@ -297,20 +297,17 @@ func MinFeasibleT(ctx context.Context, in *model.Instance, ws *Workspace) (int64
 			lo = mid + 1
 		}
 	}
-	// The search's last probe need not have been at lo; solve there for
-	// the witness Fractional (this is also the only probe that pays for
-	// materializing one).
-	ok, fr, err := Feasible(ctx, in, lo, ws)
-	if err != nil {
-		return 0, nil, err
-	}
-	if !ok {
-		if anyFeasible {
-			return 0, nil, fmt.Errorf("relax: binary search landed on infeasible T=%d", lo)
+	if !anyFeasible {
+		// lo is the trivial upper bound, which no probe has tested.
+		ok, _, err := feasibleWS(ctx, in, lo, ws)
+		if err != nil {
+			return 0, err
 		}
-		return 0, nil, fmt.Errorf("relax: LP infeasible even at the trivial upper bound %d", lo)
+		if !ok {
+			return 0, fmt.Errorf("relax: LP infeasible even at the trivial upper bound %d", lo)
+		}
 	}
-	return lo, fr, nil
+	return lo, nil
 }
 
 // PushDown applies Lemma V.1 repeatedly: it returns a feasible fractional

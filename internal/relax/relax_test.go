@@ -2,6 +2,7 @@ package relax
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,17 +12,31 @@ import (
 	"hsp/internal/model"
 )
 
+// witness solves the relaxation at T on a fresh workspace for its
+// fractional solution and fails unless it is feasible.
+func witness(in *model.Instance, T int64) (*Fractional, error) {
+	ok, fr, err := Feasible(context.Background(), in, T, nil)
+	if err == nil && !ok {
+		err = fmt.Errorf("no witness at T=%d", T)
+	}
+	return fr, err
+}
+
 func TestExampleII1MinFeasibleT(t *testing.T) {
 	// The LP relaxation of Example II.1 is infeasible below T=2: jobs 1,2
 	// are forced onto their machines and the root volume constraint gives
 	// 4 ≤ 2T.
 	in := model.ExampleII1()
-	T, fr, err := MinFeasibleT(context.Background(), in, nil)
+	T, err := MinFeasibleT(context.Background(), in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if T != 2 {
 		t.Fatalf("T* = %d, want 2", T)
+	}
+	fr, err := witness(in, T)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := fr.Check(in, T, 1e-6); err != nil {
 		t.Fatal(err)
@@ -31,12 +46,16 @@ func TestExampleII1MinFeasibleT(t *testing.T) {
 func TestExampleV1MinFeasibleT(t *testing.T) {
 	for _, n := range []int{3, 5, 9} {
 		in := model.ExampleV1(n)
-		T, fr, err := MinFeasibleT(context.Background(), in, nil)
+		T, err := MinFeasibleT(context.Background(), in, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if T != int64(n-1) {
 			t.Fatalf("n=%d: T* = %d, want %d", n, T, n-1)
+		}
+		fr, err := witness(in, T)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
 		if err := fr.Check(in, T, 1e-6); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -63,7 +82,7 @@ func TestMinFeasibleTNoAdmissibleSet(t *testing.T) {
 		proc[s] = model.Infinity
 	}
 	in.Proc = append(in.Proc, proc)
-	if _, _, err := MinFeasibleT(context.Background(), in, nil); err == nil {
+	if _, err := MinFeasibleT(context.Background(), in, nil); err == nil {
 		t.Fatal("instance with unschedulable job accepted")
 	}
 }
@@ -104,7 +123,12 @@ func TestMinFeasibleTIsMinimal(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomInstance(rng)
-		T, fr, err := MinFeasibleT(context.Background(), in, nil)
+		T, err := MinFeasibleT(context.Background(), in, nil)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		fr, err := witness(in, T)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -136,8 +160,13 @@ func TestLemmaV1Property(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomInstance(rng).WithSingletons()
-		T, fr, err := MinFeasibleT(context.Background(), in, nil)
+		T, err := MinFeasibleT(context.Background(), in, nil)
 		if err != nil {
+			return false
+		}
+		fr, err := witness(in, T)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		down, err := PushDown(in, T, fr)
@@ -174,7 +203,11 @@ func TestPushDownRequiresCoveringChildren(t *testing.T) {
 
 func TestPushDownPreservesAssignmentRows(t *testing.T) {
 	in := model.ExampleII1()
-	T, fr, err := MinFeasibleT(context.Background(), in, nil)
+	T, err := MinFeasibleT(context.Background(), in, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := witness(in, T)
 	if err != nil {
 		t.Fatal(err)
 	}

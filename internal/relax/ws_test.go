@@ -12,7 +12,7 @@ import (
 
 // TestWorkspaceReuseMatchesFresh runs the binary search over several
 // instances with one shared Workspace and asserts T* and the witness
-// Fractional match fresh per-call state — workspace reuse must be
+// Fractional at T* match fresh per-call state — workspace reuse must be
 // invisible, including across instances of different shapes.
 func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	ws := relax.NewWorkspace()
@@ -30,8 +30,8 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		ins := in.WithSingletons()
-		tWS, frWS, errWS := relax.MinFeasibleT(ctx, ins, ws)
-		tFresh, frFresh, errFresh := relax.MinFeasibleT(ctx, ins, nil)
+		tWS, errWS := relax.MinFeasibleT(ctx, ins, ws)
+		tFresh, errFresh := relax.MinFeasibleT(ctx, ins, nil)
 		if (errWS == nil) != (errFresh == nil) {
 			t.Fatalf("seed %d: err mismatch: ws=%v fresh=%v", cfg.Seed, errWS, errFresh)
 		}
@@ -40,6 +40,12 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 		}
 		if tWS != tFresh {
 			t.Fatalf("seed %d: T* mismatch: ws=%d fresh=%d", cfg.Seed, tWS, tFresh)
+		}
+		okWS, frWS, errWS := relax.Feasible(ctx, ins, tWS, ws)
+		okFresh, frFresh, errFresh := relax.Feasible(ctx, ins, tFresh, nil)
+		if !okWS || !okFresh || errWS != nil || errFresh != nil {
+			t.Fatalf("seed %d: no witness at T*=%d: ws %v/%v, fresh %v/%v",
+				cfg.Seed, tWS, okWS, errWS, okFresh, errFresh)
 		}
 		for s := range frWS.X {
 			for j := range frWS.X[s] {
@@ -73,7 +79,7 @@ func TestWarmSearchBoundedOnLargeShape(t *testing.T) {
 	search := func(warm bool) (int64, relax.Stats) {
 		ws := relax.NewWorkspace()
 		ws.LP.SetWarmStart(warm)
-		T, _, err := relax.MinFeasibleT(ctx, in, ws)
+		T, err := relax.MinFeasibleT(ctx, in, ws)
 		if err != nil {
 			t.Fatalf("warm=%t: %v", warm, err)
 		}

@@ -130,7 +130,7 @@ func (t *Tester) lpBound(ctx context.Context) (int64, error) {
 		return 0, err
 	}
 	if t.tStar == 0 {
-		tStar, _, err := relax.MinFeasibleT(ctx, t.in, t.ws)
+		tStar, err := relax.MinFeasibleT(ctx, t.in, t.ws)
 		if err != nil {
 			return 0, err
 		}

@@ -68,11 +68,14 @@ func (ws *Workspaces) endTask() { ws.rtDoc, ws.rtTester = nil, nil }
 // checks an answer no real Tester would give.
 var testRT = (*rt.Tester).Test
 
-// solveModel1 and solveModel2 run the memory models; tests replace them
-// as testRT is replaced.
+// solveModel1 and solveModel2 run the memory models, and twoApprox and
+// bestApprox the Theorem V.2 pipelines; tests replace them as testRT is
+// replaced.
 var (
 	solveModel1 = memcap.SolveModel1
 	solveModel2 = memcap.SolveModel2
+	twoApprox   = approx.TwoApprox
+	bestApprox  = approx.Best
 )
 
 // Outcome is the typed result of one query: what the daemon serializes
@@ -113,7 +116,7 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 	out := &Outcome{Algo: req.Algo, Instance: in}
 	switch req.Algo {
 	case AlgoLP:
-		t, _, err := relax.MinFeasibleT(ctx, in, ws.Relax)
+		t, err := relax.MinFeasibleT(ctx, in, ws.Relax)
 		if err != nil {
 			return nil, err
 		}
@@ -138,9 +141,9 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 		return out, nil
 
 	case Algo2Approx, AlgoBest:
-		solve := approx.TwoApprox
+		solve := twoApprox
 		if req.Algo == AlgoBest {
-			solve = approx.Best
+			solve = bestApprox
 		}
 		res, err := solve(ctx, in, ws.Relax)
 		if err != nil {
@@ -148,6 +151,9 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 		}
 		if err := validate(res.Instance, res.Assignment, res.Schedule); err != nil {
 			return nil, err
+		}
+		if res.LPBound <= 0 || res.Makespan > 2*res.LPBound {
+			return nil, fmt.Errorf("approx: Theorem V.2 violated: makespan %d, T*=%d (want T* > 0 and makespan ≤ 2·T*)", res.Makespan, res.LPBound)
 		}
 		out.Instance = res.Instance
 		out.Assignment = res.Assignment

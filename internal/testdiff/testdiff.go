@@ -189,14 +189,15 @@ func CheckFractional(in *model.Instance, T int64, fr *relax.Fractional) error {
 
 // RelaxDiff runs relax.MinFeasibleT twice on in — once on a
 // warm-starting workspace, once on a workspace with warm start disabled
-// (the cold oracle) — and fails unless both return the same T*, bitwise
+// (the cold oracle) — and asks each workspace for its witness at T* with
+// relax.Feasible. It fails unless both return the same T*, bitwise
 // identical witnesses, and a witness that CheckFractional accepts.
 func RelaxDiff(ctx context.Context, in *model.Instance) error {
 	warmWS := relax.NewWorkspace()
-	tWarm, frWarm, errWarm := relax.MinFeasibleT(ctx, in, warmWS)
+	tWarm, errWarm := relax.MinFeasibleT(ctx, in, warmWS)
 	coldWS := relax.NewWorkspace()
 	coldWS.LP.SetWarmStart(false)
-	tCold, frCold, errCold := relax.MinFeasibleT(ctx, in, coldWS)
+	tCold, errCold := relax.MinFeasibleT(ctx, in, coldWS)
 	if (errWarm == nil) != (errCold == nil) {
 		return fmt.Errorf("error disagreement: warm=%v cold=%v", errWarm, errCold)
 	}
@@ -205,6 +206,14 @@ func RelaxDiff(ctx context.Context, in *model.Instance) error {
 	}
 	if tWarm != tCold {
 		return fmt.Errorf("T* disagreement: warm=%d cold=%d", tWarm, tCold)
+	}
+	frWarm, err := witness(ctx, in, tWarm, warmWS)
+	if err != nil {
+		return fmt.Errorf("warm workspace: %w", err)
+	}
+	frCold, err := witness(ctx, in, tCold, coldWS)
+	if err != nil {
+		return fmt.Errorf("cold workspace: %w", err)
 	}
 	for s := range frWarm.X {
 		for j := range frWarm.X[s] {
@@ -223,12 +232,22 @@ func RelaxDiff(ctx context.Context, in *model.Instance) error {
 	return nil
 }
 
+// witness solves the relaxation at T for its fractional solution and
+// fails unless it is feasible.
+func witness(ctx context.Context, in *model.Instance, T int64, ws *relax.Workspace) (*relax.Fractional, error) {
+	ok, fr, err := relax.Feasible(ctx, in, T, ws)
+	if err == nil && !ok {
+		err = fmt.Errorf("no witness at T*=%d", T)
+	}
+	return fr, err
+}
+
 // ProbeMonotone binary-searches like relax.MinFeasibleT but probes
 // every T in [T*-pad, T*+pad] on the warm workspace afterwards, failing
 // if feasibility is not monotone in T or disagrees with a cold probe.
 func ProbeMonotone(ctx context.Context, in *model.Instance, pad int64) error {
 	ws := relax.NewWorkspace()
-	tStar, _, err := relax.MinFeasibleT(ctx, in, ws)
+	tStar, err := relax.MinFeasibleT(ctx, in, ws)
 	if err != nil {
 		return nil // nothing to scan
 	}

@@ -66,13 +66,7 @@ func (in *Instance) minProc(j int) (int64, int) {
 // the caller-held simplex Workspace lets further solves reuse one tableau
 // (nil falls back to the solver's internal pool).
 func FeasibleLP(ctx context.Context, in *Instance, T int64, ws *lp.Workspace) (bool, [][]float64, error) {
-	if ws != nil {
-		// Witness solves run cold: the vertex returned here feeds rounding
-		// and the golden outputs. Warm start only accelerates the
-		// verdict-only probes inside MinFeasibleT.
-		ws.InvalidateWarmStart()
-	}
-	return feasibleLP(ctx, in, T, &lpScratch{ws: ws})
+	return (&lpScratch{ws: ws}).vertex(ctx, in, T)
 }
 
 // pair is one (job, machine) LP variable of the feasibility relaxation.
@@ -92,8 +86,9 @@ type lpScratch struct {
 	keys  []uint64 // variable identity keys (j·m+i), for warm subset matching
 }
 
-// feasibleLP builds and solves the relaxation at T using sc's arenas.
-func feasibleLP(ctx context.Context, in *Instance, T int64, sc *lpScratch) (bool, [][]float64, error) {
+// probe builds and solves the relaxation at T using sc's arenas and
+// returns the raw solution over sc.pairs.
+func (sc *lpScratch) probe(ctx context.Context, in *Instance, T int64) (bool, []float64, error) {
 	n, m := in.N(), in.M()
 	sc.pairs = sc.pairs[:0]
 	sc.index = scratch.Grow(sc.index, n*m)
@@ -142,13 +137,24 @@ func feasibleLP(ctx context.Context, in *Instance, T int64, sc *lpScratch) (bool
 			sc.prob.MustAddConstraint(sc.idx, sc.val, lp.LE, float64(T))
 		}
 	}
-	ok, x, err := sc.prob.Feasible(ctx, sc.ws)
+	return sc.prob.Feasible(ctx, sc.ws)
+}
+
+// vertex solves the relaxation at T cold and spreads the solution into
+// x[j][i]. Witness solves run cold: the vertex feeds rounding and the
+// golden outputs. Warm start only accelerates the verdict probes inside
+// MinFeasibleT.
+func (sc *lpScratch) vertex(ctx context.Context, in *Instance, T int64) (bool, [][]float64, error) {
+	if sc.ws != nil {
+		sc.ws.InvalidateWarmStart()
+	}
+	ok, x, err := sc.probe(ctx, in, T)
 	if err != nil || !ok {
 		return false, nil, err
 	}
-	out := make([][]float64, n)
+	out := make([][]float64, in.N())
 	for j := range out {
-		out[j] = make([]float64, m)
+		out[j] = make([]float64, in.M())
 	}
 	for k, pr := range sc.pairs {
 		out[pr.j][pr.i] = x[k]
@@ -157,11 +163,12 @@ func feasibleLP(ctx context.Context, in *Instance, T int64, sc *lpScratch) (bool
 }
 
 // MinFeasibleT binary-searches the minimal integer T with a feasible
-// relaxation and returns a vertex solution at that T. The binary search
-// checks ctx before every probe (each probe itself aborts between simplex
-// pivots), and every probe rebuilds into one build scratch backed by the
-// caller-held simplex workspace (nil allocates a private one for the whole
-// search).
+// relaxation and returns a vertex solution at that T. The search probes
+// verdicts only and solves the vertex once, cold, at T*. It checks ctx
+// before every probe (each probe itself aborts between simplex pivots),
+// and every probe rebuilds into one build scratch backed by the
+// caller-held simplex workspace (nil allocates a private one for the
+// whole search).
 func MinFeasibleT(ctx context.Context, in *Instance, ws *lp.Workspace) (int64, [][]float64, error) {
 	var lo, hi int64 = 1, 0
 	for j := 0; j < in.N(); j++ {
@@ -181,39 +188,26 @@ func MinFeasibleT(ctx context.Context, in *Instance, ws *lp.Workspace) (int64, [
 		ws = lp.NewWorkspace()
 	}
 	sc := &lpScratch{ws: ws}
-	var best [][]float64
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		ok, x, err := feasibleLP(ctx, in, mid, sc)
+		ok, _, err := sc.probe(ctx, in, mid)
 		if err != nil {
 			return 0, nil, err
 		}
 		if ok {
-			hi, best = mid, x
+			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	// The witness at T* is re-solved cold: probes may answer from a warm
-	// basis, but the returned vertex must be the cold path's, bit for bit.
-	ws.InvalidateWarmStart()
-	if best == nil {
-		ok, x, err := feasibleLP(ctx, in, lo, sc)
-		if err != nil {
-			return 0, nil, err
-		}
-		if !ok {
-			return 0, nil, fmt.Errorf("unrelated: infeasible at trivial upper bound %d", lo)
-		}
-		best = x
-	} else {
-		ok, x, err := feasibleLP(ctx, in, lo, sc)
-		if err != nil || !ok {
-			return 0, nil, fmt.Errorf("unrelated: re-solve at T*=%d failed (err=%v)", lo, err)
-		}
-		best = x
+	ok, x, err := sc.vertex(ctx, in, lo)
+	if err != nil {
+		return 0, nil, err
 	}
-	return lo, best, nil
+	if !ok {
+		return 0, nil, fmt.Errorf("unrelated: relaxation infeasible at T*=%d", lo)
+	}
+	return lo, x, nil
 }
 
 // RoundVertex applies the LST rounding to a vertex solution x at makespan
