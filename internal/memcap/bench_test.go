@@ -40,21 +40,27 @@ func largeClass(b *testing.B) (m1s []*memcap.Model1, m2s []*memcap.Model2) {
 
 // benchSolve times one pass over the instances, each solve on a fresh
 // private workspace ("fresh") or on one workspace held across every
-// solve ("warm"), as a serve worker holds its own.
+// solve ("warm"), as a serve worker holds its own. pivots/op counts the
+// simplex pivots of a pass: the T_LP search's and the rounding's.
 func benchSolve[M any](b *testing.B, ms []M, solve func(context.Context, M, *relax.Workspace) (*memcap.Result, error)) {
 	ctx := context.Background()
 	run := func(b *testing.B, ws func() *relax.Workspace) {
 		b.ReportAllocs()
+		pivots := 0
 		for i := 0; i < b.N; i++ {
 			for _, m := range ms {
-				if _, err := solve(ctx, m, ws()); err != nil {
+				w := ws()
+				before := w.Stats().LP.Pivots
+				if _, err := solve(ctx, m, w); err != nil {
 					b.Fatal(err)
 				}
+				pivots += w.Stats().LP.Pivots - before
 			}
 		}
+		b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 	}
 	b.Run("fresh", func(b *testing.B) {
-		run(b, func() *relax.Workspace { return nil })
+		run(b, relax.NewWorkspace)
 	})
 	b.Run("warm", func(b *testing.B) {
 		ws := relax.NewWorkspace()

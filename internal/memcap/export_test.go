@@ -1,0 +1,44 @@
+package memcap
+
+import (
+	"context"
+	"fmt"
+
+	"hsp/internal/relax"
+)
+
+// LooseTLP is the reference T_LP of m, a *Model1 or a *Model2: the binary
+// search as it ran before relax.Bracket, over [LowerBoundSimple,
+// TrivialUpperBound] with its first probe at the trivial bound, on a
+// fresh workspace with warm start off.
+func LooseTLP(ctx context.Context, m any) (int64, error) {
+	var b *builder
+	switch m := m.(type) {
+	case *Model1:
+		b = model1Builder(m)
+	case *Model2:
+		b = model2Builder(m)
+	default:
+		return 0, fmt.Errorf("LooseTLP: %T is not a memory model", m)
+	}
+	ws := relax.NewWorkspace()
+	ws.LP.SetWarmStart(false)
+	lo := max(b.in.LowerBoundSimple(), 1)
+	hi := max(b.in.TrivialUpperBound(), lo)
+	if ok, err := feasibleConstrainedLP(ctx, b, hi, ws); err != nil || !ok {
+		return 0, fmt.Errorf("infeasible at the trivial upper bound %d (err=%v)", hi, err)
+	}
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		ok, err := feasibleConstrainedLP(ctx, b, mid, ws)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, nil
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hsp/internal/memcap"
@@ -16,7 +17,7 @@ import (
 // solved before. One relax.Workspace runs a generated sequence of
 // relax.MinFeasibleT, SolveModel1 and SolveModel2 calls on different
 // instances; every memcap answer must equal a fresh-workspace solve of
-// the same input, field for field.
+// the same input, field for field, and its T_LP must pass checkTLP.
 func FuzzMemcapWorkspace(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2})
 	f.Add(int64(7), []byte{2, 1, 0, 1, 2})
@@ -52,6 +53,7 @@ func FuzzMemcapWorkspace(f *testing.F) {
 				got, gotErr := memcap.SolveModel1(ctx, m1, ws)
 				want, wantErr := memcap.SolveModel1(ctx, m1, nil)
 				sameAnswer(t, step+" model 1", got, gotErr, want, wantErr)
+				checkTLP(t, step+" model 1", got, gotErr, m1)
 			case 2:
 				m2, err := workload.AttachModel2(in, workload.MemoryConfig{Mu: 1.2 + float64(op%4)/2}, seed)
 				if err != nil {
@@ -63,6 +65,7 @@ func FuzzMemcapWorkspace(f *testing.F) {
 				got, gotErr := memcap.SolveModel2(ctx, m2, ws)
 				want, wantErr := memcap.SolveModel2(ctx, m2, nil)
 				sameAnswer(t, step+" model 2", got, gotErr, want, wantErr)
+				checkTLP(t, step+" model 2", got, gotErr, m2)
 			}
 		}
 	})
@@ -83,5 +86,29 @@ func sameAnswer(t *testing.T, step string, got *memcap.Result, gotErr error, wan
 		math.Float64bits(got.MemFactor) != math.Float64bits(want.MemFactor) ||
 		math.Float64bits(got.LoadFactor) != math.Float64bits(want.LoadFactor) {
 		t.Fatalf("%s: reused workspace answered %+v, fresh %+v", step, got, want)
+	}
+}
+
+// checkTLP fails unless a successful solve's T_LP lies in
+// [lo, TrivialUpperBound], with lo relax.Bracket's, and equals the
+// loose-bracket reference search memcap.LooseTLP. A solve whose search
+// found no feasible T must agree with the reference; any other failure
+// was already matched against a fresh solve by sameAnswer.
+func checkTLP(t *testing.T, step string, got *memcap.Result, gotErr error, m any) {
+	t.Helper()
+	ref, err := memcap.LooseTLP(context.Background(), m)
+	if gotErr != nil {
+		if err == nil && strings.Contains(gotErr.Error(), "fractionally infeasible") {
+			t.Fatalf("%s: search found no T_LP, the reference search %d", step, ref)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: T_LP=%d, reference search: %v", step, got.TLP, err)
+	}
+	lo, _, _ := relax.Bracket(got.Instance, relax.NewWorkspace())
+	if got.TLP < lo || got.TLP > got.Instance.TrivialUpperBound() || got.TLP != ref {
+		t.Fatalf("%s: T_LP=%d, bracket lo %d, trivial bound %d, reference %d",
+			step, got.TLP, lo, got.Instance.TrivialUpperBound(), ref)
 	}
 }

@@ -399,28 +399,33 @@ func solve(ctx context.Context, b *builder, ws *relax.Workspace) (*Result, error
 }
 
 // minFeasibleT binary-searches the minimal T whose constrained relaxation
-// is feasible. Every probe rebuilds into ws's problem and solves on its
-// tableau; each probe's LP polls ctx between pivots.
+// is feasible. The memory rows only shrink the (IP-3) relaxation, so
+// relax.Bracket's lo bounds T_LP from below too; its hi, though, may fall
+// to the memory rows, so the first probe tests it and an infeasible one
+// moves the search up to the trivial bound. Every probe rebuilds into
+// ws's problem and solves on its tableau; each probe's LP polls ctx
+// between pivots.
 func minFeasibleT(ctx context.Context, b *builder, ws *relax.Workspace) (int64, error) {
 	in := b.in
-	lo := in.LowerBoundSimple()
-	if lo < 1 {
-		lo = 1
-	}
-	hi := in.TrivialUpperBound()
+	lo, hi, _ := relax.Bracket(in, ws)
 	if hi >= model.Infinity {
 		return 0, fmt.Errorf("memcap: some job has no admissible set")
-	}
-	if hi < lo {
-		hi = lo
 	}
 	// The search starts cold, as on a fresh workspace, and warm-starts
 	// probe to probe from there: its pivots never depend on what the
 	// workspace solved before.
 	ws.LP.InvalidateWarmStart()
-	if ok, err := feasibleConstrainedLP(ctx, b, hi, ws); err != nil {
+	ok, err := feasibleConstrainedLP(ctx, b, hi, ws)
+	if err != nil {
 		return 0, err
-	} else if !ok {
+	}
+	if trivial := in.TrivialUpperBound(); !ok && hi < trivial {
+		lo, hi = hi+1, trivial
+		if ok, err = feasibleConstrainedLP(ctx, b, hi, ws); err != nil {
+			return 0, err
+		}
+	}
+	if !ok {
 		return 0, fmt.Errorf("memcap: memory constraints fractionally infeasible at any makespan")
 	}
 	for lo < hi {

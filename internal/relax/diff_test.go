@@ -93,24 +93,36 @@ func TestWarmStalenessInterleaved(t *testing.T) {
 }
 
 // bareSearchProbes counts the probes of a bare binary search over
-// [LowerBoundSimple, TrivialUpperBound] whose verdict at mid is
-// mid ≥ tStar, plus one probe at the upper bound when no probe was
-// feasible (tStar is then that bound, which the search never probed).
+// relax.Bracket's [lo, hi] whose verdict at mid is mid ≥ tStar. When no
+// probe is feasible, tStar is hi, which the bracket's own assignment
+// certifies without an LP.
 func bareSearchProbes(in *model.Instance, tStar int64) int {
-	lo := max(in.LowerBoundSimple(), 1)
-	top := max(in.TrivialUpperBound(), lo)
+	lo, hi, _ := relax.Bracket(in, relax.NewWorkspace())
 	probes := 0
-	for hi := top; lo < hi; probes++ {
+	for ; lo < hi; probes++ {
 		if mid := lo + (hi-lo)/2; mid >= tStar {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	if tStar == top {
-		probes++
-	}
 	return probes
+}
+
+// TestBracketHoldsTStar checks relax.Bracket over the differential
+// corpus: T* lies in [lo, hi], the bracket's assignment satisfies (IP-3)
+// at hi exactly, and T* equals a cold search over the loose bracket.
+func TestBracketHoldsTStar(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range testdiff.Cases(1, 220) {
+		tStar, err := relax.MinFeasibleT(ctx, c.In, relax.NewWorkspace())
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if err := testdiff.CheckBracket(ctx, c.In, tStar); err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+	}
 }
 
 // TestWarmStartActuallyFires guards the point of the whole exercise: on

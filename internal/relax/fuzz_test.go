@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hsp/internal/relax"
+	"hsp/internal/testdiff"
 	"hsp/internal/workload"
 )
 
@@ -47,10 +48,12 @@ func decodeFuzzConfig(data []byte) workload.Config {
 
 // FuzzMinFeasibleT is the property test for the warm-started binary
 // search: on any generable instance, the warm T* must equal the cold
-// oracle's, feasibility must be monotone around T* (T*-1 infeasible,
-// T* and T*+1 feasible), and warm/cold probe verdicts must agree at
-// those boundary points — the exact places a bad dual-simplex verdict
-// would shift the search's answer.
+// oracle's, lie in relax.Bracket's range and match the loose-bracket
+// reference search (testdiff.CheckBracket), feasibility must be
+// monotone around T* (T*-1 infeasible, T* and T*+1 feasible), and
+// warm/cold probe verdicts must agree at those boundary points — the
+// exact places a bad dual-simplex verdict would shift the search's
+// answer.
 func FuzzMinFeasibleT(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 2, 5, 1, 0, 0, 0, 9, 4, 0, 0, 0})
@@ -79,6 +82,9 @@ func FuzzMinFeasibleT(f *testing.F) {
 		}
 		if ok, _, err := relax.Feasible(ctx, in, tWarm, warm); !ok || err != nil {
 			t.Fatalf("no witness at T*=%d (err=%v)", tWarm, err)
+		}
+		if err := testdiff.CheckBracket(ctx, in, tWarm); err != nil {
+			t.Fatal(err)
 		}
 		for _, d := range []int64{-1, 0, 1} {
 			T := tWarm + d

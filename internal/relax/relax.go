@@ -7,9 +7,11 @@
 package relax
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"hsp/internal/lp"
 	"hsp/internal/model"
@@ -110,6 +112,12 @@ type Workspace struct {
 	val    []float64
 	keys   []uint64 // variable identity keys (s·n+j), for warm subset matching
 	probes int      // LP feasibility probes served by this workspace
+
+	// Bracket scratch: the assignment it returns (job → set), the other
+	// candidate, the LPT job order and sort keys, and machine loads.
+	assign, alt []int
+	order       []int32
+	key, load   []int64
 }
 
 // NewWorkspace returns a Workspace ready for Feasible, ProbeFeasible and
@@ -259,10 +267,96 @@ func feasibleWS(ctx context.Context, in *model.Instance, T int64, ws *Workspace)
 	return ok, x, nil
 }
 
+// Bracket returns bounds lo ≤ T* ≤ hi on the minimal T with a feasible
+// (IP-3) relaxation, and an integral assignment a that satisfies (IP-3)
+// at hi, all computed on ws's scratch (a is ws's until its next use).
+// lo is the larger of the longest cheapest job and the volume bound
+// ⌈Σ_j min_α p_jα / m⌉: the load rows of the maximal sets are disjoint,
+// so together they hold at most m·T. hi is the smaller makespan of two
+// integral assignments, and a is the one achieving it: every job on its
+// cheapest set (the trivial bound Σ_j min_α p_jα), and LPT on the
+// unrelated projection, whose machine loads of at most C put at most
+// |α|·C on every row α. hi is model.Infinity, and a nil, when some job
+// has no admissible set.
+func Bracket(in *model.Instance, ws *Workspace) (lo, hi int64, a model.Assignment) {
+	n := in.N()
+	ws.assign = scratch.Grow(ws.assign, n)
+	var vol int64
+	for j := 0; j < n; j++ {
+		v, s := in.MinProc(j)
+		if v >= model.Infinity {
+			return 1, model.Infinity, nil
+		}
+		lo = max(lo, v)
+		vol += v
+		ws.assign[j] = s
+	}
+	m := int64(in.M())
+	lo = max(lo, (vol+m-1)/m, 1)
+	hi = max(vol, 1)
+	if c, ok := ws.lpt(in); ok && max(c, 1) < hi {
+		hi = max(c, 1)
+		ws.assign, ws.alt = ws.alt, ws.assign
+	}
+	return lo, hi, ws.assign
+}
+
+// lpt runs the LPT greedy on in's unrelated projection (job j on machine
+// i costs p_j on the minimal set containing i): jobs by decreasing
+// cheapest projected time, ties by index, each onto the machine where it
+// would finish first. It writes the assignment, as sets, to ws.alt and
+// returns the makespan; ok is false when some job fits no machine.
+func (ws *Workspace) lpt(in *model.Instance) (makespan int64, ok bool) {
+	n, m := in.N(), in.M()
+	f := in.Family
+	proj := func(j, i int) int64 {
+		if s := f.MinimalContaining(i); s >= 0 {
+			return in.Proc[j][s]
+		}
+		return model.Infinity
+	}
+	ws.alt = scratch.Grow(ws.alt, n)
+	ws.order = scratch.Grow(ws.order, n)
+	ws.key = scratch.Grow(ws.key, n)
+	for j := 0; j < n; j++ {
+		ws.order[j] = int32(j)
+		ws.key[j] = model.Infinity
+		for i := 0; i < m; i++ {
+			ws.key[j] = min(ws.key[j], proj(j, i))
+		}
+	}
+	slices.SortFunc(ws.order, func(a, b int32) int {
+		if c := cmp.Compare(ws.key[b], ws.key[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	ws.load = scratch.Grow(ws.load, m)
+	scratch.Clear(ws.load)
+	for _, j := range ws.order {
+		best, finish := -1, int64(model.Infinity)
+		for i := 0; i < m; i++ {
+			if p := proj(int(j), i); p < model.Infinity && ws.load[i]+p < finish {
+				best, finish = i, ws.load[i]+p
+			}
+		}
+		if best < 0 {
+			return 0, false
+		}
+		ws.load[best] = finish
+		ws.alt[j] = f.MinimalContaining(best)
+		makespan = max(makespan, finish)
+	}
+	return makespan, true
+}
+
 // MinFeasibleT binary-searches the minimal integer T for which the LP
 // relaxation of (IP-3) is feasible. T* is a lower bound on the optimal
-// integral makespan. The search answers from verdict probes alone; a
-// caller that needs a fractional solution at T* asks Feasible for it.
+// integral makespan. The search spans Bracket's [lo, hi] and answers
+// from verdict probes alone; when none is feasible, T* is hi, and the
+// integral assignment behind hi is checked against (IP-3) exactly in
+// int64 instead of by one more LP. A caller that needs a fractional
+// solution at T* asks Feasible for it.
 // The binary search checks ctx before every LP probe and each probe itself
 // aborts between simplex pivots, so cancellation latency is one pivot, not
 // one search; the caller-held Workspace (nil allocates one for the whole
@@ -272,18 +366,14 @@ func MinFeasibleT(ctx context.Context, in *model.Instance, ws *Workspace) (int64
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	lo := in.LowerBoundSimple()
-	if lo < 1 {
-		lo = 1
+	if err := ctx.Err(); err != nil {
+		return 0, fmt.Errorf("relax: search: %w", err)
 	}
-	hi := in.TrivialUpperBound()
+	lo, hi, a := Bracket(in, ws)
 	if hi >= model.Infinity {
 		return 0, fmt.Errorf("relax: some job has no admissible set")
 	}
-	if hi < lo {
-		hi = lo
-	}
-	anyFeasible := false
+	top := hi
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		ok, _, err := feasibleWS(ctx, in, mid, ws)
@@ -292,19 +382,15 @@ func MinFeasibleT(ctx context.Context, in *model.Instance, ws *Workspace) (int64
 		}
 		if ok {
 			hi = mid
-			anyFeasible = true
 		} else {
 			lo = mid + 1
 		}
 	}
-	if !anyFeasible {
-		// lo is the trivial upper bound, which no probe has tested.
-		ok, _, err := feasibleWS(ctx, in, lo, ws)
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			return 0, fmt.Errorf("relax: LP infeasible even at the trivial upper bound %d", lo)
+	if lo == top {
+		// No probe was feasible: T* is the bracket's top, which no probe
+		// tested. Its integral assignment is a feasible point there.
+		if err := a.Check(in, lo); err != nil {
+			return 0, fmt.Errorf("relax: bracket assignment infeasible at its bound %d: %w", lo, err)
 		}
 	}
 	return lo, nil

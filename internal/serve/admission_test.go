@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,7 +29,7 @@ const algoBlock = "block"
 // solved for real.
 func blockingRun(s *Server, started chan<- struct{}, release <-chan struct{}) {
 	realRun := s.run
-	s.run = func(ctx context.Context, req *Request, ws *Workspaces) (*Response, error) {
+	s.run = func(ctx context.Context, req *decoded, ws *Workspaces) (*Response, error) {
 		if req.Algo != algoBlock {
 			return realRun(ctx, req, ws)
 		}
@@ -43,8 +46,9 @@ func blockingRun(s *Server, started chan<- struct{}, release <-chan struct{}) {
 // distinct algoBlock requests so none of them collapse onto another.
 func occupy(t *testing.T, s *Server, started <-chan struct{}) {
 	t.Helper()
+	inst := instanceJSON(t)
 	submitBlock := func(n int) {
-		go s.Submit(context.Background(), []*Request{{Algo: algoBlock, Frame: int64(n + 1)}})
+		go s.Submit(context.Background(), []*Request{{Algo: algoBlock, Instance: inst, Frame: int64(n + 1)}})
 	}
 	submitBlock(0)
 	<-started
@@ -182,7 +186,7 @@ func TestFollowerDeadlineBindsReattempt(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: followers, CacheEntries: 16})
 	defer s.Close()
 	started := make(chan struct{}, 1)
-	s.run = func(ctx context.Context, req *Request, ws *Workspaces) (*Response, error) {
+	s.run = func(ctx context.Context, req *decoded, ws *Workspaces) (*Response, error) {
 		select {
 		case started <- struct{}{}:
 		default:
@@ -240,7 +244,7 @@ func TestCounterReconciliation(t *testing.T) {
 	s := New(Config{Workers: 2, QueueDepth: 256, CacheEntries: 64})
 	defer s.Close()
 	realRun := s.run
-	s.run = func(ctx context.Context, req *Request, ws *Workspaces) (*Response, error) {
+	s.run = func(ctx context.Context, req *decoded, ws *Workspaces) (*Response, error) {
 		if req.Frame < 0 { // a solve that cannot finish in time
 			<-ctx.Done()
 			return nil, ctx.Err()
@@ -359,6 +363,125 @@ func TestHandlerBatchWireBytes(t *testing.T) {
 	}
 	if st := cached.Stats(); st.CacheHits != 3 {
 		t.Fatalf("batch served %d hits, want 3: %+v", st.CacheHits, st)
+	}
+}
+
+// TestDecodeAtAdmission: a batch whose middle item carries a malformed
+// instance answers that item 400 at admission and solves the other two
+// in one task: with the only worker busy and a one-slot queue, a second
+// task would have been shed. The malformed item never reaches the
+// worker; a malformed request behind the full queue is answered 400,
+// not shed, since it takes no queue slot; and the counters reconcile.
+func TestDecodeAtAdmission(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	blockingRun(s, started, release)
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // a failed check must not strand the worker, and Close
+	blocked := s.run
+	var mu sync.Mutex
+	var ran []string
+	s.run = func(ctx context.Context, req *decoded, ws *Workspaces) (*Response, error) {
+		if req.Algo != algoBlock {
+			mu.Lock()
+			ran = append(ran, req.Algo)
+			mu.Unlock()
+		}
+		return blocked(ctx, req, ws)
+	}
+	inst := instanceJSON(t)
+	blockDone := make(chan struct{})
+	go func() {
+		s.Submit(context.Background(), []*Request{{Algo: algoBlock, Instance: inst}})
+		close(blockDone)
+	}()
+	<-started
+
+	malformed := json.RawMessage(`[1, 2, 3]`)
+	type submitted struct {
+		res []Result
+		err error
+	}
+	done := make(chan submitted, 1)
+	go func() {
+		res, err := s.Submit(context.Background(), []*Request{
+			{Algo: AlgoLP, Instance: inst},
+			{Algo: AlgoLP, Instance: malformed},
+			{Algo: Algo2Approx, Instance: inst},
+		})
+		done <- submitted{res, err}
+	}()
+	waitQueued(t, s, 1)
+	body, _ := json.Marshal(&Request{Algo: AlgoLP, Instance: malformed})
+	if status, b, _ := post(t, ts.URL+"/v1/solve", body); status != http.StatusBadRequest {
+		t.Fatalf("malformed request behind a full queue: status %d, want 400: %s", status, b)
+	}
+	unblock()
+
+	got := <-done
+	<-blockDone
+	if got.err != nil {
+		t.Fatalf("batch: %v", got.err)
+	}
+	for i, res := range got.res {
+		if i == 1 {
+			if res.Err == nil || statusFor(res.Err) != http.StatusBadRequest {
+				t.Fatalf("malformed item answered %v, want a 400 error", res.Err)
+			}
+		} else if res.Err != nil {
+			t.Fatalf("item %d: %v", i, res.Err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != 2 || ran[0] != AlgoLP || ran[1] != Algo2Approx {
+		t.Fatalf("the worker ran %v, want [lp 2approx]", ran)
+	}
+	st := s.Stats()
+	if st.Shed != 0 || st.Accepted != 5 || st.Completed != 3 || st.Failed != 2 || st.Canceled != 0 {
+		t.Fatalf("counters %+v: want 5 accepted = 3 completed + 2 failed, none shed", st)
+	}
+}
+
+// TestDecodePanicBecomesIncident: a decoder that panics at admission
+// fails its request with an incident error (422), as a solver panic
+// does, instead of dropping the client's connection; the stack goes to
+// the log under the same incident, and the daemon keeps serving.
+func TestDecodePanicBecomesIncident(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	realDecode := s.decode
+	s.decode = func(req *Request) (*decoded, error) {
+		if req.Algo == "boom" {
+			panic("decoder bug on a pathological document")
+		}
+		return realDecode(req)
+	}
+	var logged bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&logged)
+	body, _ := json.Marshal(&Request{Algo: "boom", Instance: instanceJSON(t)})
+	status, b, _ := post(t, ts.URL+"/v1/solve", body)
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", status, b)
+	}
+	var resp Response
+	if err := json.Unmarshal(b, &resp); err != nil {
+		t.Fatal(err)
+	}
+	var incident int
+	if _, err := fmt.Sscanf(resp.Error, "serve: decode panic (incident %d)", &incident); err != nil {
+		t.Fatalf("error %q names no incident: %v", resp.Error, err)
+	}
+	tag := fmt.Sprintf("(incident %d)", incident)
+	if l := logged.String(); !strings.Contains(l, tag) || !strings.Contains(l, "goroutine ") {
+		t.Fatalf("log lacks the stack for %s:\n%s", tag, l)
+	}
+	if st := s.Stats(); st.Accepted != 1 || st.Failed != 1 {
+		t.Fatalf("counters %+v: want the panicked request accepted and failed", st)
+	}
+	body, _ = json.Marshal(&Request{Algo: AlgoLP, Instance: instanceJSON(t)})
+	if status, b, _ = post(t, ts.URL+"/v1/solve", body); status != http.StatusOK {
+		t.Fatalf("after the panic: status %d: %s", status, b)
 	}
 }
 

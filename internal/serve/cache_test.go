@@ -158,7 +158,7 @@ func TestCacheNeverCachesFailures(t *testing.T) {
 
 	t.Run("solver error", func(t *testing.T) {
 		s := newCachedServer(t, Config{Workers: 1})
-		s.run = func(context.Context, *Request, *Workspaces) (*Response, error) {
+		s.run = func(context.Context, *decoded, *Workspaces) (*Response, error) {
 			return nil, errors.New("boom")
 		}
 		for i := 0; i < 2; i++ {
@@ -178,7 +178,7 @@ func TestCacheNeverCachesFailures(t *testing.T) {
 
 	t.Run("timeout", func(t *testing.T) {
 		s := newCachedServer(t, Config{Workers: 1})
-		s.run = func(ctx context.Context, _ *Request, _ *Workspaces) (*Response, error) {
+		s.run = func(ctx context.Context, _ *decoded, _ *Workspaces) (*Response, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}
@@ -201,7 +201,7 @@ func TestCacheNeverCachesFailures(t *testing.T) {
 
 	t.Run("panic", func(t *testing.T) {
 		s := newCachedServer(t, Config{Workers: 1})
-		s.run = func(context.Context, *Request, *Workspaces) (*Response, error) {
+		s.run = func(context.Context, *decoded, *Workspaces) (*Response, error) {
 			panic("pathological instance")
 		}
 		for i := 0; i < 2; i++ {

@@ -15,13 +15,16 @@
 // should the solve it waited on fail, so no request outlives one timeout
 // of its own. A call resolved entirely there never touches the queue.
 // The rest — the leaders of new solves, or every request with the cache
-// off — go to the Server's bounded queue as one task. When the queue is
-// full the task is shed immediately and deterministically: 429 with a
+// off — are decoded there too (the instance, or the scenario document):
+// a malformed one is answered 400 at once, without a queue slot, and a
+// decoder panic becomes an incident error like a solver's. The decoded
+// requests go to the Server's bounded queue as one task. When the queue
+// is full the task is shed immediately and deterministically: 429 with a
 // Retry-After hint, never an unbounded wait, and every flight it led
 // settles empty so its followers re-attempt. A worker picks the task
 // up, re-checks the context (a client that disconnected while queued
 // costs no solver work), starts each request's deadline unless a wait
-// already fixed it, and runs the dispatcher on its private,
+// already fixed it, and runs the solver on its private,
 // request-reusable workspaces: the relaxation workspace (simplex
 // tableau, constraint arenas) and the exact branch-and-bound workspace
 // survive from request to request, so steady-state traffic pays none of

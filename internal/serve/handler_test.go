@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"hsp/internal/model"
+	"hsp/internal/relax"
+	"hsp/internal/workload"
 )
 
 // instanceJSON returns Example II.1 in the wire format requests embed.
@@ -124,7 +126,7 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 // notice the same context.
 func TestHandlerDeadlineAnswers504(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	s.run = func(ctx context.Context, req *Request, ws *Workspaces) (*Response, error) {
+	s.run = func(ctx context.Context, req *decoded, ws *Workspaces) (*Response, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
@@ -158,7 +160,7 @@ func TestHandlerShedsWhenQueueFull(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	s.run = func(ctx context.Context, req *Request, ws *Workspaces) (*Response, error) {
+	s.run = func(ctx context.Context, req *decoded, ws *Workspaces) (*Response, error) {
 		select {
 		case started <- struct{}{}:
 		default:
@@ -170,9 +172,10 @@ func TestHandlerShedsWhenQueueFull(t *testing.T) {
 
 	body, _ := json.Marshal(&Request{Algo: Algo2Approx, Instance: instanceJSON(t)})
 	// Occupy the worker, then fill the single queue slot.
-	go s.Submit(context.Background(), []*Request{{Algo: Algo2Approx}})
+	inst := instanceJSON(t)
+	go s.Submit(context.Background(), []*Request{{Algo: Algo2Approx, Instance: inst}})
 	<-started
-	go s.Submit(context.Background(), []*Request{{Algo: Algo2Approx}})
+	go s.Submit(context.Background(), []*Request{{Algo: Algo2Approx, Instance: inst}})
 	waitQueued(t, s, 1)
 
 	status, b, hdr := post(t, ts.URL+"/v1/solve", body)
@@ -253,7 +256,7 @@ func TestHandlerBatchRejectsNullElements(t *testing.T) {
 func TestHandlerRecoversSolverPanic(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	realRun := s.run
-	s.run = func(ctx context.Context, req *Request, ws *Workspaces) (*Response, error) {
+	s.run = func(ctx context.Context, req *decoded, ws *Workspaces) (*Response, error) {
 		if req.Algo == "boom" {
 			panic("index out of range on a pathological instance")
 		}
@@ -306,7 +309,7 @@ func TestDefaultTimeoutCappedByMaxTimeout(t *testing.T) {
 		DefaultTimeout: time.Hour,
 		MaxTimeout:     20 * time.Millisecond,
 	})
-	s.run = func(ctx context.Context, req *Request, ws *Workspaces) (*Response, error) {
+	s.run = func(ctx context.Context, req *decoded, ws *Workspaces) (*Response, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
@@ -369,11 +372,27 @@ func TestHandlerHealthAndStats(t *testing.T) {
 // TestStatsSolverCounters drives one LP and one exact request and checks
 // that the warm-start and DFS effort counters reach /statsz: the daemon
 // is where pivot/probe rates get monitored in production, so a counter
-// that never moves is a wiring bug, not a cosmetic one.
+// that never moves is a wiring bug, not a cosmetic one. The instance's
+// LP bracket leaves the binary search at least two probes, so a warm
+// start has a basis to re-enter.
 func TestStatsSolverCounters(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
+	in, err := workload.Generate(workload.Config{
+		Topology: workload.SemiPartitioned, Machines: 4, Jobs: 8, Seed: 1,
+		MinWork: 2, MaxWork: 30, OverheadPerLevel: 0.25,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi, _ := relax.Bracket(in, relax.NewWorkspace()); hi-lo < 2 {
+		t.Fatalf("bracket [%d, %d] leaves the search fewer than two probes", lo, hi)
+	}
+	var inst bytes.Buffer
+	if err := model.Encode(&inst, in); err != nil {
+		t.Fatal(err)
+	}
 	for _, algo := range []string{AlgoLP, AlgoExact} {
-		body, _ := json.Marshal(&Request{Algo: algo, Instance: instanceJSON(t)})
+		body, _ := json.Marshal(&Request{Algo: algo, Instance: inst.Bytes()})
 		status, b, _ := post(t, ts.URL+"/v1/solve", body)
 		if status != http.StatusOK {
 			t.Fatalf("%s status %d: %s", algo, status, b)

@@ -88,9 +88,9 @@ func TestRTSweepMatchesFreshSolves(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	var last *Workspaces
-	s.run = func(ctx context.Context, req *Request, ws *Workspaces) (*Response, error) {
+	s.run = func(ctx context.Context, req *decoded, ws *Workspaces) (*Response, error) {
 		last = ws
-		return Do(ctx, req, ws)
+		return respond(ctx, req, ws)
 	}
 	docs := map[string]json.RawMessage{"X": x, "Y": y}
 	// The last task alternates X and Y inside one batch, so the memo's

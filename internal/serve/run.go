@@ -297,33 +297,59 @@ func validate(in *model.Instance, a model.Assignment, s *sched.Schedule) error {
 	return nil
 }
 
-// Do decodes the request's embedded instance, runs it, and serializes
-// the outcome — the daemon's per-request unit of work.
-func Do(ctx context.Context, req *Request, ws *Workspaces) (*Response, error) {
+// decoded is a request with its workload document decoded: the
+// instance for the core algos, or the workload for a scenario algo. The
+// daemon decodes at admission, so its workers only solve.
+type decoded struct {
+	*Request
+	in *model.Instance   // core algos
+	wl scenario.Workload // scenario algos ("dag", "rigid")
+}
+
+// decode is Do's first half: it parses the request's workload document.
+// Its errors are client mistakes.
+func decode(req *Request) (*decoded, error) {
 	if len(req.Instance) == 0 {
 		return nil, badRequestf("request carries no instance")
 	}
-	var out *Outcome
+	d := &decoded{Request: req}
+	var err error
 	if desc, ok := scenario.Lookup(req.Algo); ok {
-		// Scenario algos ("dag", "rigid"): Instance carries that
-		// scenario's document, decoded and compiled by its descriptor.
-		wl, err := desc.Decode(req.Instance)
-		if err != nil {
-			return nil, errBadRequest{err}
-		}
-		out, err = RunScenario(ctx, wl, req, ws)
-		if err != nil {
-			return nil, err
-		}
+		// Scenario algos: Instance carries that scenario's document,
+		// decoded here and compiled on the worker by RunScenario.
+		d.wl, err = desc.Decode(req.Instance)
 	} else {
-		in, err := model.Decode(bytes.NewReader(req.Instance))
-		if err != nil {
-			return nil, errBadRequest{err}
-		}
-		out, err = Run(ctx, in, req, ws)
-		if err != nil {
-			return nil, err
-		}
+		d.in, err = model.Decode(bytes.NewReader(req.Instance))
+	}
+	if err != nil {
+		return nil, errBadRequest{err}
+	}
+	return d, nil
+}
+
+// Do decodes the request's embedded instance, runs it, and serializes
+// the outcome: decode then respond, the two halves the daemon runs at
+// admission and on a worker.
+func Do(ctx context.Context, req *Request, ws *Workspaces) (*Response, error) {
+	d, err := decode(req)
+	if err != nil {
+		return nil, err
+	}
+	return respond(ctx, d, ws)
+}
+
+// respond is Do's second half: it runs a decoded request and serializes
+// the outcome — the daemon's per-request unit of worker time.
+func respond(ctx context.Context, d *decoded, ws *Workspaces) (*Response, error) {
+	var out *Outcome
+	var err error
+	if d.wl != nil {
+		out, err = RunScenario(ctx, d.wl, d.Request, ws)
+	} else {
+		out, err = Run(ctx, d.in, d.Request, ws)
+	}
+	if err != nil {
+		return nil, err
 	}
 	resp := &Response{
 		Algo:       out.Algo,
@@ -343,7 +369,7 @@ func Do(ctx context.Context, req *Request, ws *Workspaces) (*Response, error) {
 	if out.HasVerdict {
 		resp.Verdict = out.Verdict.String()
 	}
-	if req.WantSchedule && out.Schedule != nil {
+	if d.WantSchedule && out.Schedule != nil {
 		var buf bytes.Buffer
 		if err := sched.EncodeJSON(&buf, out.Schedule); err != nil {
 			return nil, fmt.Errorf("encoding schedule: %w", err)

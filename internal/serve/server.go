@@ -96,10 +96,11 @@ type Result struct {
 }
 
 // task is one unit of queued work: the requests of one call that need a
-// solve, answered in input order on one worker's workspaces.
+// solve, decoded at admission, answered in input order on one worker's
+// workspaces.
 type task struct {
 	ctx       context.Context
-	reqs      []*Request
+	reqs      []*decoded
 	deadlines []time.Time   // per request; zero = starts when the worker does
 	done      chan []answer // buffered(1); the worker always answers
 }
@@ -173,15 +174,17 @@ type Server struct {
 	lpProbes, lpSolves, lpColdSolves, lpWarmHits, lpSubsetHits,
 	lpPivots, lpWarmPivots, exactProbes, exactVisited, exactCanonical atomic.Uint64
 
-	// run is the per-request unit of work; tests may replace it before
-	// the first submit to make worker occupancy deterministic.
-	run func(ctx context.Context, req *Request, ws *Workspaces) (*Response, error)
+	// decode is the per-request admission work and run the per-request
+	// worker time; tests may replace either before the first submit, to
+	// inject failures or make worker occupancy deterministic.
+	decode func(req *Request) (*decoded, error)
+	run    func(ctx context.Context, req *decoded, ws *Workspaces) (*Response, error)
 }
 
 // New starts a Server: cfg.Workers goroutines, each with its own
 // long-lived Workspaces, consuming one bounded queue.
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg.withDefaults(), run: Do}
+	s := &Server{cfg: cfg.withDefaults(), decode: decode, run: respond}
 	if s.cfg.CacheEntries > 0 {
 		s.cache = newCache(s.cfg.CacheEntries, s.cfg.CacheBytes)
 	}
@@ -454,11 +457,13 @@ func (c *call) resolve(i int, res Result) {
 	c.admitted.add(res.Err)
 }
 
-// runTask queues the jobs as one task, waits for the worker, and encodes
-// each answer on the calling goroutine. Every flight a job leads is
-// settled before runTask returns — with the encoded bytes on success,
-// nil on a failure or a shed — so no follower waits on a solve that
-// failed or never ran.
+// runTask decodes the jobs' requests on the calling goroutine, queues
+// the decoded ones as one task, waits for the worker, and encodes each
+// answer. A request that fails to decode is answered here, at admission,
+// and takes no place in the task. Every flight a job leads is settled
+// before runTask returns — with the encoded bytes on success, nil on a
+// failure or a shed — so no follower waits on a solve that failed or
+// never ran.
 func (s *Server) runTask(c *call, reqs []*Request, work []job) error {
 	defer func() {
 		for _, j := range work {
@@ -467,21 +472,28 @@ func (s *Server) runTask(c *call, reqs []*Request, work []job) error {
 			}
 		}
 	}()
-	t := &task{
-		ctx:       c.ctx,
-		reqs:      make([]*Request, len(work)),
-		deadlines: make([]time.Time, len(work)),
-		done:      make(chan []answer, 1),
+	t := &task{ctx: c.ctx, done: make(chan []answer, 1)}
+	queued := make([]*job, 0, len(work))
+	for k := range work {
+		j := &work[k]
+		d, err := s.decodeRecovered(reqs[j.i])
+		if err != nil {
+			c.resolve(j.i, Result{Err: err})
+			continue
+		}
+		queued = append(queued, j)
+		t.reqs = append(t.reqs, d)
+		t.deadlines = append(t.deadlines, c.deadlineOf(j.i))
 	}
-	for k, j := range work {
-		t.reqs[k], t.deadlines[k] = reqs[j.i], c.deadlineOf(j.i)
+	if len(queued) == 0 {
+		return nil
 	}
 	if err := s.enqueue(t); err != nil {
 		return err
 	}
 	var answered tally
 	for k, a := range <-t.done {
-		j := &work[k]
+		j := queued[k]
 		res := encodeAnswer(a)
 		answered.add(res.Err)
 		if res.Err == nil && j.fl != nil {
@@ -594,13 +606,13 @@ func (s *Server) worker() {
 // serveOne runs one request under its deadline: the one an earlier wait
 // fixed, or else one that starts now. The second return reports a
 // recovered solver panic, telling the worker to retire its workspaces.
-func (s *Server) serveOne(ctx context.Context, req *Request, deadline time.Time, ws *Workspaces) (answer, bool) {
+func (s *Server) serveOne(ctx context.Context, req *decoded, deadline time.Time, ws *Workspaces) (answer, bool) {
 	// A client that vanished while the task was queued costs nothing.
 	if err := ctx.Err(); err != nil {
 		return answer{err: fmt.Errorf("serve: request abandoned in queue: %w", err)}, false
 	}
 	if deadline.IsZero() {
-		deadline = s.deadline(req)
+		deadline = s.deadline(req.Request)
 	}
 	rctx, cancel := context.WithDeadline(ctx, deadline)
 	defer cancel()
@@ -614,14 +626,33 @@ func (s *Server) serveOne(ctx context.Context, req *Request, deadline time.Time,
 // waiting on a done channel. The error names only an incident number;
 // the panic value and stack go to the standard logger under that
 // number, never to the client.
-func (s *Server) runRecovered(ctx context.Context, req *Request, ws *Workspaces) (resp *Response, err error, panicked bool) {
+func (s *Server) runRecovered(ctx context.Context, req *decoded, ws *Workspaces) (resp *Response, err error, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			n := s.panics.Add(1)
-			log.Printf("serve: solver panic (incident %d): %v\n%s", n, r, debug.Stack())
-			resp, err, panicked = nil, fmt.Errorf("serve: solver panic (incident %d)", n), true
+			resp, err, panicked = nil, s.incident("solver", r), true
 		}
 	}()
 	resp, err = s.run(ctx, req, ws)
 	return resp, err, false
+}
+
+// decodeRecovered is admission's runRecovered: a decoder that panics on
+// a pathological document fails that request with an incident error
+// instead of taking down the handler's connection.
+func (s *Server) decodeRecovered(req *Request) (d *decoded, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			d, err = nil, s.incident("decode", r)
+		}
+	}()
+	return s.decode(req)
+}
+
+// incident numbers a recovered panic, logs its value and stack under
+// that number, and returns the error the client sees, which names only
+// the stage and the number.
+func (s *Server) incident(stage string, r any) error {
+	n := s.panics.Add(1)
+	log.Printf("serve: %s panic (incident %d): %v\n%s", stage, n, r, debug.Stack())
+	return fmt.Errorf("serve: %s panic (incident %d)", stage, n)
 }

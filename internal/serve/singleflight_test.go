@@ -40,7 +40,7 @@ func TestCacheSingleflightRaceHammer(t *testing.T) {
 		submitted [bursts]atomic.Int32
 	)
 	realRun := s.run
-	s.run = func(ctx context.Context, req *Request, ws *Workspaces) (*Response, error) {
+	s.run = func(ctx context.Context, req *decoded, ws *Workspaces) (*Response, error) {
 		b := req.TimeoutMS - 60_000
 		mu.Lock()
 		solves[b]++

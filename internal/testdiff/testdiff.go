@@ -275,3 +275,72 @@ func ProbeMonotone(ctx context.Context, in *model.Instance, pad int64) error {
 	}
 	return nil
 }
+
+// CheckBracket checks relax.Bracket against tStar, a T* that
+// relax.MinFeasibleT returned for in: the bracket must contain it, the
+// bracket's assignment must satisfy (IP-3) at hi, and tStar must equal
+// LooseMinFeasibleT's. The (IP-3) check sums every row exactly in int64
+// here, apart from model.Assignment.Check, which the search itself uses.
+func CheckBracket(ctx context.Context, in *model.Instance, tStar int64) error {
+	lo, hi, a := relax.Bracket(in, relax.NewWorkspace())
+	if tStar < lo || tStar > hi {
+		return fmt.Errorf("T*=%d outside the bracket [%d, %d]", tStar, lo, hi)
+	}
+	if len(a) != in.N() {
+		return fmt.Errorf("bracket assignment covers %d of %d jobs", len(a), in.N())
+	}
+	f := in.Family
+	vol := make([]int64, f.Len())
+	for j, s := range a {
+		if p := in.Proc[j][s]; p > hi {
+			return fmt.Errorf("job %d on set %d needs %d > hi=%d", j, s, p, hi)
+		}
+		vol[s] += in.Proc[j][s]
+	}
+	for s := 0; s < f.Len(); s++ {
+		var load int64
+		for _, b := range f.SubsetIDs(s) {
+			load += vol[b]
+		}
+		if limit := int64(f.Size(s)) * hi; load > limit {
+			return fmt.Errorf("bracket assignment loads set %d with %d > %d", s, load, limit)
+		}
+	}
+	ref, err := LooseMinFeasibleT(ctx, in)
+	if err != nil {
+		return fmt.Errorf("reference search: %w", err)
+	}
+	if ref != tStar {
+		return fmt.Errorf("T*=%d, the reference search over the loose bracket %d", tStar, ref)
+	}
+	return nil
+}
+
+// LooseMinFeasibleT is the reference search: relax.MinFeasibleT as it ran
+// over the loose bracket [LowerBoundSimple, TrivialUpperBound] before
+// relax.Bracket, with cold probes only and an LP probe at the upper bound
+// when no other probe was feasible.
+func LooseMinFeasibleT(ctx context.Context, in *model.Instance) (int64, error) {
+	ws := relax.NewWorkspace()
+	ws.LP.SetWarmStart(false)
+	lo := max(in.LowerBoundSimple(), 1)
+	top := max(in.TrivialUpperBound(), lo)
+	for hi := top; lo < hi; {
+		mid := lo + (hi-lo)/2
+		ok, err := relax.ProbeFeasible(ctx, in, mid, ws)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == top {
+		if ok, err := relax.ProbeFeasible(ctx, in, lo, ws); err != nil || !ok {
+			return 0, fmt.Errorf("infeasible at the trivial upper bound %d (err=%v)", lo, err)
+		}
+	}
+	return lo, nil
+}
