@@ -17,16 +17,26 @@
 // experiment ids in suite order.
 //
 // Execution. Runner (runner.go) executes any subset on a bounded worker
-// pool (parallel.go); each experiment runs its trials in order on the
-// worker goroutine that picked it up. Every experiment runs with a seed
-// derived deterministically from the base seed and its ID (DeriveSeed),
-// so results are independent of worker count and completion order. Each Run receives a context it must honor:
-// the solver hot loops underneath (LP simplex pivots in internal/lp, the
+// pool (parallel.go), and each experiment runs on the worker goroutine
+// that picked it up. Every experiment runs with a seed derived
+// deterministically from the base seed and its ID (DeriveSeed), so
+// results are independent of worker count and completion order. The
+// trial sweeps whose trials are independent (E9, E10, E13, E14, E15)
+// also spread them over the cores, in three steps: they draw every
+// trial's seed or instance on the experiment goroutine in rng order,
+// solve the trials concurrently through mapTrials on the same bounded
+// pool, each trial on a fresh workspace, and fold the outputs in trial
+// order. Their tables, checks and float sums are therefore the same at
+// any GOMAXPROCS and any Runner.Workers. E10's unit is one overhead row,
+// whose regimes stay sequential; E12 stays sequential because its time
+// column is wall clock. Each Run receives a context it must honor: the
+// solver hot loops underneath (LP simplex pivots in internal/lp, the
 // branch-and-bound DFS in internal/exact) poll the context, and the
-// sweep loops inside each experiment check it between trials, so a
-// per-experiment Timeout (StatusTimeout) or a canceled suite context
-// (StatusCanceled) aborts the work itself — the runner waits for the
-// experiment to return and never abandons a goroutine.
+// sweeps check it between trials (mapTrials skips the trials not yet
+// started), so a per-experiment Timeout (StatusTimeout) or a canceled
+// suite context (StatusCanceled) aborts the work itself. The runner
+// waits for the experiment to return, and the experiment for its
+// trials, so no goroutine is ever abandoned.
 //
 // Results. Each run yields one Result (result.go): id, status
 // (pass|fail|error|timeout|canceled), seed, claim checks and the table.

@@ -453,43 +453,70 @@ func (s Suite) E8(ctx context.Context) *Table {
 func (s Suite) E9(ctx context.Context) *Table {
 	t := newTable("E9", "levels k", "σ", "trials", "max load factor", "max mem factor", "fallbacks")
 	rng := rand.New(rand.NewSource(s.Seed + 6))
-	ws := relax.NewWorkspace()
 	shapes := [][]int{{2, 2}, {2, 2, 2}, {2, 2, 2, 2}}
-	for _, br := range shapes {
-		trials := s.trials(10)
-		var maxLoad, maxMem float64
-		fb, cnt, levels := 0, 0, 0
+	trials := s.trials(10)
+	// Draw every trial's instance and memory seed in rng order; trial k
+	// of shape i is slot i·trials+k.
+	type draw struct {
+		in   *model.Instance
+		seed int64
+	}
+	draws := make([]draw, len(shapes)*trials)
+	levels := make([]int, len(shapes))
+	for i, br := range shapes {
 		for k := 0; k < trials; k++ {
-			if ctx.Err() != nil {
-				return t
-			}
 			f, err := laminar.Hierarchy(br...)
 			if err != nil {
 				continue
 			}
-			levels = f.Levels()
+			levels[i] = f.Levels()
 			in := instanceOn(rng, f, 2*f.M(), 0.3)
-			m2, err := workload.AttachModel2(in, workload.MemoryConfig{Mu: 2.5}, rng.Int63())
-			if err != nil {
-				continue
-			}
-			res, err := memcap.SolveModel2(ctx, m2, ws)
-			if err != nil {
+			draws[i*trials+k] = draw{in, rng.Int63()}
+		}
+	}
+	type factors struct {
+		ok        bool
+		load, mem float64
+		fallbacks int
+	}
+	outs := mapTrials(ctx, len(draws), func(k int) factors {
+		d := draws[k]
+		if d.in == nil {
+			return factors{}
+		}
+		m2, err := workload.AttachModel2(d.in, workload.MemoryConfig{Mu: 2.5}, d.seed)
+		if err != nil {
+			return factors{}
+		}
+		res, err := memcap.SolveModel2(ctx, m2, nil)
+		if err != nil {
+			return factors{}
+		}
+		return factors{true, res.LoadFactor, res.MemFactor, res.Fallbacks}
+	})
+	if ctx.Err() != nil {
+		return t
+	}
+	for i := range shapes {
+		var maxLoad, maxMem float64
+		fb, cnt := 0, 0
+		for _, o := range outs[i*trials : (i+1)*trials] {
+			if !o.ok {
 				continue
 			}
 			cnt++
-			fb += res.Fallbacks
-			if res.LoadFactor > maxLoad {
-				maxLoad = res.LoadFactor
+			fb += o.fallbacks
+			if o.load > maxLoad {
+				maxLoad = o.load
 			}
-			if res.MemFactor > maxMem {
-				maxMem = res.MemFactor
+			if o.mem > maxMem {
+				maxMem = o.mem
 			}
 		}
-		sigma := memcap.Sigma(levels)
-		t.AddRow(levels, sigma, cnt, maxLoad, maxMem, fb)
-		t.CheckLE(fmt.Sprintf("k=%d load factor vs σ", levels), maxLoad, sigma, 1e-6)
-		t.CheckLE(fmt.Sprintf("k=%d mem factor vs σ", levels), maxMem, sigma, 1e-6)
+		sigma := memcap.Sigma(levels[i])
+		t.AddRow(levels[i], sigma, cnt, maxLoad, maxMem, fb)
+		t.CheckLE(fmt.Sprintf("k=%d load factor vs σ", levels[i]), maxLoad, sigma, 1e-6)
+		t.CheckLE(fmt.Sprintf("k=%d mem factor vs σ", levels[i]), maxMem, sigma, 1e-6)
 	}
 	t.Notes = append(t.Notes, "Theorem VI.3: both factors ≤ σ")
 	return t
@@ -509,18 +536,29 @@ func (s Suite) E10(ctx context.Context) *Table {
 	// buys load balance (the Example V.1 effect) and overheads decide.
 	nJobs := 11
 	seed := rng.Int63()
-	for _, ovh := range overheads {
-		if ctx.Err() != nil {
-			return t
-		}
-		cfg := workload.Config{
+	nodeBudget := 3_000_000
+	if s.Quick {
+		nodeBudget = 200_000
+	}
+	cfgs := make([]workload.Config, len(overheads))
+	for i, ovh := range overheads {
+		cfgs[i] = workload.Config{
 			Topology: workload.SMPCMP, Branching: []int{2, 2, 2},
 			Jobs: nJobs, Seed: seed, MinWork: 25, MaxWork: 40,
 			SpeedSpread: 0.15, OverheadPerLevel: ovh,
 		}
-		in, err := workload.Generate(cfg)
+	}
+	// One overhead row is one pool task. Its five regimes stay sequential:
+	// each later regime inherits the earlier ones' upper bounds.
+	type regimes struct {
+		ok    bool
+		v     [5]int64 // global, partitioned, semi-part, clustered, hierarchical
+		exact [5]bool
+	}
+	rows := mapTrials(ctx, len(cfgs), func(i int) regimes {
+		in, err := workload.Generate(cfgs[i])
 		if err != nil {
-			continue
+			return regimes{}
 		}
 		f := in.Family
 		root := f.Roots()[0]
@@ -529,10 +567,6 @@ func (s Suite) E10(ctx context.Context) *Table {
 		// fits its node budget; otherwise it reports the best upper bound
 		// available — the 2-approximation or any smaller-regime solution,
 		// which remains feasible in a superset family — marked "≤".
-		nodeBudget := 3_000_000
-		if s.Quick {
-			nodeBudget = 200_000
-		}
 		regime := func(keep []int, inherited int64) (int64, bool) {
 			sub, err := model.Restrict(in, keep)
 			if err != nil {
@@ -547,15 +581,6 @@ func (s Suite) E10(ctx context.Context) *Table {
 			}
 			return best, false
 		}
-		format := func(v int64, exactV bool) string {
-			if v <= 0 {
-				return "-"
-			}
-			if exactV {
-				return fmt.Sprint(v)
-			}
-			return fmt.Sprintf("≤%d", v)
-		}
 		var singles, chips, all []int
 		for set := 0; set < f.Len(); set++ {
 			all = append(all, set)
@@ -566,24 +591,41 @@ func (s Suite) E10(ctx context.Context) *Table {
 				chips = append(chips, set)
 			}
 		}
-		global, gEx := regime([]int{root}, 0)
-		part, pEx := regime(singles, 0)
-		semi, sEx := regime(append([]int{root}, singles...), min64pos(global, part))
-		clust, cEx := regime(append(append([]int{root}, chips...), singles...), semi)
-		hierAll, hEx := regime(all, min64pos(semi, clust))
+		r := regimes{ok: true}
+		r.v[0], r.exact[0] = regime([]int{root}, 0)
+		r.v[1], r.exact[1] = regime(singles, 0)
+		r.v[2], r.exact[2] = regime(append([]int{root}, singles...), min64pos(r.v[0], r.v[1]))
+		r.v[3], r.exact[3] = regime(append(append([]int{root}, chips...), singles...), r.v[2])
+		r.v[4], r.exact[4] = regime(all, min64pos(r.v[2], r.v[3]))
+		return r
+	})
+	if ctx.Err() != nil {
+		return t
+	}
+	format := func(v int64, exactV bool) string {
+		if v <= 0 {
+			return "-"
+		}
+		if exactV {
+			return fmt.Sprint(v)
+		}
+		return fmt.Sprintf("≤%d", v)
+	}
+	for i, ovh := range overheads {
+		r := rows[i]
+		if !r.ok {
+			continue
+		}
 		t.AddRow(fmt.Sprintf("%.2f", ovh),
-			format(global, gEx), format(part, pEx), format(semi, sEx),
-			format(clust, cEx), format(hierAll, hEx))
+			format(r.v[0], r.exact[0]), format(r.v[1], r.exact[1]), format(r.v[2], r.exact[2]),
+			format(r.v[3], r.exact[3]), format(r.v[4], r.exact[4]))
 		// Hierarchical never loses to any restricted regime: its family is
 		// a superset, and upper-bound fallbacks inherit smaller regimes.
-		if hierAll > 0 {
-			for _, p := range []struct {
-				name string
-				v    int64
-			}{{"global", global}, {"partitioned", part}, {"semi-part", semi}, {"clustered", clust}} {
-				if p.v > 0 {
-					t.CheckLE(fmt.Sprintf("ovh=%.2f hier vs %s", ovh, p.name),
-						float64(hierAll), float64(p.v), 0)
+		if hierAll := r.v[4]; hierAll > 0 {
+			for p, name := range []string{"global", "partitioned", "semi-part", "clustered"} {
+				if r.v[p] > 0 {
+					t.CheckLE(fmt.Sprintf("ovh=%.2f hier vs %s", ovh, name),
+						float64(hierAll), float64(r.v[p]), 0)
 				}
 			}
 		}
@@ -645,7 +687,9 @@ func (s Suite) E11(ctx context.Context) *Table {
 }
 
 // E12 profiles the solver: wall time of the LP binary search plus rounding
-// as instance size grows.
+// as instance size grows. It stays sequential, unlike the trial sweeps:
+// its time column is wall clock, which rows solved side by side would
+// skew, and its largest row takes nearly all of its time anyway.
 func (s Suite) E12(ctx context.Context) *Table {
 	t := newTable("E12", "topology", "m", "n", "LP vars", "T*", "time")
 	rng := rand.New(rand.NewSource(s.Seed + 9))

@@ -9,7 +9,7 @@ import (
 	"hsp/internal/baselines"
 	"hsp/internal/exact"
 	"hsp/internal/hier"
-	"hsp/internal/relax"
+	"hsp/internal/model"
 	"hsp/internal/sim"
 	"hsp/internal/workload"
 )
@@ -38,64 +38,85 @@ func (s Suite) E13(ctx context.Context) *Table {
 	t := newTable("E13", "topology", "n", "trials",
 		"2approx", "LPT-part", "greedy", "greedy+LS", "LP wins")
 	rng := rand.New(rand.NewSource(s.Seed + 13))
-	// One relaxation workspace for every trial's LP bound: MinFeasibleT
-	// reuses its tableau trial to trial.
-	rws := relax.NewWorkspace()
+	type config struct {
+		topo workload.Topology
+		n    int
+	}
+	var configs []config
 	for _, topo := range []workload.Topology{workload.SemiPartitioned, workload.SMPCMP} {
 		for _, n := range []int{10, 24} {
-			trials := s.trials(15)
-			var sums [4]float64
-			wins, cnt := 0, 0
-			for k := 0; k < trials; k++ {
-				if ctx.Err() != nil {
-					return t
-				}
-				in := generatedN(rng, topo, n, 0.4, 0.2).WithSingletons()
-				tStar, err := relax.MinFeasibleT(ctx, in, rws)
-				if err != nil {
-					continue
-				}
-				res, err := approx.TwoApprox(ctx, in, nil)
-				if err != nil {
-					continue
-				}
-				lpt, err1 := baselines.PartitionedLPT(in)
-				grd, err2 := baselines.GreedyCheapestSet(in)
-				gls, err3 := baselines.GreedyWithLocalSearch(in)
-				if err1 != nil || err2 != nil || err3 != nil {
-					continue
-				}
-				cnt++
-				vals := []int64{res.Makespan, lpt.Makespan, grd.Makespan, gls.Makespan}
-				for i, v := range vals {
-					sums[i] += float64(v) / float64(tStar)
-				}
-				best := vals[0]
-				for _, v := range vals[1:] {
-					if v < best {
-						best = v
-					}
-				}
-				if res.Makespan == best {
-					wins++
-				}
-			}
-			if cnt == 0 {
+			configs = append(configs, config{topo, n})
+		}
+	}
+	// Draw every trial's instance in rng order; trial k of configuration
+	// c is slot c·trials+k.
+	trials := s.trials(15)
+	ins := make([]*model.Instance, len(configs)*trials)
+	for k := range ins {
+		c := configs[k/trials]
+		ins[k] = generatedN(rng, c.topo, c.n, 0.4, 0.2).WithSingletons()
+	}
+	// vals holds the makespans of 2approx, LPT-part, greedy and
+	// greedy+LS; tStar is the 2-approximation's LP bound.
+	type ablation struct {
+		ok    bool
+		vals  [4]int64
+		tStar int64
+	}
+	outs := mapTrials(ctx, len(ins), func(k int) ablation {
+		in := ins[k]
+		res, err := approx.TwoApprox(ctx, in, nil)
+		if err != nil {
+			return ablation{}
+		}
+		lpt, err1 := baselines.PartitionedLPT(in)
+		grd, err2 := baselines.GreedyCheapestSet(in)
+		gls, err3 := baselines.GreedyWithLocalSearch(in)
+		if err1 != nil || err2 != nil || err3 != nil {
+			return ablation{}
+		}
+		return ablation{true, [4]int64{res.Makespan, lpt.Makespan, grd.Makespan, gls.Makespan}, res.LPBound}
+	})
+	if ctx.Err() != nil {
+		return t
+	}
+	for c, cfg := range configs {
+		topo, n := cfg.topo, cfg.n
+		var sums [4]float64
+		wins, cnt := 0, 0
+		for _, o := range outs[c*trials : (c+1)*trials] {
+			if !o.ok {
 				continue
 			}
-			t.AddRow(topo.String(), n, cnt,
-				sums[0]/float64(cnt), sums[1]/float64(cnt),
-				sums[2]/float64(cnt), sums[3]/float64(cnt),
-				fmt.Sprintf("%d/%d", wins, cnt))
-			// Nothing beats the LP lower bound; the certified algorithm
-			// stays within its factor-2 guarantee.
-			for i, name := range []string{"2approx", "LPT-part", "greedy", "greedy+LS"} {
-				t.CheckGE(fmt.Sprintf("%s n=%d %s ≥ T*", topo, n, name),
-					sums[i]/float64(cnt), 1, 1e-9)
+			cnt++
+			for i, v := range o.vals {
+				sums[i] += float64(v) / float64(o.tStar)
 			}
-			t.CheckLE(fmt.Sprintf("%s n=%d 2approx ratio", topo, n),
-				sums[0]/float64(cnt), 2, 1e-7)
+			best := o.vals[0]
+			for _, v := range o.vals[1:] {
+				if v < best {
+					best = v
+				}
+			}
+			if o.vals[0] == best {
+				wins++
+			}
 		}
+		if cnt == 0 {
+			continue
+		}
+		t.AddRow(topo.String(), n, cnt,
+			sums[0]/float64(cnt), sums[1]/float64(cnt),
+			sums[2]/float64(cnt), sums[3]/float64(cnt),
+			fmt.Sprintf("%d/%d", wins, cnt))
+		// Nothing beats the LP lower bound; the certified algorithm
+		// stays within its factor-2 guarantee.
+		for i, name := range []string{"2approx", "LPT-part", "greedy", "greedy+LS"} {
+			t.CheckGE(fmt.Sprintf("%s n=%d %s ≥ T*", topo, n, name),
+				sums[i]/float64(cnt), 1, 1e-9)
+		}
+		t.CheckLE(fmt.Sprintf("%s n=%d 2approx ratio", topo, n),
+			sums[0]/float64(cnt), 2, 1e-7)
 	}
 	t.CheckGE("rows produced", float64(len(t.Rows)), 1, 0)
 	t.Notes = append(t.Notes,
@@ -115,17 +136,13 @@ func (s Suite) E14(ctx context.Context) *Table {
 		fracs = []float64{0, 0.5, 1}
 	}
 	rng := rand.New(rand.NewSource(s.Seed + 14))
-	var firstAvgT, lastAvgT float64
-	haveBase := false
-	for i, pin := range fracs {
-		trials := s.trials(12)
-		var sumT, sumA, sumR, maxR float64
-		cnt := 0
+	// Draw every trial's generator configuration in rng order; trial k of
+	// fraction i is slot i·trials+k.
+	trials := s.trials(12)
+	cfgs := make([]workload.Config, 0, len(fracs)*trials)
+	for _, pin := range fracs {
 		for k := 0; k < trials; k++ {
-			if ctx.Err() != nil {
-				return t
-			}
-			in, err := workload.Generate(workload.Config{
+			cfgs = append(cfgs, workload.Config{
 				Topology:  workload.SMPCMP,
 				Branching: []int{2, 2, 2},
 				Jobs:      20,
@@ -135,17 +152,39 @@ func (s Suite) E14(ctx context.Context) *Table {
 				OverheadPerLevel: 0.3,
 				PinFraction:      pin,
 			})
-			if err != nil {
-				continue
-			}
-			res, err := approx.TwoApprox(ctx, in, nil)
-			if err != nil {
+		}
+	}
+	type bound struct {
+		ok              bool
+		tStar, makespan int64
+	}
+	outs := mapTrials(ctx, len(cfgs), func(k int) bound {
+		in, err := workload.Generate(cfgs[k])
+		if err != nil {
+			return bound{}
+		}
+		res, err := approx.TwoApprox(ctx, in, nil)
+		if err != nil {
+			return bound{}
+		}
+		return bound{true, res.LPBound, res.Makespan}
+	})
+	if ctx.Err() != nil {
+		return t
+	}
+	var firstAvgT, lastAvgT float64
+	haveBase := false
+	for i, pin := range fracs {
+		var sumT, sumA, sumR, maxR float64
+		cnt := 0
+		for _, o := range outs[i*trials : (i+1)*trials] {
+			if !o.ok {
 				continue
 			}
 			cnt++
-			r := float64(res.Makespan) / float64(res.LPBound)
-			sumT += float64(res.LPBound)
-			sumA += float64(res.Makespan)
+			r := float64(o.makespan) / float64(o.tStar)
+			sumT += float64(o.tStar)
+			sumA += float64(o.makespan)
 			sumR += r
 			if r > maxR {
 				maxR = r
@@ -189,20 +228,13 @@ func (s Suite) E15(ctx context.Context) *Table {
 		overheads = []float64{0.1, 0.6}
 	}
 	rng := rand.New(rand.NewSource(s.Seed + 15))
-	var firstCov, lastCov float64
-	haveBase := false
-	for i, ovh := range overheads {
-		trials := s.trials(10)
-		var migs, preempts int
-		var migCost, preemptCost int64
-		var covered, jobs int
-		var util float64
-		cnt := 0
+	// Draw every trial's generator configuration in rng order; trial k of
+	// overhead i is slot i·trials+k.
+	trials := s.trials(10)
+	cfgs := make([]workload.Config, 0, len(overheads)*trials)
+	for _, ovh := range overheads {
 		for k := 0; k < trials; k++ {
-			if ctx.Err() != nil {
-				return t
-			}
-			in, err := workload.Generate(workload.Config{
+			cfgs = append(cfgs, workload.Config{
 				Topology:  workload.SMPCMP,
 				Branching: []int{2, 2, 2},
 				Jobs:      12,
@@ -211,36 +243,65 @@ func (s Suite) E15(ctx context.Context) *Table {
 				SpeedSpread:      0.2,
 				OverheadPerLevel: ovh,
 			})
-			if err != nil {
+		}
+	}
+	type simulated struct {
+		ok                   bool
+		migs, preempts       int
+		migCost, preemptCost int64
+		covered, jobs        int
+		util                 float64
+	}
+	outs := mapTrials(ctx, len(cfgs), func(k int) simulated {
+		in, err := workload.Generate(cfgs[k])
+		if err != nil {
+			return simulated{}
+		}
+		// A migration-seeking assignment: greedy over the hierarchy,
+		// scheduled by Algorithms 2+3 at its exact makespan.
+		res, err := baselines.GreedyCheapestSet(in)
+		if err != nil {
+			return simulated{}
+		}
+		if a2, opt, err2 := exact.Solve(ctx, in, exact.Options{MaxNodes: 200_000}, nil); err2 == nil && opt < res.Makespan {
+			res = &baselines.Result{Assignment: a2, Makespan: opt}
+		}
+		sc, err := hier.Schedule(in, res.Assignment, res.Makespan)
+		if err != nil {
+			return simulated{}
+		}
+		cm := sim.DefaultCostModel(in.Family, 2)
+		rep, err := sim.Run(in.Family, sc, cm)
+		if err != nil {
+			return simulated{}
+		}
+		cov, _ := sim.OverheadCheck(in, res.Assignment, rep)
+		return simulated{true, rep.Migrations, rep.Preemptions,
+			rep.MigrationCost, rep.PreemptCost, cov, in.N(), rep.Utilization}
+	})
+	if ctx.Err() != nil {
+		return t
+	}
+	var firstCov, lastCov float64
+	haveBase := false
+	for i, ovh := range overheads {
+		var migs, preempts int
+		var migCost, preemptCost int64
+		var covered, jobs int
+		var util float64
+		cnt := 0
+		for _, o := range outs[i*trials : (i+1)*trials] {
+			if !o.ok {
 				continue
 			}
-			// A migration-seeking assignment: greedy over the hierarchy,
-			// scheduled by Algorithms 2+3 at its exact makespan.
-			res, err := baselines.GreedyCheapestSet(in)
-			if err != nil {
-				continue
-			}
-			if a2, opt, err2 := exact.Solve(ctx, in, exact.Options{MaxNodes: 200_000}, nil); err2 == nil && opt < res.Makespan {
-				res = &baselines.Result{Assignment: a2, Makespan: opt}
-			}
-			sc, err := hier.Schedule(in, res.Assignment, res.Makespan)
-			if err != nil {
-				continue
-			}
-			cm := sim.DefaultCostModel(in.Family, 2)
-			rep, err := sim.Run(in.Family, sc, cm)
-			if err != nil {
-				continue
-			}
-			cov, _ := sim.OverheadCheck(in, res.Assignment, rep)
 			cnt++
-			migs += rep.Migrations
-			preempts += rep.Preemptions
-			migCost += rep.MigrationCost
-			preemptCost += rep.PreemptCost
-			covered += cov
-			jobs += in.N()
-			util += rep.Utilization
+			migs += o.migs
+			preempts += o.preempts
+			migCost += o.migCost
+			preemptCost += o.preemptCost
+			covered += o.covered
+			jobs += o.jobs
+			util += o.util
 		}
 		if cnt == 0 {
 			continue
