@@ -56,12 +56,13 @@ bench-full:
 
 # Allocation budgets (see PERFORMANCE.md): the alloc-budget tests pin the
 # LP pivot loop, the exact branch-and-bound DFS, the Problem rebuild
-# path and memcap's constrained-LP probe rebuild at zero steady-state
-# allocations, and a warmed SolveWS at its contract minimum. Run WITHOUT -race: race instrumentation
-# allocates, so these tests skip themselves under it — this target is the
-# gate CI relies on.
+# path and the (IP-3) builder's probe rebuild in internal/relax (the
+# plain relaxation and both of memcap's memory row sets) at zero
+# steady-state allocations, and a warmed SolveWS at its contract
+# minimum. Run WITHOUT -race: race instrumentation allocates, so these
+# tests skip themselves under it — this target is the gate CI relies on.
 bench-alloc:
-	$(GO) test -count=1 -run 'AllocFree|SteadyStateAllocs' ./internal/lp ./internal/exact ./internal/memcap
+	$(GO) test -count=1 -run 'AllocFree|SteadyStateAllocs' ./internal/lp ./internal/exact ./internal/relax
 
 # The hot-path benchmarks with allocation counts: the LP oracle per
 # solve, the Section V binary search (fresh, and on a reused workspace
@@ -108,7 +109,11 @@ hspd-smoke:
 # `go test`; this adds fresh exploration). The properties fuzzed are the
 # warm-start safety contract: warm/cold verdict+objective agreement and
 # feasibility on arbitrary LPs, and warm/cold T* equality plus verdict
-# monotonicity around T* for the relaxation's binary search — plus the
+# monotonicity around T* for the relaxation's binary search, plus Lemma
+# V.1 on the same instances (the singleton-extended T* equals the T* of
+# the unrelated projection, up to one at an LP-tolerance tie that
+# TwoApprox must then absorb with its bound at the larger T*, and
+# TwoApprox and LST round the projection within 2·T*) — plus the
 # DAG-task wire format (decode/validate/canonical re-encode stability and
 # the compile certificate on every accepted input) — plus the solve
 # cache's content address (canonical request encodings are injective and

@@ -9,8 +9,9 @@
 //     (IP-3) — a lower bound on the optimal makespan;
 //  2. by Lemma V.1, a fractional solution at T* pushes down to the
 //     singleton sets, so the unrelated-machines relaxation with
-//     p'_ij = P_j({i}) is feasible at T* (TwoApprox fails if it is not;
-//     experiment E5 reproduces the push-down itself);
+//     p'_ij = P_j({i}) is feasible at T* (or at T*+1, which then becomes
+//     the bound, when the float search read T* one low; TwoApprox fails
+//     if it is neither; experiment E5 reproduces the push-down itself);
 //  3. round a vertex of that unrelated relaxation with the classic
 //     Lenstra–Shmoys–Tardos algorithm, yielding an integral assignment
 //     with makespan at most 2·T* ≤ 2·OPT;
@@ -24,7 +25,6 @@ import (
 
 	"hsp/internal/baselines"
 	"hsp/internal/hier"
-	"hsp/internal/lp"
 	"hsp/internal/model"
 	"hsp/internal/relax"
 	"hsp/internal/sched"
@@ -49,7 +49,8 @@ type Result struct {
 // abort with an error wrapping ctx.Err() once it is done, and the whole
 // pipeline runs on the caller-held relaxation workspace (nil allocates a
 // private one): the binary search reuses it probe to probe, and the
-// unrelated vertex LP reuses its simplex tableau.
+// unrelated vertex LP, one more relax probe, reuses its arenas and
+// tableau.
 func TwoApprox(ctx context.Context, in *model.Instance, ws *relax.Workspace) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("approx: %w", err)
@@ -66,16 +67,27 @@ func TwoApprox(ctx context.Context, in *model.Instance, ws *relax.Workspace) (*R
 	// Lemma V.1: a singleton-supported feasible solution exists at T*, so
 	// the unrelated relaxation with p'_ij = P_j({i}) is feasible at T*.
 	// On a singleton-complete instance, machine i's minimal containing
-	// set is {i}, so the unrelated projection is exactly that relaxation.
+	// set is {i}, so the unrelated projection is exactly that relaxation:
+	// (IP-3) on the singleton family, solved for its cold vertex.
 	u := unrelated.FromProjection(ins.UnrelatedProjection())
-	ok, x, err := unrelated.FeasibleLP(ctx, u, tStar, ws.LP)
+	uh := u.Hierarchical()
+	ok, x, err := relax.Feasible(ctx, uh, tStar, ws)
+	if err == nil && !ok {
+		// The simplex decides feasibility within a tolerance, so when the
+		// exact LP optimum lies just above an integer the search can call
+		// that integer feasible while this LP, its equal in exact
+		// arithmetic, does not. T* then read one low; the bound is the
+		// next integer, where this LP is feasible.
+		tStar++
+		ok, x, err = relax.Feasible(ctx, uh, tStar, ws)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("approx: unrelated relaxation: %w", err)
 	}
 	if !ok {
 		return nil, fmt.Errorf("approx: unrelated relaxation infeasible at T*=%d, contradicting Lemma V.1", tStar)
 	}
-	massign, err := unrelated.RoundVertex(u, tStar, x)
+	massign, err := unrelated.RoundVertex(u, tStar, x.X)
 	if err != nil {
 		return nil, fmt.Errorf("approx: %w", err)
 	}
@@ -148,8 +160,9 @@ type GeneralResult struct {
 // preemptive optima differ by at most a factor 4 [Lin–Vitter], giving a
 // factor 8 overall. The LST binary search polls ctx between simplex
 // pivots and aborts with an error wrapping ctx.Err() once it is done, and
-// runs on the caller-held simplex workspace (nil allocates a private one).
-func EightApprox(ctx context.Context, g *model.GeneralInstance, ws *lp.Workspace) (*GeneralResult, error) {
+// runs on the caller-held relaxation workspace (nil allocates a private
+// one).
+func EightApprox(ctx context.Context, g *model.GeneralInstance, ws *relax.Workspace) (*GeneralResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("approx: %w", err)
 	}

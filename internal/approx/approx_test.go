@@ -60,6 +60,38 @@ func TestTwoApproxOnExampleII1(t *testing.T) {
 	}
 }
 
+// TestTwoApproxSearchOneLow covers a semi-partitioned instance whose
+// exact (IP-3) optimum lies just above 1717: the float binary search
+// calls 1717 feasible, while the singleton LP at 1717, its equal in
+// exact arithmetic, is infeasible. TwoApprox must take the next integer
+// as its bound, not fail with "contradicting Lemma V.1".
+func TestTwoApproxSearchOneLow(t *testing.T) {
+	in := model.New(laminar.SemiPartitioned(4))
+	for _, proc := range [][]int64{
+		{358, 358, 324, 353, 289}, {480, 480, 435, 473, 388},
+		{1355, 1355, 1227, 1336, 1093}, {343, 343, 310, 338, 277},
+		{359, 359, 325, 354, 290}, {1764, 1764, 1598, 1740, 1424},
+		{329, 329, 298, 324, 265}, {841, 841, 762, 829, 679},
+		{1655, 1655, 1499, 1632, 1336},
+	} {
+		in.AddJob(proc)
+	}
+	res, err := TwoApprox(context.Background(), in, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LPBound != 1718 {
+		t.Fatalf("LP bound = %d, want 1718 (the exact T*)", res.LPBound)
+	}
+	if res.Makespan > 2*res.LPBound {
+		t.Fatalf("makespan %d exceeds 2·T* = %d", res.Makespan, 2*res.LPBound)
+	}
+	demand, allowed := res.Assignment.Requirement(res.Instance)
+	if err := res.Schedule.Validate(sched.Requirement{Demand: demand, Allowed: allowed}); err != nil {
+		t.Fatalf("invalid schedule: %v", err)
+	}
+}
+
 // Theorem V.2 as a property: the algorithm returns a valid schedule of
 // makespan ≤ 2·T* ≤ 2·OPT.
 func TestTheoremV2Property(t *testing.T) {

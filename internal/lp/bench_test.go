@@ -32,9 +32,9 @@ func benchProblem(b *testing.B, jobs int) *lp.Problem {
 	return p
 }
 
-// BenchmarkSolve is the per-probe cost of the LP oracle with the
-// pool-backed workspace path: one tableau build plus the full two-phase
-// pivot loop.
+// BenchmarkSolve is the per-probe cost of the LP oracle on a nil
+// workspace, a private one per solve: one tableau allocation and build
+// plus the full two-phase pivot loop.
 func BenchmarkSolve(b *testing.B) {
 	p := benchProblem(b, 24)
 	b.ReportAllocs()

@@ -25,13 +25,13 @@
 // Every solve runs on a Workspace holding the dense tableau and both
 // reduced-cost rows as flat, grow-only arrays:
 //
-//   - Solve and Feasible with a nil Workspace draw one from an internal
-//     sync.Pool, so even one-shot callers amortize tableau allocations
-//     process-wide. Pool-backed solves never warm start.
+//   - Solve and Feasible with a nil Workspace allocate a private one for
+//     that solve alone, as every other solver's nil does; such a solve is
+//     always cold.
 //   - Solve and Feasible with a caller-held Workspace reuse it. The binary
-//     searches in internal/relax, internal/unrelated and internal/memcap
-//     hold one Workspace across all their probes, making every re-solve
-//     after the first allocate nothing but the returned Solution.
+//     searches in internal/relax and internal/memcap hold one Workspace
+//     across all their probes, making every re-solve after the first
+//     allocate nothing but the returned Solution.
 //
 // A Workspace is owned by exactly one solve at a time and is not
 // goroutine-safe; concurrent solvers use one Workspace each. Solutions

@@ -194,52 +194,53 @@ const (
 //
 // The tableau lives in ws, whose backing arrays are reused, so re-solving
 // near-identical problems allocates nothing but the returned Solution. A
-// nil ws draws a workspace from an internal pool. The Workspace must not
-// be used concurrently (see its doc).
+// nil ws allocates a private workspace for this solve alone, so the
+// solve is cold. The Workspace must not be used concurrently (see its
+// doc).
 //
 // A caller-held Workspace additionally retains the optimal basis between
 // solves: when the next problem differs from the retained one only in
 // constraint right-hand sides, the solve re-enters via dual-simplex
 // pivots from that basis instead of two-phase simplex from scratch (see
-// the warm-start contract on Workspace). Pool-backed solves never warm
-// start — a pooled workspace may be handed to unrelated callers, whose
-// witness vertices must not depend on who solved before them.
+// the warm-start contract on Workspace).
 func (p *Problem) Solve(ctx context.Context, ws *Workspace) (*Solution, error) {
-	pooled := ws == nil
-	if pooled {
-		ws = wsPool.Get().(*Workspace)
-		defer wsPool.Put(ws)
+	if ws == nil {
+		ws = NewWorkspace()
 	}
 	ws.counters.Solves++
-	t := &ws.t
-	t.ctx = ctx
-	defer func() { t.ctx = nil }() // don't retain the context in the pool
-	if !pooled {
-		if oldToNew, match := ws.warmMap(p); match {
-			sol, ok, err := ws.solveWarm(p, oldToNew)
-			if err != nil {
-				ws.warm.valid = false
-				return nil, err
-			}
-			if ok {
-				// The anchor signature still describes the tableau: pivots
-				// moved the basis within the anchor's column space, so the
-				// retained state stays valid for the next probe. Not
-				// re-retaining keeps subset re-entry anchored at the
-				// largest variable set seen, which the shrinking probes of
-				// a binary search all map into.
-				ws.counters.WarmHits++
-				if oldToNew != nil {
-					ws.counters.SubsetHits++
-				}
-				ws.counters.WarmPivots += sol.Iterations
-				return sol, nil
-			}
-			ws.counters.WarmFallbacks++
+	ws.t.ctx = ctx
+	sol, err := p.solve(ws)
+	ws.t.ctx = nil // don't retain the context in the workspace
+	return sol, err
+}
+
+// solve answers from the warm basis when it can and cold otherwise, and
+// retains the basis of an optimal cold solve.
+func (p *Problem) solve(ws *Workspace) (*Solution, error) {
+	if oldToNew, match := ws.warmMap(p); match {
+		sol, ok, err := ws.solveWarm(p, oldToNew)
+		if err != nil {
+			ws.warm.valid = false
+			return nil, err
 		}
+		if ok {
+			// The anchor signature still describes the tableau: pivots
+			// moved the basis within the anchor's column space, so the
+			// retained state stays valid for the next probe. Not
+			// re-retaining keeps subset re-entry anchored at the
+			// largest variable set seen, which the shrinking probes of
+			// a binary search all map into.
+			ws.counters.WarmHits++
+			if oldToNew != nil {
+				ws.counters.SubsetHits++
+			}
+			ws.counters.WarmPivots += sol.Iterations
+			return sol, nil
+		}
+		ws.counters.WarmFallbacks++
 	}
 	sol, err := p.solveCold(ws)
-	if err == nil && !pooled && sol.Status == Optimal {
+	if err == nil && sol.Status == Optimal {
 		ws.retain(p)
 	} else {
 		ws.warm.valid = false

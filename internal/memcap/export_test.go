@@ -12,25 +12,25 @@ import (
 // TrivialUpperBound] with its first probe at the trivial bound, on a
 // fresh workspace with warm start off.
 func LooseTLP(ctx context.Context, m any) (int64, error) {
-	var b *builder
+	var r relaxation
 	switch m := m.(type) {
 	case *Model1:
-		b = model1Builder(m)
+		r = model1Relaxation(m)
 	case *Model2:
-		b = model2Builder(m)
+		r = model2Relaxation(m)
 	default:
 		return 0, fmt.Errorf("LooseTLP: %T is not a memory model", m)
 	}
 	ws := relax.NewWorkspace()
 	ws.LP.SetWarmStart(false)
-	lo := max(b.in.LowerBoundSimple(), 1)
-	hi := max(b.in.TrivialUpperBound(), lo)
-	if ok, err := feasibleConstrainedLP(ctx, b, hi, ws); err != nil || !ok {
+	lo := max(r.In.LowerBoundSimple(), 1)
+	hi := max(r.In.TrivialUpperBound(), lo)
+	if ok, _, err := ws.Probe(ctx, r.Relaxation, hi); err != nil || !ok {
 		return 0, fmt.Errorf("infeasible at the trivial upper bound %d (err=%v)", hi, err)
 	}
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		ok, err := feasibleConstrainedLP(ctx, b, mid, ws)
+		ok, _, err := ws.Probe(ctx, r.Relaxation, mid)
 		if err != nil {
 			return 0, err
 		}

@@ -17,10 +17,12 @@
 // and counted as a fallback (experiments E8/E9 report zero fallbacks on the
 // generated workloads, and the achieved factors stay within the theorems').
 //
-// Packings are sparse and sorted: each holds its variables in strictly
-// increasing order, built in one pass over the (set, job) pairs, so every
-// LP row and every residual sum of the drop rule follows one fixed order
-// and a solve's answer never depends on iteration order. Both models run
+// Both models build their relaxation with relax.Relaxation, the one
+// (IP-3) builder, adding only their memory packings (and Model 1 its
+// admission filter). Its packings are sparse and sorted, built in one
+// pass over the (set, job) pairs, so every LP row and every residual sum
+// of the drop rule follows one fixed order and a solve's answer never
+// depends on iteration order. Both models run
 // every binary-search probe and every rounding LP on one caller-held
 // relax.Workspace: its problem arenas and its simplex tableau.
 package memcap
@@ -33,23 +35,6 @@ import (
 	"hsp/internal/relax"
 )
 
-// Packing is one packing constraint Σ a_q·z_q ≤ B over master variables,
-// allowed to be violated up to (1+ρ)·B after rounding. It is sparse and
-// sorted: Idx holds the master variables with a_q > 0 in strictly
-// increasing order and Val their coefficients, so rows, residual sums and
-// every rounding decision follow one fixed order.
-type Packing struct {
-	Idx []int
-	Val []float64
-	B   float64
-}
-
-// add appends the entry a_v = a; v must exceed every index already held.
-func (pk *Packing) add(v int, a float64) {
-	pk.Idx = append(pk.Idx, v)
-	pk.Val = append(pk.Val, a)
-}
-
 // roundResult reports the rounding outcome.
 type roundResult struct {
 	choice    []int // job → chosen master var
@@ -57,17 +42,17 @@ type roundResult struct {
 	dropped   int
 }
 
-// iterativeRound selects one of b's master variables per job subject to
-// b's packings, in the sense of Lemma VI.2: assignment constraints hold
+// iterativeRound selects one of r's variables per job subject to
+// r's packings, in the sense of Lemma VI.2: assignment constraints hold
 // exactly, packing l ends within (1+ρ)·B_l unless a fallback fired. The
-// builder enumerates j-major, so each job's variables are contiguous.
+// relaxation enumerates j-major, so each job's variables are contiguous.
 // Every residual LP is rebuilt into ws's problem and solved cold on its
 // tableau, polling ctx between pivots, so cancellation aborts the
 // rounding mid-iteration.
-func iterativeRound(ctx context.Context, b *builder, ws *relax.Workspace) (*roundResult, error) {
+func iterativeRound(ctx context.Context, r relaxation, ws *relax.Workspace) (*roundResult, error) {
 	const tol = 1e-7
-	nv, nJobs, packings := len(b.pairs), b.in.N(), b.packs
-	job := func(v int) int { return b.pairs[v][1] }
+	nv, nJobs, packings := len(r.Pairs), r.In.N(), r.Packs
+	job := func(v int) int { return r.Pairs[v][1] }
 	alive := make([]bool, nv)
 	for v := range alive {
 		alive[v] = true
@@ -83,13 +68,13 @@ func iterativeRound(ctx context.Context, b *builder, ws *relax.Workspace) (*roun
 	// Fixing a variable charges the packings build entered it in: the load
 	// rows of its set's chain and its set's memory rows.
 	fixVar := func(v int) {
-		s, j := b.pairs[v][0], b.pairs[v][1]
+		s, j := r.Pairs[v][0], r.Pairs[v][1]
 		choice[j] = v
-		for _, a := range b.in.Family.Chain(s) {
-			fixedUse[a] += float64(b.in.Proc[j][s])
+		for _, a := range r.In.Family.Chain(s) {
+			fixedUse[a] += float64(r.In.Proc[j][s])
 		}
-		for _, l := range b.memOf[s] {
-			fixedUse[l] += b.size(j, l)
+		for _, l := range r.Extra[s] {
+			fixedUse[l] += r.Size(j, l)
 		}
 		alive[v] = false
 	}
@@ -134,7 +119,8 @@ func iterativeRound(ctx context.Context, b *builder, ws *relax.Workspace) (*roun
 			if jobHi[j] == 0 {
 				return nil, fmt.Errorf("memcap: job %d lost all candidate variables", j)
 			}
-			p.MustAddConstraint(b.seq[jobLo[j]:jobHi[j]], b.ones[:jobHi[j]-jobLo[j]], lp.EQ, 1)
+			idx, ones := r.Span(jobLo[j], jobHi[j])
+			p.MustAddConstraint(idx, ones, lp.EQ, 1)
 		}
 		for l, pk := range packings {
 			if droppedFlag[l] {
@@ -215,7 +201,7 @@ func iterativeRound(ctx context.Context, b *builder, ws *relax.Workspace) (*roun
 					residual += pk.Val[t] * (1 - sol.X[k])
 				}
 			}
-			if residual <= b.rho*pk.B+tol {
+			if residual <= r.rho*pk.B+tol {
 				droppedFlag[l] = true
 				res.dropped++
 				progress = true

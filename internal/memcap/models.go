@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"hsp/internal/hier"
-	"hsp/internal/lp"
 	"hsp/internal/model"
 	"hsp/internal/relax"
 	"hsp/internal/sched"
@@ -126,122 +125,23 @@ type Result struct {
 	Fallbacks  int // rounding steps outside the Lemma VI.2 drop rule
 }
 
-// builder holds one solve's constrained relaxation at a probe T: the
-// master variables (set, job) with p ≤ T that the model admits, their
-// warm-start keys, and the packings — one load row per set, then the
-// model's memory rows, all with violation ratio rho. Every probe
-// rebuilds it in place, so after the first (largest-T) probe a rebuild
-// allocates nothing.
-type builder struct {
-	in    *model.Instance
-	rho   float64
-	admit []bool                 // [j*nsets+s]: the model admits the pair; nil admits all
-	memOf [][]int                // set → the memory packings its pairs charge
-	size  func(j, l int) float64 // job j's coefficient in memory packing l
-
-	pairs  [][2]int // master variable → (set, job), j-major and s-minor
-	keys   []uint64 // master variable → j·nsets + s, for warm subset matching
-	jobEnd []int    // job j's variables are [jobEnd[j-1], jobEnd[j])
-	packs  []Packing
-	seq    []int     // 0, 1, 2, …: the index list of a job's EQ row
-	ones   []float64 // the value list of a job's EQ row
+// relaxation is one model's constrained relaxation: (IP-3) with the
+// model's memory packings, rounded with violation ratio rho.
+type relaxation struct {
+	*relax.Relaxation
+	rho float64
 }
 
-// newBuilder returns a builder with one load packing per set followed by
-// one memory packing per capacity in mem; memOf and size are as on
-// builder. The packings' entries are filled per probe.
-func newBuilder(in *model.Instance, rho float64, mem []float64, memOf [][]int, size func(j, l int) float64) *builder {
-	nsets := in.Family.Len()
-	b := &builder{
-		in:     in,
-		rho:    rho,
-		memOf:  memOf,
-		size:   size,
-		jobEnd: make([]int, in.N()),
-		packs:  make([]Packing, nsets+len(mem)),
+// newRelaxation returns in's (IP-3) relaxation extended by one memory
+// packing per capacity in mem; memOf[s] lists the memory packings a pair
+// on set s charges, and size(j, l) is job j's coefficient in packing l.
+func newRelaxation(in *model.Instance, rho float64, mem []float64, memOf [][]int, size func(j, l int) float64) relaxation {
+	r := relax.NewRelaxation(in)
+	for _, B := range mem {
+		r.Packs = append(r.Packs, relax.Packing{B: B})
 	}
-	for k, B := range mem {
-		b.packs[nsets+k].B = B
-	}
-	return b
-}
-
-// build enumerates the master variables at T and fills every packing in
-// one pass over them: pair (s, j) charges p_sj to the load row of s and
-// of each ancestor (Family.Chain), and its size to the memory rows
-// memOf[s]. Variables arrive in increasing order, so every packing's Idx
-// is strictly increasing.
-func (b *builder) build(T int64) {
-	in, f := b.in, b.in.Family
-	nsets := f.Len()
-	b.pairs, b.keys = b.pairs[:0], b.keys[:0]
-	for l := range b.packs {
-		b.packs[l].Idx, b.packs[l].Val = b.packs[l].Idx[:0], b.packs[l].Val[:0]
-	}
-	for s := 0; s < nsets; s++ {
-		b.packs[s].B = float64(f.Size(s)) * float64(T)
-	}
-	for j := 0; j < in.N(); j++ {
-		for s := 0; s < nsets; s++ {
-			if in.Proc[j][s] > T || (b.admit != nil && !b.admit[j*nsets+s]) {
-				continue
-			}
-			v := len(b.pairs)
-			b.pairs = append(b.pairs, [2]int{s, j})
-			b.keys = append(b.keys, uint64(j)*uint64(nsets)+uint64(s))
-			p := float64(in.Proc[j][s])
-			for _, a := range f.Chain(s) {
-				b.packs[a].add(v, p)
-			}
-			for _, l := range b.memOf[s] {
-				if c := b.size(j, l); c > 0 {
-					b.packs[l].add(v, c)
-				}
-			}
-		}
-		b.jobEnd[j] = len(b.pairs)
-	}
-	for len(b.seq) < len(b.pairs) {
-		b.seq = append(b.seq, len(b.seq))
-		b.ones = append(b.ones, 1)
-	}
-}
-
-// load writes the probe's LP into p: one EQ row per job, then every
-// nonempty packing as an LE row. It reports false, leaving p partly
-// built, when some job has no variable (the probe is then infeasible).
-func (b *builder) load(p *lp.Problem) bool {
-	p.Reset(len(b.pairs))
-	p.SetVarKeys(b.keys)
-	start := 0
-	for _, end := range b.jobEnd {
-		if end == start {
-			return false
-		}
-		p.MustAddConstraint(b.seq[start:end], b.ones[:end-start], lp.EQ, 1)
-		start = end
-	}
-	for _, pk := range b.packs {
-		if len(pk.Idx) > 0 {
-			p.MustAddConstraint(pk.Idx, pk.Val, lp.LE, pk.B)
-		}
-	}
-	return true
-}
-
-// feasibleConstrainedLP reports whether the (IP-3)+memory relaxation is
-// feasible at T. The probe rebuilds into the workspace's problem and
-// solves on its simplex workspace, keeping the warm basis: the keys let
-// a smaller-T probe re-enter a larger one's basis even as pruning
-// shrinks the variable set (subset matching in internal/lp).
-func feasibleConstrainedLP(ctx context.Context, b *builder, T int64, ws *relax.Workspace) (bool, error) {
-	b.build(T)
-	p := ws.Problem()
-	if !b.load(p) {
-		return false, nil
-	}
-	ok, _, err := p.Feasible(ctx, ws.LP)
-	return ok, err
+	r.Extra, r.Size = memOf, size
+	return relaxation{r, rho}
 }
 
 // SolveModel1 finds the minimal T with a feasible constrained relaxation
@@ -253,7 +153,7 @@ func SolveModel1(ctx context.Context, m1 *Model1, ws *relax.Workspace) (*Result,
 	if err := m1.Validate(); err != nil {
 		return nil, err
 	}
-	res, err := solve(ctx, model1Builder(m1), ws)
+	res, err := solve(ctx, model1Relaxation(m1), ws)
 	if err != nil {
 		return nil, err
 	}
@@ -273,11 +173,11 @@ func SolveModel1(ctx context.Context, m1 *Model1, ws *relax.Workspace) (*Result,
 	return res, nil
 }
 
-// model1Builder sets up Model 1's relaxation on the singleton-extended
+// model1Relaxation sets up Model 1's relaxation on the singleton-extended
 // instance: one memory row per machine, charged s_ij by every pair whose
 // set contains machine i, and only pairs whose job fits every machine of
 // the set admitted.
-func model1Builder(m1 *Model1) *builder {
+func model1Relaxation(m1 *Model1) relaxation {
 	in := m1.In.WithSingletons()
 	f := in.Family
 	nsets := f.Len()
@@ -304,9 +204,9 @@ func model1Builder(m1 *Model1) *builder {
 		}
 	}
 	const rho = 2
-	b := newBuilder(in, rho, mem, memOf, func(j, l int) float64 { return float64(m1.Size[j][l-nsets]) })
-	b.admit = admit
-	return b
+	r := newRelaxation(in, rho, mem, memOf, func(j, l int) float64 { return float64(m1.Size[j][l-nsets]) })
+	r.Admit = admit
+	return r
 }
 
 // SolveModel2 finds the minimal T with a feasible (IP-4) relaxation and
@@ -316,7 +216,7 @@ func SolveModel2(ctx context.Context, m2 *Model2, ws *relax.Workspace) (*Result,
 	if err := m2.Validate(); err != nil {
 		return nil, err
 	}
-	res, err := solve(ctx, model2Builder(m2), ws)
+	res, err := solve(ctx, model2Relaxation(m2), ws)
 	if err != nil {
 		return nil, err
 	}
@@ -344,10 +244,10 @@ func (m2 *Model2) capacity(s int) float64 {
 	return math.Pow(m2.Mu, float64(m2.In.Family.Height(s)))
 }
 
-// model2Builder sets up Model 2's relaxation: one memory row per set but
+// model2Relaxation sets up Model 2's relaxation: one memory row per set but
 // the root (which has unbounded capacity), charged s_j by the pairs
 // assigned exactly to that set.
-func model2Builder(m2 *Model2) *builder {
+func model2Relaxation(m2 *Model2) relaxation {
 	in := m2.In
 	f := in.Family
 	root := f.Roots()[0]
@@ -360,35 +260,35 @@ func model2Builder(m2 *Model2) *builder {
 			mem = append(mem, m2.capacity(s))
 		}
 	}
-	return newBuilder(in, rho, mem, memOf, func(j, _ int) float64 { return m2.JobSize[j] })
+	return newRelaxation(in, rho, mem, memOf, func(j, _ int) float64 { return m2.JobSize[j] })
 }
 
 // solve runs both models' pipeline on ws: the binary search for T_LP,
 // Lemma VI.2's rounding of the relaxation at T_LP, and the schedule.
-func solve(ctx context.Context, b *builder, ws *relax.Workspace) (*Result, error) {
+func solve(ctx context.Context, r relaxation, ws *relax.Workspace) (*Result, error) {
 	if ws == nil {
 		ws = relax.NewWorkspace()
 	}
-	tlp, err := minFeasibleT(ctx, b, ws)
+	tlp, err := minFeasibleT(ctx, r.Relaxation, ws)
 	if err != nil {
 		return nil, err
 	}
-	b.build(tlp)
-	rr, err := iterativeRound(ctx, b, ws)
+	r.Build(tlp)
+	rr, err := iterativeRound(ctx, r, ws)
 	if err != nil {
 		return nil, err
 	}
-	a := make(model.Assignment, b.in.N())
+	a := make(model.Assignment, r.In.N())
 	for j, v := range rr.choice {
-		a[j] = b.pairs[v][0]
+		a[j] = r.Pairs[v][0]
 	}
-	mk := a.MinMakespan(b.in)
-	s, err := hier.Schedule(b.in, a, mk)
+	mk := a.MinMakespan(r.In)
+	s, err := hier.Schedule(r.In, a, mk)
 	if err != nil {
 		return nil, fmt.Errorf("memcap: scheduling rounded assignment: %w", err)
 	}
 	return &Result{
-		Instance:   b.in,
+		Instance:   r.In,
 		Assignment: a,
 		TLP:        tlp,
 		Makespan:   mk,
@@ -405,8 +305,8 @@ func solve(ctx context.Context, b *builder, ws *relax.Workspace) (*Result, error
 // moves the search up to the trivial bound. Every probe rebuilds into
 // ws's problem and solves on its tableau; each probe's LP polls ctx
 // between pivots.
-func minFeasibleT(ctx context.Context, b *builder, ws *relax.Workspace) (int64, error) {
-	in := b.in
+func minFeasibleT(ctx context.Context, r *relax.Relaxation, ws *relax.Workspace) (int64, error) {
+	in := r.In
 	lo, hi, _ := relax.Bracket(in, ws)
 	if hi >= model.Infinity {
 		return 0, fmt.Errorf("memcap: some job has no admissible set")
@@ -415,13 +315,13 @@ func minFeasibleT(ctx context.Context, b *builder, ws *relax.Workspace) (int64, 
 	// probe to probe from there: its pivots never depend on what the
 	// workspace solved before.
 	ws.LP.InvalidateWarmStart()
-	ok, err := feasibleConstrainedLP(ctx, b, hi, ws)
+	ok, _, err := ws.Probe(ctx, r, hi)
 	if err != nil {
 		return 0, err
 	}
 	if trivial := in.TrivialUpperBound(); !ok && hi < trivial {
 		lo, hi = hi+1, trivial
-		if ok, err = feasibleConstrainedLP(ctx, b, hi, ws); err != nil {
+		if ok, _, err = ws.Probe(ctx, r, hi); err != nil {
 			return 0, err
 		}
 	}
@@ -430,7 +330,7 @@ func minFeasibleT(ctx context.Context, b *builder, ws *relax.Workspace) (int64, 
 	}
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		ok, err := feasibleConstrainedLP(ctx, b, mid, ws)
+		ok, _, err := ws.Probe(ctx, r, mid)
 		if err != nil {
 			return 0, err
 		}

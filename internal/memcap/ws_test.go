@@ -7,43 +7,7 @@ import (
 	"testing"
 
 	"hsp/internal/relax"
-	"hsp/internal/testenv"
 )
-
-// TestProbeRebuildSteadyStateAllocs pins the binary search's probe
-// rebuild — enumerating the pairs at T, filling every packing and
-// writing the LP into the workspace's problem — at zero allocations once
-// the search's first (largest-T) probe has grown the buffers.
-func TestProbeRebuildSteadyStateAllocs(t *testing.T) {
-	if testenv.RaceEnabled {
-		t.Skip("race instrumentation allocates; alloc budgets are gated by make bench-alloc")
-	}
-	rng := rand.New(rand.NewSource(5))
-	ws := relax.NewWorkspace()
-	for _, c := range []struct {
-		name string
-		b    *builder
-	}{
-		{"model1", model1Builder(randomModel1(rng))},
-		{"model2", model2Builder(randomModel2(rng, 2, 2, 2))},
-	} {
-		in := c.b.in
-		lo, hi := in.LowerBoundSimple(), in.TrivialUpperBound()
-		c.b.build(hi)
-		if !c.b.load(ws.Problem()) {
-			t.Fatalf("%s: no variable for some job at the trivial upper bound", c.name)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			for _, T := range []int64{hi, lo + (hi-lo)/2, lo} {
-				c.b.build(T)
-				c.b.load(ws.Problem())
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: warmed probe rebuild allocates %v/op, want 0", c.name, allocs)
-		}
-	}
-}
 
 // TestSolveDeterministic: the Lemma VI.2 drop rule sums each packing's
 // residual in increasing variable order, so a packing at the ρ·B
@@ -55,14 +19,14 @@ func TestSolveDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m1 := randomModel1(rng)
 	m2 := randomModel2(rng, 2, 2, 2)
-	for _, b := range []*builder{model1Builder(m1), model2Builder(m2)} {
+	for _, r := range []relaxation{model1Relaxation(m1), model2Relaxation(m2)} {
 		ws := relax.NewWorkspace()
-		tlp, err := minFeasibleT(ctx, b, ws)
+		tlp, err := minFeasibleT(ctx, r.Relaxation, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.build(tlp)
-		rr, err := iterativeRound(ctx, b, ws)
+		r.Build(tlp)
+		rr, err := iterativeRound(ctx, r, ws)
 		if err != nil {
 			t.Fatal(err)
 		}

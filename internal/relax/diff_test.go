@@ -29,6 +29,20 @@ func TestDifferentialWarmVsCold(t *testing.T) {
 	}
 }
 
+// TestLemmaV1SingletonProjection drives testdiff.CheckLemmaV1 over the
+// same 220 instances: the hierarchical T* equals the T* of the unrelated
+// projection on the singleton family (up to one at an LP-tolerance tie,
+// which TwoApprox must absorb), and TwoApprox's and LST's roundings of
+// the projection stay within twice their bounds.
+func TestLemmaV1SingletonProjection(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range testdiff.Cases(1, 220) {
+		if err := testdiff.CheckLemmaV1(ctx, c.In); err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+	}
+}
+
 // TestDifferentialProbeMonotone scans a window of T values around T* on
 // a warm workspace: verdicts must match the cold oracle's and be
 // monotone in T (infeasible below T*, feasible at and above it).

@@ -53,7 +53,11 @@ func decodeFuzzConfig(data []byte) workload.Config {
 // monotone around T* (T*-1 infeasible, T* and T*+1 feasible), and
 // warm/cold probe verdicts must agree at those boundary points — the
 // exact places a bad dual-simplex verdict would shift the search's
-// answer.
+// answer. It also checks Lemma V.1 (testdiff.CheckLemmaV1): the
+// singleton-extended instance's T* equals its unrelated projection's,
+// up to one at an LP-tolerance tie, approx.TwoApprox succeeds with its
+// bound at the larger of the two, and both TwoApprox's and LST's
+// makespans are at most twice their bounds.
 func FuzzMinFeasibleT(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 2, 5, 1, 0, 0, 0, 9, 4, 0, 0, 0})
@@ -84,6 +88,9 @@ func FuzzMinFeasibleT(f *testing.F) {
 			t.Fatalf("no witness at T*=%d (err=%v)", tWarm, err)
 		}
 		if err := testdiff.CheckBracket(ctx, in, tWarm); err != nil {
+			t.Fatal(err)
+		}
+		if err := testdiff.CheckLemmaV1(ctx, in); err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range []int64{-1, 0, 1} {

@@ -4,6 +4,11 @@
 // binary search for the minimal T with a feasible relaxation, and Lemma
 // V.1's push-down transformation that moves all fractional mass onto the
 // singleton sets of the laminar family.
+//
+// Relaxation is the one (IP-3) builder in the repository. Section VI's
+// memory models (internal/memcap) extend it with their memory packings,
+// and the R‖Cmax feasibility LP (internal/unrelated) is the relaxation
+// of the singleton family.
 package relax
 
 import (
@@ -92,26 +97,23 @@ func (fr *Fractional) SingletonOnly(in *model.Instance, tol float64) bool {
 	return true
 }
 
-// Workspace holds the relaxation's rebuild-and-re-solve state: the LP
-// problem (whose constraint arenas are reused via lp.Problem.Reset), the
-// variable/pair tables, constraint scratch, and the simplex Workspace.
-// The binary search re-solves near-identical LPs at every probe, so
-// holding one Workspace across the probes makes everything after the
-// first probe allocation-free except the LP's returned Solution.
+// Workspace holds the relaxation's rebuild-and-re-solve state: the
+// (IP-3) Relaxation its own probes rebuild, the LP problem (whose
+// constraint arenas are reused via lp.Problem.Reset), and the simplex
+// Workspace. The binary search re-solves near-identical LPs at every
+// probe, so holding one Workspace across the probes makes everything
+// after the first probe allocation-free except the LP's returned
+// Solution.
 //
 // A Workspace is owned by one solve at a time and is not goroutine-safe;
 // LP points at the underlying simplex workspace for callers (like
-// internal/approx) that continue with further LP solves on other
+// internal/memcap) that continue with further LP solves on other
 // problems.
 type Workspace struct {
 	LP     *lp.Workspace
 	prob   lp.Problem
-	pairs  [][2]int
-	index  []int32 // (s*n+j) → LP variable index + 1; 0 = no variable
-	idx    []int   // constraint scratch, copied by AddConstraint
-	val    []float64
-	keys   []uint64 // variable identity keys (s·n+j), for warm subset matching
-	probes int      // LP feasibility probes served by this workspace
+	ip3    Relaxation
+	probes int // (IP-3) feasibility probes served by this workspace
 
 	// Bracket scratch: the assignment it returns (job → set), the other
 	// candidate, the LPT job order and sort keys, and machine loads.
@@ -125,8 +127,8 @@ type Workspace struct {
 func NewWorkspace() *Workspace { return &Workspace{LP: lp.NewWorkspace()} }
 
 // Problem returns the workspace's reusable LP problem, for callers that
-// build their own relaxations on its arenas (internal/memcap). Every
-// probe here rebuilds it from Reset, so callers may leave anything in it.
+// solve further LPs on its arenas (memcap's rounding). Every probe
+// rebuilds it from Reset, so callers may leave anything in it.
 func (ws *Workspace) Problem() *lp.Problem { return &ws.prob }
 
 // Stats aggregates solver effort across the workspace's lifetime: how
@@ -134,7 +136,12 @@ func (ws *Workspace) Problem() *lp.Problem { return &ws.prob }
 // including how many were answered from a warm basis. Binary searches
 // that warm-start pivot strictly less here at identical verdicts.
 type Stats struct {
-	Probes int         // LP feasibility probes: search verdicts and Feasible witnesses
+	// Probes counts the (IP-3) LPs solved through ProbeFeasible and
+	// Feasible: search verdicts and witnesses, on any family. The
+	// singleton-family vertex that approx.TwoApprox and unrelated.LST
+	// round is one of them. Constrained probes through Probe are not
+	// counted here, only in LP.
+	Probes int
 	LP     lp.Counters // simplex effort underneath the probes
 }
 
@@ -149,65 +156,185 @@ func (ws *Workspace) ResetStats() {
 	ws.LP.ResetStats()
 }
 
-// BuildFeasibility constructs the LP relaxation of (IP-3) for makespan T.
-// It returns the problem plus the (set, job) pair of each LP variable.
-func BuildFeasibility(in *model.Instance, T int64) (*lp.Problem, [][2]int) {
-	ws := &Workspace{}
-	buildFeasibilityWS(in, T, ws)
-	return &ws.prob, ws.pairs
+// Packing is one packing row Σ a_q·z_q ≤ B over a Relaxation's
+// variables. It is sparse and sorted: Idx holds the variables with
+// a_q > 0 in strictly increasing order and Val their coefficients, so
+// LP rows, residual sums and every rounding decision follow one fixed
+// order.
+type Packing struct {
+	Idx []int
+	Val []float64
+	B   float64
 }
 
-// buildFeasibilityWS builds the (IP-3) relaxation into ws.prob/ws.pairs,
-// reusing the workspace's arenas. Constraint order matches the paper:
-// the (3) assignment rows, then the (3a) subtree load rows.
-func buildFeasibilityWS(in *model.Instance, T int64, ws *Workspace) {
-	f := in.Family
-	n := in.N()
+// add appends the entry a_v = a; v must exceed every index already held.
+func (pk *Packing) add(v int, a float64) {
+	pk.Idx = append(pk.Idx, v)
+	pk.Val = append(pk.Val, a)
+}
+
+// Relaxation is the LP relaxation of (IP-3) at one probe T, built in one
+// pass over the (set, job) pairs. Its variables are the pairs with
+// p_αj ≤ T, job-major and set-minor. Its rows are the (3) assignment row
+// of every job, Σ_α x_αj = 1, then every nonempty packing: first the
+// (3a) load row of every set α, Σ_j Σ_{β⊆α} p_βj x_βj ≤ |α|·T, then the
+// extra packings. Section VI's models (internal/memcap) add memory
+// packings as extra packings, and Model 1 an admission filter.
+//
+// Each probe rebuilds a Relaxation in place, so after the first
+// (largest-T) probe a rebuild allocates nothing.
+type Relaxation struct {
+	In *model.Instance
+	// Admit[j·|A|+s] reports whether pair (s, j) may be a variable; nil
+	// admits every pair.
+	Admit []bool
+	// Extra[s] lists the extra packings (indices into Packs past the
+	// load rows) that a pair on set s charges, Size(j, l) being job j's
+	// coefficient in packing l; nil charges none.
+	Extra [][]int
+	Size  func(j, l int) float64
+
+	Pairs [][2]int  // variable → (set, job)
+	Packs []Packing // the load row of every set, then the extra packings
+
+	keys   []uint64  // variable → j·|A| + s, for warm subset matching
+	jobEnd []int     // job j's variables are [jobEnd[j-1], jobEnd[j])
+	rowLen []int     // set → entries of its load row at the last Build
+	seq    []int     // 0, 1, 2, …: the index list of an assignment row
+	ones   []float64 // the value list of an assignment row
+}
+
+// NewRelaxation returns in's (IP-3) relaxation with no extra packings;
+// callers append theirs to Packs.
+func NewRelaxation(in *model.Instance) *Relaxation {
+	return &Relaxation{In: in, Packs: make([]Packing, in.Family.Len())}
+}
+
+// Build enumerates the variables at T, then fills every packing in one
+// pass over them: pair (s, j) charges p_sj to the load row of s and of
+// each ancestor (Family.Chain), and Size to its extra packings Extra[s].
+// Variables are visited in increasing order, so every packing's Idx is
+// strictly increasing. A load row is grown only to its entry count at T,
+// the variables on the row's subtree, never to the n·|subtree| bound,
+// which is quadratic in the depth of a nested family.
+func (r *Relaxation) Build(T int64) {
+	in, f := r.In, r.In.Family
 	nsets := f.Len()
-	ws.pairs = ws.pairs[:0]
-	ws.index = scratch.Grow(ws.index, nsets*n)
-	scratch.Clear(ws.index)
-	for s := 0; s < nsets; s++ {
-		for j := 0; j < n; j++ {
-			if in.Proc[j][s] <= T {
-				ws.index[s*n+j] = int32(len(ws.pairs)) + 1
-				ws.pairs = append(ws.pairs, [2]int{s, j})
-			}
-		}
+	if c := in.N() * nsets; cap(r.Pairs) < c {
+		// At most n·|A| variables: size both tables once.
+		r.Pairs, r.keys = make([][2]int, 0, c), make([]uint64, 0, c)
 	}
-	ws.prob.Reset(len(ws.pairs))
-	// Keys identify variables across probes at different T: as T shrinks,
-	// pruning removes variables but the survivors keep their (s, j) key,
-	// letting the LP workspace warm-start from a larger probe's basis.
-	ws.keys = ws.keys[:0]
-	for _, pr := range ws.pairs {
-		ws.keys = append(ws.keys, uint64(pr[0])*uint64(n)+uint64(pr[1]))
-	}
-	ws.prob.SetVarKeys(ws.keys)
-	// (3): Σ_α x_αj = 1 for every job.
-	for j := 0; j < n; j++ {
-		ws.idx, ws.val = ws.idx[:0], ws.val[:0]
+	r.Pairs, r.keys = r.Pairs[:0], r.keys[:0]
+	r.jobEnd = scratch.Grow(r.jobEnd, in.N())
+	r.rowLen = scratch.Grow(r.rowLen, nsets)
+	scratch.Clear(r.rowLen)
+	for j := 0; j < in.N(); j++ {
 		for s := 0; s < nsets; s++ {
-			if v := ws.index[s*n+j]; v != 0 {
-				ws.idx = append(ws.idx, int(v-1))
-				ws.val = append(ws.val, 1)
+			if in.Proc[j][s] > T || (r.Admit != nil && !r.Admit[j*nsets+s]) {
+				continue
 			}
+			r.Pairs = append(r.Pairs, [2]int{s, j})
+			r.keys = append(r.keys, uint64(j)*uint64(nsets)+uint64(s))
+			r.rowLen[s]++
 		}
-		ws.prob.MustAddConstraint(ws.idx, ws.val, lp.EQ, 1)
+		r.jobEnd[j] = len(r.Pairs)
 	}
-	// (3a): Σ_j Σ_{β⊆α} p_βj x_βj ≤ |α|·T for every set α.
+	// Subsets precede their supersets bottom-up, so adding each set's
+	// count into its parent leaves every count at its subtree's total.
+	for _, s := range f.BottomUp() {
+		if a := f.Parent(s); a >= 0 {
+			r.rowLen[a] += r.rowLen[s]
+		}
+	}
+	for l := range r.Packs {
+		r.Packs[l].Idx, r.Packs[l].Val = r.Packs[l].Idx[:0], r.Packs[l].Val[:0]
+	}
 	for s := 0; s < nsets; s++ {
-		ws.idx, ws.val = ws.idx[:0], ws.val[:0]
-		for _, b := range f.SubsetIDs(s) {
-			for j := 0; j < n; j++ {
-				if v := ws.index[b*n+j]; v != 0 {
-					ws.idx = append(ws.idx, int(v-1))
-					ws.val = append(ws.val, float64(in.Proc[j][b]))
+		pk := &r.Packs[s]
+		pk.Idx, pk.Val = slices.Grow(pk.Idx, r.rowLen[s]), slices.Grow(pk.Val, r.rowLen[s])
+		pk.B = float64(f.Size(s)) * float64(T)
+	}
+	for v, pr := range r.Pairs {
+		s, j := pr[0], pr[1]
+		p := float64(in.Proc[j][s])
+		for _, a := range f.Chain(s) {
+			r.Packs[a].add(v, p)
+		}
+		if r.Extra != nil {
+			for _, l := range r.Extra[s] {
+				if c := r.Size(j, l); c > 0 {
+					r.Packs[l].add(v, c)
 				}
 			}
 		}
-		ws.prob.MustAddConstraint(ws.idx, ws.val, lp.LE, float64(f.Size(s))*float64(T))
 	}
+	for len(r.seq) < len(r.Pairs) {
+		r.seq = append(r.seq, len(r.seq))
+		r.ones = append(r.ones, 1)
+	}
+}
+
+// Span returns the row lists of an assignment row over the consecutive
+// columns [lo, hi): the indices lo, …, hi−1 and hi−lo ones. hi may not
+// exceed the variable count of the last Build.
+func (r *Relaxation) Span(lo, hi int) ([]int, []float64) {
+	return r.seq[lo:hi], r.ones[:hi-lo]
+}
+
+// load writes the built relaxation into p. Keys identify variables
+// across probes at different T: as T shrinks, pruning removes variables
+// but the survivors keep their key, letting the LP workspace warm-start
+// from a larger probe's basis. It reports false, leaving p partly built,
+// when some job has no variable (the probe is then infeasible).
+func (r *Relaxation) load(p *lp.Problem) bool {
+	p.Reset(len(r.Pairs))
+	p.SetVarKeys(r.keys)
+	start := 0
+	for _, end := range r.jobEnd {
+		if end == start {
+			return false
+		}
+		idx, val := r.Span(start, end)
+		p.MustAddConstraint(idx, val, lp.EQ, 1)
+		start = end
+	}
+	for _, pk := range r.Packs {
+		if len(pk.Idx) > 0 {
+			p.MustAddConstraint(pk.Idx, pk.Val, lp.LE, pk.B)
+		}
+	}
+	return true
+}
+
+// Probe builds r at T into the workspace's problem and solves it on the
+// workspace's tableau, keeping the warm basis. It reports feasibility
+// and the raw vertex over r.Pairs; the LP polls ctx between pivots.
+func (ws *Workspace) Probe(ctx context.Context, r *Relaxation, T int64) (bool, []float64, error) {
+	r.Build(T)
+	if !r.load(&ws.prob) {
+		return false, nil, nil
+	}
+	return ws.prob.Feasible(ctx, ws.LP)
+}
+
+// relaxation returns the workspace's own (IP-3) relaxation, set up for in.
+func (ws *Workspace) relaxation(in *model.Instance) *Relaxation {
+	ws.ip3.In = in
+	ws.ip3.Packs = scratch.Grow(ws.ip3.Packs, in.Family.Len())
+	return &ws.ip3
+}
+
+// BuildFeasibility constructs the LP relaxation of (IP-3) for makespan T.
+// It returns the problem plus the (set, job) pair of each LP variable,
+// or nil when some job has no variable at T.
+func BuildFeasibility(in *model.Instance, T int64) (*lp.Problem, [][2]int) {
+	ws := &Workspace{}
+	r := ws.relaxation(in)
+	r.Build(T)
+	if !r.load(&ws.prob) {
+		return nil, nil
+	}
+	return &ws.prob, r.Pairs
 }
 
 // Feasible solves the LP relaxation of (IP-3) at T and returns the
@@ -228,7 +355,7 @@ func Feasible(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (
 		return false, nil, err
 	}
 	fr := NewFractional(in)
-	for k, pr := range ws.pairs {
+	for k, pr := range ws.ip3.Pairs {
 		fr.X[pr[0]][pr[1]] = x[k]
 	}
 	return true, fr, nil
@@ -249,18 +376,12 @@ func ProbeFeasible(ctx context.Context, in *model.Instance, T int64, ws *Workspa
 }
 
 // feasibleWS is the probe shared by Feasible and the binary search: it
-// reports feasibility and the raw vertex x over ws.pairs without
-// materializing a Fractional (the search only needs the verdict).
+// reports feasibility and the raw vertex x over the workspace's (IP-3)
+// pairs without materializing a Fractional (the search only needs the
+// verdict).
 func feasibleWS(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (bool, []float64, error) {
-	// Fast negative: a job whose cheapest set exceeds T has no variable.
-	for j := 0; j < in.N(); j++ {
-		if v, _ := in.MinProc(j); v > T {
-			return false, nil, nil
-		}
-	}
 	ws.probes++
-	buildFeasibilityWS(in, T, ws)
-	ok, x, err := ws.prob.Feasible(ctx, ws.LP)
+	ok, x, err := ws.Probe(ctx, ws.relaxation(in), T)
 	if err != nil {
 		return false, nil, fmt.Errorf("relax: LP at T=%d: %w", T, err)
 	}

@@ -1,8 +1,8 @@
 // Package scratch provides the grow-or-reuse slice helpers shared by the
-// solver workspaces (internal/lp, internal/exact, internal/relax,
-// internal/unrelated): buffers grow monotonically to the largest size
-// seen and are reused in place, which is what makes the hot paths
-// allocation-free steady-state (see PERFORMANCE.md).
+// solver workspaces (internal/lp, internal/exact, internal/relax): buffers
+// grow monotonically to the largest size seen and are reused in place,
+// which is what makes the hot paths allocation-free steady-state (see
+// PERFORMANCE.md).
 package scratch
 
 // Grow returns a length-n slice, reusing buf's backing array when it is

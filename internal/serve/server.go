@@ -127,7 +127,7 @@ type Stats struct {
 	Canceled   uint64 `json:"canceled"`  // context died before or during solve, or while waiting on a flight
 	Failed     uint64 `json:"failed"`    // solver or request errors
 
-	LPProbes       uint64 `json:"lp_probes"`       // LP feasibility probes (binary searches)
+	LPProbes       uint64 `json:"lp_probes"`       // (IP-3) probes: search verdicts and witnesses
 	LPSolves       uint64 `json:"lp_solves"`       // simplex solves underneath the probes
 	LPColdSolves   uint64 `json:"lp_cold_solves"`  // answered by two-phase simplex
 	LPWarmHits     uint64 `json:"lp_warm_hits"`    // answered from a retained basis

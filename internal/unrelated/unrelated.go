@@ -1,9 +1,11 @@
 // Package unrelated implements the unrelated-parallel-machines toolkit
-// (R||Cmax) that Section V of the paper builds on: the feasibility LP for a
-// target makespan T over the pruned pair set {(i,j) : p_ij ≤ T}, the
-// classic Lenstra–Shmoys–Tardos rounding of a vertex solution (makespan at
-// most 2T*), a greedy LPT baseline, and an exact branch-and-bound solver
-// for the small instances used to measure approximation ratios.
+// (R||Cmax) that Section V of the paper builds on: the classic
+// Lenstra–Shmoys–Tardos rounding of a vertex solution (makespan at most
+// 2T*), a greedy LPT baseline, and an exact branch-and-bound solver for
+// the small instances used to measure approximation ratios. The
+// feasibility LP for a target makespan T over the pruned pair set
+// {(i,j) : p_ij ≤ T} is (IP-3) on the singleton family, so internal/relax
+// builds and solves it (Instance.Hierarchical).
 package unrelated
 
 import (
@@ -11,10 +13,10 @@ import (
 	"fmt"
 	"sort"
 
-	"hsp/internal/lp"
+	"hsp/internal/laminar"
 	"hsp/internal/model"
+	"hsp/internal/relax"
 	"hsp/internal/sched"
-	"hsp/internal/scratch"
 )
 
 // Instance is an R||Cmax instance: P[j][i] is the processing time of job j
@@ -60,160 +62,23 @@ func (in *Instance) minProc(j int) (int64, int) {
 	return best, arg
 }
 
-// FeasibleLP solves the R||Cmax feasibility relaxation at makespan T and
-// returns a vertex solution x[j][i] when feasible. The simplex solve
-// aborts between pivots once ctx is done (the error wraps ctx.Err()), and
-// the caller-held simplex Workspace lets further solves reuse one tableau
-// (nil falls back to the solver's internal pool).
-func FeasibleLP(ctx context.Context, in *Instance, T int64, ws *lp.Workspace) (bool, [][]float64, error) {
-	return (&lpScratch{ws: ws}).vertex(ctx, in, T)
+// Hierarchical returns in as a hierarchical instance over the singleton
+// family {{0}, …, {m−1}}, set i being machine i. Its (IP-3) relaxation
+// at T is the R‖Cmax feasibility LP over the pairs with p_ij ≤ T: one
+// assignment row per job and one load row ≤ T per machine, so
+// internal/relax searches and solves it. The processing times are shared
+// with in, not copied. An instance without jobs records no machine
+// count, so it gets one machine.
+func (in *Instance) Hierarchical() *model.Instance {
+	return &model.Instance{Family: laminar.Singletons(max(in.M(), 1)), Proc: in.P}
 }
 
-// pair is one (job, machine) LP variable of the feasibility relaxation.
-type pair struct{ j, i int }
-
-// lpScratch holds the R‖Cmax feasibility-LP build state — the problem
-// (rebuilt in place via lp.Problem.Reset), pair tables and constraint
-// scratch — plus the simplex workspace, so MinFeasibleT's binary search
-// rebuilds every probe into the same backing arrays.
-type lpScratch struct {
-	ws    *lp.Workspace
-	prob  lp.Problem
-	pairs []pair
-	index []int32 // j*m+i → LP variable index + 1; 0 = no variable
-	idx   []int
-	val   []float64
-	keys  []uint64 // variable identity keys (j·m+i), for warm subset matching
-}
-
-// probe builds and solves the relaxation at T using sc's arenas and
-// returns the raw solution over sc.pairs.
-func (sc *lpScratch) probe(ctx context.Context, in *Instance, T int64) (bool, []float64, error) {
-	n, m := in.N(), in.M()
-	sc.pairs = sc.pairs[:0]
-	sc.index = scratch.Grow(sc.index, n*m)
-	scratch.Clear(sc.index)
-	for j := 0; j < n; j++ {
-		any := false
-		for i := 0; i < m; i++ {
-			if in.P[j][i] <= T {
-				sc.index[j*m+i] = int32(len(sc.pairs)) + 1
-				sc.pairs = append(sc.pairs, pair{j, i})
-				any = true
-			}
-		}
-		if !any {
-			return false, nil, nil
-		}
-	}
-	sc.prob.Reset(len(sc.pairs))
-	// Keys identify variables across probes at different T, so a probe
-	// whose variable set shrank still warm-starts from a larger probe's
-	// retained basis (subset matching in internal/lp).
-	sc.keys = sc.keys[:0]
-	for _, pr := range sc.pairs {
-		sc.keys = append(sc.keys, uint64(pr.j)*uint64(m)+uint64(pr.i))
-	}
-	sc.prob.SetVarKeys(sc.keys)
-	for j := 0; j < n; j++ {
-		sc.idx, sc.val = sc.idx[:0], sc.val[:0]
-		for i := 0; i < m; i++ {
-			if v := sc.index[j*m+i]; v != 0 {
-				sc.idx = append(sc.idx, int(v-1))
-				sc.val = append(sc.val, 1)
-			}
-		}
-		sc.prob.MustAddConstraint(sc.idx, sc.val, lp.EQ, 1)
-	}
-	for i := 0; i < m; i++ {
-		sc.idx, sc.val = sc.idx[:0], sc.val[:0]
-		for j := 0; j < n; j++ {
-			if v := sc.index[j*m+i]; v != 0 {
-				sc.idx = append(sc.idx, int(v-1))
-				sc.val = append(sc.val, float64(in.P[j][i]))
-			}
-		}
-		if len(sc.idx) > 0 {
-			sc.prob.MustAddConstraint(sc.idx, sc.val, lp.LE, float64(T))
-		}
-	}
-	return sc.prob.Feasible(ctx, sc.ws)
-}
-
-// vertex solves the relaxation at T cold and spreads the solution into
-// x[j][i]. Witness solves run cold: the vertex feeds rounding and the
-// golden outputs. Warm start only accelerates the verdict probes inside
-// MinFeasibleT.
-func (sc *lpScratch) vertex(ctx context.Context, in *Instance, T int64) (bool, [][]float64, error) {
-	if sc.ws != nil {
-		sc.ws.InvalidateWarmStart()
-	}
-	ok, x, err := sc.probe(ctx, in, T)
-	if err != nil || !ok {
-		return false, nil, err
-	}
-	out := make([][]float64, in.N())
-	for j := range out {
-		out[j] = make([]float64, in.M())
-	}
-	for k, pr := range sc.pairs {
-		out[pr.j][pr.i] = x[k]
-	}
-	return true, out, nil
-}
-
-// MinFeasibleT binary-searches the minimal integer T with a feasible
-// relaxation and returns a vertex solution at that T. The search probes
-// verdicts only and solves the vertex once, cold, at T*. It checks ctx
-// before every probe (each probe itself aborts between simplex pivots),
-// and every probe rebuilds into one build scratch backed by the
-// caller-held simplex workspace (nil allocates a private one for the
-// whole search).
-func MinFeasibleT(ctx context.Context, in *Instance, ws *lp.Workspace) (int64, [][]float64, error) {
-	var lo, hi int64 = 1, 0
-	for j := 0; j < in.N(); j++ {
-		v, _ := in.minProc(j)
-		if v >= model.Infinity {
-			return 0, nil, fmt.Errorf("unrelated: job %d has no usable machine", j)
-		}
-		hi += v
-		if v > lo {
-			lo = v
-		}
-	}
-	if hi < lo {
-		hi = lo
-	}
-	if ws == nil {
-		ws = lp.NewWorkspace()
-	}
-	sc := &lpScratch{ws: ws}
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		ok, _, err := sc.probe(ctx, in, mid)
-		if err != nil {
-			return 0, nil, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	ok, x, err := sc.vertex(ctx, in, lo)
-	if err != nil {
-		return 0, nil, err
-	}
-	if !ok {
-		return 0, nil, fmt.Errorf("unrelated: relaxation infeasible at T*=%d", lo)
-	}
-	return lo, x, nil
-}
-
-// RoundVertex applies the LST rounding to a vertex solution x at makespan
-// T: jobs with an (almost) integral share keep their machine; the bipartite
-// graph of the remaining fractional shares admits a perfect matching of
-// jobs to machines, giving each machine at most one extra job of size ≤ T.
+// RoundVertex applies the LST rounding to a vertex solution x of
+// in.Hierarchical()'s relaxation at makespan T (relax.Fractional.X: x[i][j]
+// is job j's share on machine i): jobs with an (almost) integral share
+// keep their machine; the bipartite graph of the remaining fractional
+// shares admits a perfect matching of jobs to machines, giving each
+// machine at most one extra job of size ≤ T.
 func RoundVertex(in *Instance, T int64, x [][]float64) ([]int, error) {
 	const intTol = 1e-6
 	n, m := in.N(), in.M()
@@ -225,7 +90,7 @@ func RoundVertex(in *Instance, T int64, x [][]float64) ([]int, error) {
 	adj := make(map[int][]int) // fractional job -> candidate machines
 	for j := 0; j < n; j++ {
 		for i := 0; i < m; i++ {
-			if x[j][i] >= 1-intTol {
+			if x[i][j] >= 1-intTol {
 				assign[j] = i
 				break
 			}
@@ -235,7 +100,7 @@ func RoundVertex(in *Instance, T int64, x [][]float64) ([]int, error) {
 		}
 		var cands []int
 		for i := 0; i < m; i++ {
-			if x[j][i] > intTol {
+			if x[i][j] > intTol {
 				cands = append(cands, i)
 			}
 		}
@@ -278,17 +143,29 @@ func RoundVertex(in *Instance, T int64, x [][]float64) ([]int, error) {
 	return assign, nil
 }
 
-// LST runs the full Lenstra–Shmoys–Tardos pipeline: binary search for the
-// minimal LP-feasible T*, then round the vertex solution. The returned
-// assignment has makespan at most 2·T* ≤ 2·OPT. ctx aborts the search
-// between simplex pivots, and the caller-held workspace carries one
-// tableau across every probe (nil allocates a private one).
-func LST(ctx context.Context, in *Instance, ws *lp.Workspace) (assign []int, lpT int64, err error) {
-	T, x, err := MinFeasibleT(ctx, in, ws)
+// LST runs the full Lenstra–Shmoys–Tardos pipeline on in.Hierarchical():
+// relax.MinFeasibleT's binary search for the minimal LP-feasible T*, then
+// relax.Feasible's cold vertex at T*, rounded by RoundVertex. The
+// returned assignment has makespan at most 2·T* ≤ 2·OPT. ctx aborts the
+// search between simplex pivots, and the caller-held workspace carries
+// one tableau across every probe (nil allocates a private one).
+func LST(ctx context.Context, in *Instance, ws *relax.Workspace) (assign []int, lpT int64, err error) {
+	h := in.Hierarchical()
+	if ws == nil {
+		ws = relax.NewWorkspace()
+	}
+	T, err := relax.MinFeasibleT(ctx, h, ws)
 	if err != nil {
 		return nil, 0, err
 	}
-	assign, err = RoundVertex(in, T, x)
+	ok, x, err := relax.Feasible(ctx, h, T, ws)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !ok {
+		return nil, 0, fmt.Errorf("unrelated: relaxation infeasible at T*=%d", T)
+	}
+	assign, err = RoundVertex(in, T, x.X)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -111,7 +111,7 @@ func TestLSTVersusExact(t *testing.T) {
 func TestMinFeasibleTMatchesExactLowerBound(t *testing.T) {
 	// For identical machines the LP bound equals max(max p, ceil(Σp/m)).
 	in := &Instance{P: [][]int64{{5, 5}, {5, 5}, {8, 8}}}
-	T, _, err := MinFeasibleT(context.Background(), in, nil)
+	_, T, err := LST(context.Background(), in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestLPTBaseline(t *testing.T) {
 
 func TestNoUsableMachine(t *testing.T) {
 	in := &Instance{P: [][]int64{{model.Infinity, model.Infinity}}}
-	if _, _, err := MinFeasibleT(context.Background(), in, nil); err == nil {
+	if _, _, err := LST(context.Background(), in, nil); err == nil {
 		t.Fatal("unschedulable job accepted")
 	}
 }
@@ -164,6 +164,9 @@ func TestEmptyInstance(t *testing.T) {
 	if a, opt, err := ExactSmall(in); err != nil || opt != 0 || len(a) != 0 {
 		t.Fatalf("empty: %v %v %v", a, opt, err)
 	}
+	if a, lpT, err := LST(context.Background(), in, nil); err != nil || lpT != 1 || len(a) != 0 {
+		t.Fatalf("empty LST: %v %v %v", a, lpT, err)
+	}
 }
 
 func TestRoundVertexRejectsNonVertex(t *testing.T) {
@@ -172,9 +175,9 @@ func TestRoundVertexRejectsNonVertex(t *testing.T) {
 	in := &Instance{P: [][]int64{
 		{2, 2, 2}, {2, 2, 2}, {2, 2, 2}, {2, 2, 2},
 	}}
-	x := make([][]float64, 4)
-	for j := range x {
-		x[j] = []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
+	x := make([][]float64, 3) // [machine][job]
+	for i := range x {
+		x[i] = []float64{1.0 / 3, 1.0 / 3, 1.0 / 3, 1.0 / 3}
 	}
 	if _, err := RoundVertex(in, 3, x); err == nil {
 		t.Fatal("non-vertex fractional solution rounded without error")
