@@ -180,13 +180,15 @@ func checkFeasible(t *testing.T, p *Problem, x []float64) {
 // binary-search-shaped load schedule on one warm workspace, checking
 // every solve against a cold oracle: same status, same objective,
 // feasible point. Warm-started solves and subset re-entries must be
-// observationally identical to cold ones.
+// observationally identical to cold ones, and a chain of Verdict
+// solves on a workspace of its own must report the cold feasibility.
 func TestDifferentialWarmVsColdLP(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	loads := []float64{4, 2, 1, 0.5, 0.75, 0.6, 0.66, 1.5, 0.9, 3}
 	for spec := 0; spec < 60; spec++ {
 		s := genSpec(rng)
 		warm := NewWorkspace()
+		verdict := NewWorkspace()
 		cold := NewWorkspace()
 		cold.SetWarmStart(false)
 		for _, load := range loads {
@@ -195,6 +197,7 @@ func TestDifferentialWarmVsColdLP(t *testing.T) {
 				continue
 			}
 			checkAgainstCold(t, p, warm, cold)
+			checkVerdict(t, p, verdict, cold)
 		}
 		st := warm.Stats()
 		if st.WarmHits+st.WarmFallbacks+st.ColdSolves == 0 {
@@ -205,14 +208,15 @@ func TestDifferentialWarmVsColdLP(t *testing.T) {
 
 // TestDifferentialSubsetWarmStart prunes random variable subsets while
 // shrinking the load — the exact shape of a minimizing binary search —
-// and checks warm against cold at every step. This is the subset
-// matcher's primary correctness gate.
+// and checks warm against cold, and Verdict against cold, at every step.
+// This is the subset matcher's primary correctness gate.
 func TestDifferentialSubsetWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var subsetHits int
 	for spec := 0; spec < 120; spec++ {
 		s := genSpec(rng)
 		warm := NewWorkspace()
+		verdict := NewWorkspace()
 		cold := NewWorkspace()
 		cold.SetWarmStart(false)
 		keep := make([]bool, s.nvars)
@@ -226,6 +230,7 @@ func TestDifferentialSubsetWarmStart(t *testing.T) {
 				break
 			}
 			checkAgainstCold(t, p, warm, cold)
+			checkVerdict(t, p, verdict, cold)
 			// Shrink: drop a random still-kept variable and lower the load.
 			if v := rng.Intn(s.nvars); keep[v] {
 				keep[v] = false

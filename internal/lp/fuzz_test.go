@@ -69,8 +69,10 @@ func decodeFuzzSpec(data []byte) (s *randSpec, loads []float64, keepMask uint16,
 // FuzzLPSolve drives the warm-start solver against the cold oracle on
 // fuzzer-shaped LPs: for every load in the schedule the warm workspace
 // must report the same status and objective as a cold solve and return
-// a feasible point. The second half of the schedule re-runs with a
-// fuzzed variable subset to reach the subset-mapping dual re-entry.
+// a feasible point, and a chain of Verdict solves on a workspace of its
+// own must report the cold solve's feasibility. The second half of the
+// schedule re-runs with a fuzzed variable subset to reach the
+// subset-mapping dual re-entry.
 func FuzzLPSolve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 2, 9, 9, 9, 9, 4, 3, 40, 20, 0xff, 0x01})
@@ -81,6 +83,7 @@ func FuzzLPSolve(f *testing.F) {
 			t.Skip()
 		}
 		warm := NewWorkspace()
+		verdict := NewWorkspace()
 		cold := NewWorkspace()
 		cold.SetWarmStart(false)
 		for _, load := range loads {
@@ -89,6 +92,7 @@ func FuzzLPSolve(f *testing.F) {
 				break
 			}
 			checkAgainstCold(t, p, warm, cold)
+			checkVerdict(t, p, verdict, cold)
 		}
 		keep := make([]bool, s.nvars)
 		any := false
@@ -105,6 +109,7 @@ func FuzzLPSolve(f *testing.F) {
 				break
 			}
 			checkAgainstCold(t, p, warm, cold)
+			checkVerdict(t, p, verdict, cold)
 		}
 	})
 }

@@ -211,6 +211,8 @@ func (p *Problem) Solve(ctx context.Context, ws *Workspace) (*Solution, error) {
 	ws.t.ctx = ctx
 	sol, err := p.solve(ws)
 	ws.t.ctx = nil // don't retain the context in the workspace
+	ws.counters.RowUpdates += ws.t.rowUpdates
+	ws.t.rowUpdates = 0
 	return sol, err
 }
 
@@ -313,6 +315,40 @@ func (p *Problem) Feasible(ctx context.Context, ws *Workspace) (bool, []float64,
 	return true, sol.X, nil
 }
 
+// Verdict reports whether the constraint system admits any x ≥ 0, as
+// Feasible does, but without a witness, and it pivots without round-off
+// work: while it runs, an entering-column entry below residueTol in
+// magnitude counts as zero, so its row is not updated (see pivot). ctx
+// and ws are as for Solve, and a caller-held Workspace warm-starts
+// successive verdicts from each other.
+//
+// The tableau such a solve leaves behind differs from an exact one by the
+// residue it skipped, so no solve that returns a vertex re-enters it:
+// after a Verdict, the next Solve or Feasible on ws runs cold unless a
+// solve in between re-anchored the workspace exactly. A verdict's warm
+// answers are checked against the input data like any warm answer.
+func (p *Problem) Verdict(ctx context.Context, ws *Workspace) (bool, error) {
+	if ws == nil {
+		ws = NewWorkspace()
+	}
+	ws.t.drop = residueTol
+	defer func() {
+		ws.t.drop = 0
+		ws.warm.dropped = true
+	}()
+	sol, err := p.Solve(ctx, ws)
+	if err != nil {
+		return false, err
+	}
+	return sol.Status != Infeasible, nil
+}
+
+// residueTol is Verdict's threshold below which an entering-column entry
+// counts as zero. Pivoting leaves round-off residue far below it (most of
+// it under 1e-12) where exact arithmetic leaves zeros; the rows that hold
+// only such residue are most of a dense (IP-3) tableau's rows.
+const residueTol = 1e-11
+
 // tableau is the dense simplex working state. The matrix is one flat
 // nrows×ncols array (row r at a[r*ncols:]) backed by a Workspace, so a
 // re-solve reuses the previous solve's memory and the pivot loops walk
@@ -336,6 +372,8 @@ type tableau struct {
 	certRow       int             // dual-simplex certificate row (-1 = none)
 	certFlip      bool            // certificate came from a fixed basic above zero: negate the ray
 	ctx           context.Context // polled between pivots; nil = never canceled
+	drop          float64         // entering-column entries below this count as zero (0 = exact)
+	rowUpdates    int             // rows pivot eliminated since the last Solve folded them in
 }
 
 // init builds the tableau for p in place, reusing backing arrays from the
@@ -598,6 +636,9 @@ func (t *tableau) chooseLeaving(enter int) int {
 }
 
 // pivot makes column enter basic in row leave, updating both cost rows.
+// A row whose entering-column entry is zero needs no update. Under a
+// Verdict, an entry below t.drop in magnitude is set to zero and its row
+// skipped as well.
 func (t *tableau) pivot(leave, enter int) {
 	nc := t.ncols
 	prow := t.a[leave*nc : (leave+1)*nc]
@@ -608,6 +649,7 @@ func (t *tableau) pivot(leave, enter int) {
 	}
 	prow[enter] = 1 // exact
 	t.rhs[leave] *= inv
+	updates := 0
 	for r := 0; r < t.nrows; r++ {
 		if r == leave {
 			continue
@@ -616,6 +658,11 @@ func (t *tableau) pivot(leave, enter int) {
 		if f == 0 {
 			continue
 		}
+		if math.Abs(f) < t.drop {
+			t.a[r*nc+enter] = 0
+			continue
+		}
+		updates++
 		row := t.a[r*nc : (r+1)*nc]
 		for j := 0; j < nc; j++ {
 			row[j] -= f * prow[j]
@@ -638,6 +685,7 @@ func (t *tableau) pivot(leave, enter int) {
 		cost[nc] -= f * t.rhs[leave]
 	}
 	t.basis[leave] = enter
+	t.rowUpdates += updates
 }
 
 // driveOutArtificials pivots zero-valued basic artificials out of the basis

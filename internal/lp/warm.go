@@ -22,6 +22,7 @@ import (
 //   - signature mismatch, including any negative RHS on either side (the
 //     cold path's sign normalization would flip row scaling);
 //   - an artificial variable still basic in the retained tableau;
+//   - a tableau a Verdict pivoted, presented to any solve but a Verdict;
 //   - the dual re-entry exceeds its budget of 3·nrows pivots (see
 //     dualIterate for why the budget is safe);
 //   - an infeasibility certificate with a violation too small to trust
@@ -46,6 +47,9 @@ type warmState struct {
 	obj   []float64
 	keys  []uint64 // variable identity keys, empty when the problem had none
 	o2n   []int    // scratch: anchor column → new column (-1 = pruned)
+	// dropped reports that a Verdict pivoted the tableau since it was
+	// retained: only another Verdict may re-enter it.
+	dropped bool
 }
 
 // Counters aggregates solver effort across the lifetime of a Workspace
@@ -60,6 +64,7 @@ type Counters struct {
 	WarmFallbacks int // warm attempts that fell back to the cold path
 	Pivots        int // total simplex pivots (all paths)
 	WarmPivots    int // dual-simplex pivots inside warm hits
+	RowUpdates    int // tableau rows the pivots eliminated, pivot rows excluded
 }
 
 // Stats snapshots the workspace counters.
@@ -96,7 +101,7 @@ func (ws *Workspace) SetWarmStart(enabled bool) {
 // next warmMap call.
 func (ws *Workspace) warmMap(p *Problem) ([]int, bool) {
 	w := &ws.warm
-	if !w.valid || ws.warmOff {
+	if !w.valid || ws.warmOff || (w.dropped && ws.t.drop == 0) {
 		return nil, false
 	}
 	if len(p.cons) != len(w.ops) {
@@ -229,6 +234,7 @@ func (ws *Workspace) retain(p *Problem) {
 	copy(w.obj, p.obj)
 	w.keys = scratch.Grow(w.keys, len(p.keys))
 	copy(w.keys, p.keys)
+	w.dropped = false
 	w.valid = true
 }
 

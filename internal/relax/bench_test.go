@@ -4,13 +4,14 @@ import (
 	"context"
 	"testing"
 
+	"hsp/internal/lp"
 	"hsp/internal/model"
 	"hsp/internal/relax"
 	"hsp/internal/workload"
 )
 
 // benchInstance is the E12-shaped workload: an SMP-CMP hierarchy whose
-// (IP-3) binary search re-solves ~10 near-identical LPs per call.
+// (IP-3) search re-solves about six near-identical LPs per call.
 func benchInstance(b *testing.B, jobs int) *model.Instance {
 	return smpcmpInstance(b, []int{2, 2, 2}, jobs, 42)
 }
@@ -42,24 +43,39 @@ func smpcmpInstance(tb testing.TB, branching []int, jobs int, seed int64) *model
 	return in.WithSingletons()
 }
 
-// BenchmarkMinFeasibleT is the LP binary search of Section V — the
-// measured hot path of E12 — end to end on a medium instance.
+// reportLPWork reports the simplex work of b.N searches: pivots/op and
+// rowupdates/op, the tableau rows those pivots eliminated.
+func reportLPWork(b *testing.B, c lp.Counters) {
+	b.ReportMetric(float64(c.Pivots)/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(c.RowUpdates)/float64(b.N), "rowupdates/op")
+}
+
+// BenchmarkMinFeasibleT is the LP search of Section V — the measured hot
+// path of E12 — end to end on a medium instance, on a fresh workspace
+// per search.
 func BenchmarkMinFeasibleT(b *testing.B) {
 	in := benchInstance(b, 24)
+	var work lp.Counters
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		T, err := relax.MinFeasibleT(context.Background(), in, nil)
+		ws := relax.NewWorkspace()
+		T, err := relax.MinFeasibleT(context.Background(), in, ws)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if T <= 0 {
 			b.Fatalf("T* = %d", T)
 		}
+		st := ws.Stats().LP
+		work.Pivots += st.Pivots
+		work.RowUpdates += st.RowUpdates
 	}
+	b.StopTimer()
+	reportLPWork(b, work)
 }
 
-// BenchmarkMinFeasibleTWarm is the same binary search on a reused
+// BenchmarkMinFeasibleTWarm is the same search on a reused
 // workspace, where consecutive probes re-enter the previous basis with
 // dual-simplex pivots. The pivots/op and warm-hit metrics quantify the
 // saving over the cold search above.
@@ -81,15 +97,16 @@ func BenchmarkMinFeasibleTWarm(b *testing.B) {
 	b.StopTimer()
 	st := ws.Stats()
 	if st.Probes > 0 {
-		b.ReportMetric(float64(st.LP.Pivots)/float64(b.N), "pivots/op")
+		reportLPWork(b, st.LP)
 		b.ReportMetric(float64(st.LP.WarmHits)/float64(st.LP.Solves), "warmhit-ratio")
 	}
 }
 
-// BenchmarkMinFeasibleTLarge runs the warm binary search on E12's
-// largest row, the shape where an unbounded dual re-entry once ran for
-// minutes. The cold variant is the oracle configuration; compare the
-// two pivots/op figures for the warm path's saving at this size.
+// BenchmarkMinFeasibleTLarge runs the warm search on E12's largest row,
+// the shape where an unbounded dual re-entry would run for minutes. The
+// cold variant is the oracle configuration; compare the two pivots/op
+// figures for the warm path's saving at this size. B/op shows the
+// tableau growing once, to the first (largest) probe's size.
 func BenchmarkMinFeasibleTLarge(b *testing.B) {
 	in := e12LargeInstance(b)
 	for _, warm := range []bool{true, false} {
@@ -109,7 +126,7 @@ func BenchmarkMinFeasibleTLarge(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(ws.Stats().LP.Pivots)/float64(b.N), "pivots/op")
+			reportLPWork(b, ws.Stats().LP)
 		})
 	}
 }

@@ -1,9 +1,14 @@
 // Package relax builds and solves the fractional relaxations of the
 // paper's assignment ILPs (Section V): the decision form (IP-3) for a fixed
 // makespan T with the pruned variable set R = {(α,j) : p_αj ≤ T}, the
-// binary search for the minimal T with a feasible relaxation, and Lemma
-// V.1's push-down transformation that moves all fractional mass onto the
+// search for the minimal T with a feasible relaxation, and Lemma V.1's
+// push-down transformation that moves all fractional mass onto the
 // singleton sets of the laminar family.
+//
+// The search (MinFeasibleT) probes the top of Bracket's range first and
+// bisects below it, and its probes are verdict-only LP solves that skip
+// pivot round-off residue (lp.Problem.Verdict). Witnesses (Feasible) are
+// exact, cold solves.
 //
 // Relaxation is the one (IP-3) builder in the repository. Section VI's
 // memory models (internal/memcap) extend it with their memory packings,
@@ -100,7 +105,7 @@ func (fr *Fractional) SingletonOnly(in *model.Instance, tol float64) bool {
 // Workspace holds the relaxation's rebuild-and-re-solve state: the
 // (IP-3) Relaxation its own probes rebuild, the LP problem (whose
 // constraint arenas are reused via lp.Problem.Reset), and the simplex
-// Workspace. The binary search re-solves near-identical LPs at every
+// Workspace. The search re-solves near-identical LPs at every
 // probe, so holding one Workspace across the probes makes everything
 // after the first probe allocation-free except the LP's returned
 // Solution.
@@ -136,8 +141,8 @@ func (ws *Workspace) Problem() *lp.Problem { return &ws.prob }
 // including how many were answered from a warm basis. Binary searches
 // that warm-start pivot strictly less here at identical verdicts.
 type Stats struct {
-	// Probes counts the (IP-3) LPs solved through ProbeFeasible and
-	// Feasible: search verdicts and witnesses, on any family. The
+	// Probes counts the (IP-3) LPs solved by MinFeasibleT, ProbeFeasible
+	// and Feasible: search verdicts and witnesses, on any family. The
 	// singleton-family vertex that approx.TwoApprox and unrelated.LST
 	// round is one of them. Constrained probes through Probe are not
 	// counted here, only in LP.
@@ -317,6 +322,23 @@ func (ws *Workspace) Probe(ctx context.Context, r *Relaxation, T int64) (bool, [
 	return ws.prob.Feasible(ctx, ws.LP)
 }
 
+// verdict is MinFeasibleT's probe: the workspace's (IP-3) relaxation at T
+// solved by lp.Problem.Verdict, which skips round-off residue and
+// returns no vertex.
+func (ws *Workspace) verdict(ctx context.Context, in *model.Instance, T int64) (bool, error) {
+	ws.probes++
+	r := ws.relaxation(in)
+	r.Build(T)
+	if !r.load(&ws.prob) {
+		return false, nil
+	}
+	ok, err := ws.prob.Verdict(ctx, ws.LP)
+	if err != nil {
+		return false, fmt.Errorf("relax: LP at T=%d: %w", T, err)
+	}
+	return ok, nil
+}
+
 // relaxation returns the workspace's own (IP-3) relaxation, set up for in.
 func (ws *Workspace) relaxation(in *model.Instance) *Relaxation {
 	ws.ip3.In = in
@@ -364,9 +386,10 @@ func Feasible(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (
 // ProbeFeasible reports whether the relaxation is feasible at T without
 // materializing a witness. Unlike Feasible it keeps the workspace's warm
 // basis: a sequence of probes on one workspace answers from dual-simplex
-// re-entry whenever it can. Use it when only the verdict matters; ask
-// Feasible when the fractional solution itself is needed (that path is
-// always cold, so witnesses are reproducible).
+// re-entry whenever it can. Unlike MinFeasibleT's probes it pivots with
+// the exact-zero test, so it is the reference verdict the search's are
+// checked against. Ask Feasible when the fractional solution itself is
+// needed (that path is always cold, so witnesses are reproducible).
 func ProbeFeasible(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (bool, error) {
 	if ws == nil {
 		ws = NewWorkspace()
@@ -375,10 +398,9 @@ func ProbeFeasible(ctx context.Context, in *model.Instance, T int64, ws *Workspa
 	return ok, err
 }
 
-// feasibleWS is the probe shared by Feasible and the binary search: it
+// feasibleWS is the probe shared by Feasible and ProbeFeasible: it
 // reports feasibility and the raw vertex x over the workspace's (IP-3)
-// pairs without materializing a Fractional (the search only needs the
-// verdict).
+// pairs without materializing a Fractional.
 func feasibleWS(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (bool, []float64, error) {
 	ws.probes++
 	ok, x, err := ws.Probe(ctx, ws.relaxation(in), T)
@@ -471,14 +493,24 @@ func (ws *Workspace) lpt(in *model.Instance) (makespan int64, ok bool) {
 	return makespan, true
 }
 
-// MinFeasibleT binary-searches the minimal integer T for which the LP
-// relaxation of (IP-3) is feasible. T* is a lower bound on the optimal
-// integral makespan. The search spans Bracket's [lo, hi] and answers
-// from verdict probes alone; when none is feasible, T* is hi, and the
-// integral assignment behind hi is checked against (IP-3) exactly in
-// int64 instead of by one more LP. A caller that needs a fractional
-// solution at T* asks Feasible for it.
-// The binary search checks ctx before every LP probe and each probe itself
+// MinFeasibleT returns the minimal integer T for which the LP relaxation
+// of (IP-3) is feasible. T* is a lower bound on the optimal integral
+// makespan. The search spans Bracket's [lo, hi] and answers from verdict
+// probes alone. T* usually sits near the top, where Bracket's LPT bound
+// is, so the first probe is at hi−1: when it is feasible, the search
+// bisects [lo, hi−1], and every later probe's smaller variable set maps
+// into that first, largest LP's basis for a warm start. When it is
+// infeasible, T* is hi, and the integral assignment behind hi is checked
+// against (IP-3) exactly in int64 instead of by one more LP. A caller
+// that needs a fractional solution at T* asks Feasible for it.
+//
+// The probes are lp.Problem.Verdict solves: they skip the round-off
+// residue that dense pivoting leaves in the tableau, which is most of the
+// row updates on an (IP-3) LP. Feasible's witness solves, like every
+// other solve that returns a vertex, never re-enter a tableau the search
+// pivoted.
+//
+// The search checks ctx before every LP probe and each probe itself
 // aborts between simplex pivots, so cancellation latency is one pivot, not
 // one search; the caller-held Workspace (nil allocates one for the whole
 // search) lets every probe reuse one tableau and one constraint arena, so
@@ -495,9 +527,20 @@ func MinFeasibleT(ctx context.Context, in *model.Instance, ws *Workspace) (int64
 		return 0, fmt.Errorf("relax: some job has no admissible set")
 	}
 	top := hi
+	if lo < hi {
+		ok, err := ws.verdict(ctx, in, hi-1)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			hi--
+		} else {
+			lo = hi
+		}
+	}
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		ok, _, err := feasibleWS(ctx, in, mid, ws)
+		ok, err := ws.verdict(ctx, in, mid)
 		if err != nil {
 			return 0, err
 		}

@@ -2,6 +2,7 @@ package relax_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -59,10 +60,10 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 }
 
 // TestWarmSearchBoundedOnLargeShape pins the dual re-entry's pivot
-// budget on E12's largest row. There, an unbounded re-entry drifted
-// through tens of thousands of pivots per probe and the warm search ran
-// for minutes where the cold search takes seconds. The warm search must
-// find the cold T* and spend no more simplex pivots than the cold one.
+// budget on E12's largest row. There, an unbounded re-entry drifts
+// through tens of thousands of pivots per probe, turning a search of
+// about a second into one of minutes. The warm search must find the
+// cold T* and spend no more simplex pivots than the cold one.
 func TestWarmSearchBoundedOnLargeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves E12's largest LP shape")
@@ -96,4 +97,82 @@ func TestWarmSearchBoundedOnLargeShape(t *testing.T) {
 	}
 	t.Logf("T*=%d pivots warm=%d cold=%d; warm hits %d, fallbacks %d",
 		warmT, warm.LP.Pivots, cold.LP.Pivots, warm.LP.WarmHits, warm.LP.WarmFallbacks)
+}
+
+// countingCtx counts Err polls and turns canceled after limit of them
+// (never, when limit is negative), so a search can be canceled in the
+// middle of a given probe.
+type countingCtx struct {
+	context.Context
+	polls, limit int
+}
+
+func (c *countingCtx) Err() error {
+	if c.limit >= 0 && c.polls >= c.limit {
+		return context.Canceled
+	}
+	c.polls++
+	return nil
+}
+
+// TestWitnessAfterSearchMatchesFresh: the search's verdict probes skip
+// pivot round-off residue, and no vertex solve may read a tableau they
+// pivoted. On a workspace that just ran MinFeasibleT, whole or canceled
+// in the middle of a probe, Feasible at T* and a raw Probe (the vertex
+// path that does not invalidate warm start itself) return the vertices
+// of a fresh workspace bit for bit.
+func TestWitnessAfterSearchMatchesFresh(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []int64{42, 5, 9} {
+		in := smpcmpInstance(t, []int{2, 2, 2}, 24, seed)
+		tStar, err := relax.MinFeasibleT(ctx, in, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want, err := relax.Feasible(ctx, in, tStar, nil)
+		if err != nil || want == nil {
+			t.Fatalf("seed %d: no witness at T*=%d: %v", seed, tStar, err)
+		}
+		_, wantX, _ := relax.NewWorkspace().Probe(ctx, relax.NewRelaxation(in), tStar)
+
+		// Count the search's polls, then cancel a second search halfway.
+		whole := &countingCtx{Context: ctx, limit: -1}
+		if _, err := relax.MinFeasibleT(whole, in, relax.NewWorkspace()); err != nil {
+			t.Fatal(err)
+		}
+		search := func(limit int) *relax.Workspace {
+			ws := relax.NewWorkspace()
+			_, err := relax.MinFeasibleT(&countingCtx{Context: ctx, limit: limit}, in, ws)
+			if limit >= 0 && !errors.Is(err, context.Canceled) {
+				t.Fatalf("seed %d: search canceled at poll %d of %d returned %v", seed, limit, whole.polls, err)
+			}
+			if limit < 0 && err != nil {
+				t.Fatal(err)
+			}
+			return ws
+		}
+		for _, limit := range []int{-1, whole.polls / 2} {
+			_, got, err := relax.Feasible(ctx, in, tStar, search(limit))
+			if err != nil || got == nil {
+				t.Fatalf("seed %d: no witness on the searched workspace: %v", seed, err)
+			}
+			for s := range got.X {
+				for j := range got.X[s] {
+					if got.X[s][j] != want.X[s][j] {
+						t.Fatalf("seed %d limit %d: witness differs at x[%d][%d]: %g, fresh %g",
+							seed, limit, s, j, got.X[s][j], want.X[s][j])
+					}
+				}
+			}
+			_, x, err := search(limit).Probe(ctx, relax.NewRelaxation(in), tStar)
+			if err != nil || len(x) != len(wantX) {
+				t.Fatalf("seed %d: Probe at T*=%d: %d values, want %d (%v)", seed, tStar, len(x), len(wantX), err)
+			}
+			for k := range x {
+				if x[k] != wantX[k] {
+					t.Fatalf("seed %d limit %d: Probe vertex differs at %d: %g, fresh %g", seed, limit, k, x[k], wantX[k])
+				}
+			}
+		}
+	}
 }
