@@ -3,8 +3,8 @@
 //
 //	min c·x   subject to   A x {≤,=,≥} b,  x ≥ 0.
 //
-// It is the LP oracle behind the paper's Section V rounding (search over
-// the makespan T on the fractional relaxation of IP-3), the
+// It is the LP oracle behind the paper's Section V rounding (binary search
+// over the makespan T on the fractional relaxation of IP-3), the
 // Lenstra–Shmoys–Tardos rounding for unrelated machines, and the iterative
 // rounding of Section VI. The solver returns basic feasible solutions, i.e.
 // vertices of the feasible polyhedron, which those roundings require.
@@ -14,7 +14,7 @@
 // degenerate pivots (guaranteeing termination), and an iteration cap turns
 // pathological cases into errors instead of hangs. Solve additionally
 // polls a context between pivots, so callers higher up the stack (the
-// Section V search, the Section VI iterative rounding) can abort a
+// Section V binary search, the Section VI iterative rounding) can abort a
 // solve cooperatively — the cancellation path -timeout in cmd/hbench
 // relies on. The poll sits at the top of the pivot loop, outside the
 // per-pivot arithmetic: one Err() call per O(rows·cols) pivot, never one
@@ -22,9 +22,9 @@
 //
 // # Verdict-only solves
 //
-// Verdict answers feasibility alone, for the Section V search's probes.
-// It pivots without round-off work: pivoting leaves residue of 1e-12 or
-// less where exact arithmetic leaves zeros, and a row whose
+// Verdict answers feasibility alone, for the Section V binary search's
+// probes. It pivots without round-off work: pivoting leaves residue of
+// 1e-12 or less where exact arithmetic leaves zeros, and a row whose
 // entering-column entry is such residue would be updated for nothing. A
 // Verdict counts an entry below 1e-11 as zero, stores 0 there and skips
 // the row. Every other solve keeps the exact-zero test, and none of
@@ -41,9 +41,9 @@
 //     one for that solve alone, as every other solver's nil does; such a
 //     solve is always cold.
 //   - Solve, Feasible and Verdict with a caller-held Workspace reuse it.
-//     The searches in internal/relax and internal/memcap hold one Workspace
-//     across all their probes, making every re-solve after the first
-//     allocate nothing but the returned Solution.
+//     The binary searches in internal/relax and internal/memcap hold one
+//     Workspace across all their probes, making every re-solve after the
+//     first allocate nothing but the returned Solution.
 //
 // A Workspace is owned by exactly one solve at a time and is not
 // goroutine-safe; concurrent solvers use one Workspace each. Solutions

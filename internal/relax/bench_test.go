@@ -11,7 +11,7 @@ import (
 )
 
 // benchInstance is the E12-shaped workload: an SMP-CMP hierarchy whose
-// (IP-3) search re-solves about six near-identical LPs per call.
+// (IP-3) binary search re-solves four near-identical LPs per call.
 func benchInstance(b *testing.B, jobs int) *model.Instance {
 	return smpcmpInstance(b, []int{2, 2, 2}, jobs, 42)
 }
@@ -50,9 +50,9 @@ func reportLPWork(b *testing.B, c lp.Counters) {
 	b.ReportMetric(float64(c.RowUpdates)/float64(b.N), "rowupdates/op")
 }
 
-// BenchmarkMinFeasibleT is the LP search of Section V — the measured hot
-// path of E12 — end to end on a medium instance, on a fresh workspace
-// per search.
+// BenchmarkMinFeasibleT is the LP binary search of Section V — the
+// measured hot path of E12 — end to end on a medium instance, on a fresh
+// workspace per search.
 func BenchmarkMinFeasibleT(b *testing.B) {
 	in := benchInstance(b, 24)
 	var work lp.Counters
@@ -75,7 +75,7 @@ func BenchmarkMinFeasibleT(b *testing.B) {
 	reportLPWork(b, work)
 }
 
-// BenchmarkMinFeasibleTWarm is the same search on a reused
+// BenchmarkMinFeasibleTWarm is the same binary search on a reused
 // workspace, where consecutive probes re-enter the previous basis with
 // dual-simplex pivots. The pivots/op and warm-hit metrics quantify the
 // saving over the cold search above.
@@ -102,11 +102,10 @@ func BenchmarkMinFeasibleTWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkMinFeasibleTLarge runs the warm search on E12's largest row,
-// the shape where an unbounded dual re-entry would run for minutes. The
-// cold variant is the oracle configuration; compare the two pivots/op
-// figures for the warm path's saving at this size. B/op shows the
-// tableau growing once, to the first (largest) probe's size.
+// BenchmarkMinFeasibleTLarge runs the warm binary search on E12's
+// largest row, the shape where an unbounded dual re-entry would run for
+// minutes. The cold variant is the oracle configuration; compare the
+// two pivots/op figures for the warm path's saving at this size.
 func BenchmarkMinFeasibleTLarge(b *testing.B) {
 	in := e12LargeInstance(b)
 	for _, warm := range []bool{true, false} {

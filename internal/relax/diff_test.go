@@ -106,21 +106,13 @@ func TestWarmStalenessInterleaved(t *testing.T) {
 	}
 }
 
-// bareSearchProbes counts the probes of a bare search over
-// relax.Bracket's [lo, hi] whose verdict at T is T ≥ tStar: one probe at
-// hi−1, then bisection of [lo, hi−1] when it is feasible. When no probe
-// is feasible, tStar is hi, which the bracket's own assignment certifies
-// without an LP.
+// bareSearchProbes counts the probes of a bare binary search over
+// relax.Bracket's [lo, hi] whose verdict at mid is mid ≥ tStar. When no
+// probe is feasible, tStar is hi, which the bracket's own assignment
+// certifies without an LP.
 func bareSearchProbes(in *model.Instance, tStar int64) int {
 	lo, hi, _ := relax.Bracket(in, relax.NewWorkspace())
-	if lo == hi {
-		return 0
-	}
-	if hi-1 < tStar {
-		return 1
-	}
-	hi--
-	probes := 1
+	probes := 0
 	for ; lo < hi; probes++ {
 		if mid := lo + (hi-lo)/2; mid >= tStar {
 			hi = mid
@@ -151,8 +143,7 @@ func TestBracketHoldsTStar(t *testing.T) {
 // a reused workspace the binary search must answer a meaningful share of
 // probes from the warm path, with strictly fewer pivots than cold. It
 // also pins the search to verdict probes alone: no probe beyond the
-// bare search's steps (hi−1 first, then bisection), so no witness solve
-// at T*.
+// bare binary search's steps, so no witness solve at T*.
 func TestWarmStartActuallyFires(t *testing.T) {
 	ctx := context.Background()
 	var warmHits, probes, warmPivots, coldPivots int
@@ -164,7 +155,7 @@ func TestWarmStartActuallyFires(t *testing.T) {
 		}
 		st := ws.Stats()
 		if want := bareSearchProbes(c.In, tStar); st.Probes != want {
-			t.Fatalf("%s: search ran %d probes, a bare search %d", c.Name, st.Probes, want)
+			t.Fatalf("%s: search ran %d probes, a bare binary search %d", c.Name, st.Probes, want)
 		}
 		warmHits += st.LP.WarmHits
 		probes += st.Probes

@@ -1,14 +1,13 @@
 // Package relax builds and solves the fractional relaxations of the
 // paper's assignment ILPs (Section V): the decision form (IP-3) for a fixed
 // makespan T with the pruned variable set R = {(α,j) : p_αj ≤ T}, the
-// search for the minimal T with a feasible relaxation, and Lemma V.1's
-// push-down transformation that moves all fractional mass onto the
+// binary search for the minimal T with a feasible relaxation, and Lemma
+// V.1's push-down transformation that moves all fractional mass onto the
 // singleton sets of the laminar family.
 //
-// The search (MinFeasibleT) probes the top of Bracket's range first and
-// bisects below it, and its probes are verdict-only LP solves that skip
-// pivot round-off residue (lp.Problem.Verdict). Witnesses (Feasible) are
-// exact, cold solves.
+// The search's probes (MinFeasibleT) are verdict-only LP solves that
+// skip pivot round-off residue (lp.Problem.Verdict). Witnesses
+// (Feasible) are exact, cold solves.
 //
 // Relaxation is the one (IP-3) builder in the repository. Section VI's
 // memory models (internal/memcap) extend it with their memory packings,
@@ -105,7 +104,7 @@ func (fr *Fractional) SingletonOnly(in *model.Instance, tol float64) bool {
 // Workspace holds the relaxation's rebuild-and-re-solve state: the
 // (IP-3) Relaxation its own probes rebuild, the LP problem (whose
 // constraint arenas are reused via lp.Problem.Reset), and the simplex
-// Workspace. The search re-solves near-identical LPs at every
+// Workspace. The binary search re-solves near-identical LPs at every
 // probe, so holding one Workspace across the probes makes everything
 // after the first probe allocation-free except the LP's returned
 // Solution.
@@ -493,16 +492,13 @@ func (ws *Workspace) lpt(in *model.Instance) (makespan int64, ok bool) {
 	return makespan, true
 }
 
-// MinFeasibleT returns the minimal integer T for which the LP relaxation
-// of (IP-3) is feasible. T* is a lower bound on the optimal integral
-// makespan. The search spans Bracket's [lo, hi] and answers from verdict
-// probes alone. T* usually sits near the top, where Bracket's LPT bound
-// is, so the first probe is at hi−1: when it is feasible, the search
-// bisects [lo, hi−1], and every later probe's smaller variable set maps
-// into that first, largest LP's basis for a warm start. When it is
-// infeasible, T* is hi, and the integral assignment behind hi is checked
-// against (IP-3) exactly in int64 instead of by one more LP. A caller
-// that needs a fractional solution at T* asks Feasible for it.
+// MinFeasibleT binary-searches the minimal integer T for which the LP
+// relaxation of (IP-3) is feasible. T* is a lower bound on the optimal
+// integral makespan. The search spans Bracket's [lo, hi] and answers
+// from verdict probes alone; when none is feasible, T* is hi, and the
+// integral assignment behind hi is checked against (IP-3) exactly in
+// int64 instead of by one more LP. A caller that needs a fractional
+// solution at T* asks Feasible for it.
 //
 // The probes are lp.Problem.Verdict solves: they skip the round-off
 // residue that dense pivoting leaves in the tableau, which is most of the
@@ -510,7 +506,7 @@ func (ws *Workspace) lpt(in *model.Instance) (makespan int64, ok bool) {
 // other solve that returns a vertex, never re-enter a tableau the search
 // pivoted.
 //
-// The search checks ctx before every LP probe and each probe itself
+// The binary search checks ctx before every LP probe and each probe itself
 // aborts between simplex pivots, so cancellation latency is one pivot, not
 // one search; the caller-held Workspace (nil allocates one for the whole
 // search) lets every probe reuse one tableau and one constraint arena, so
@@ -527,17 +523,6 @@ func MinFeasibleT(ctx context.Context, in *model.Instance, ws *Workspace) (int64
 		return 0, fmt.Errorf("relax: some job has no admissible set")
 	}
 	top := hi
-	if lo < hi {
-		ok, err := ws.verdict(ctx, in, hi-1)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			hi--
-		} else {
-			lo = hi
-		}
-	}
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		ok, err := ws.verdict(ctx, in, mid)
