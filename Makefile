@@ -56,10 +56,11 @@ bench-full:
 
 # Allocation budgets (see PERFORMANCE.md): the alloc-budget tests pin the
 # LP pivot loop, the exact branch-and-bound DFS, the Problem rebuild
-# path and the (IP-3) builder's probe rebuild in internal/relax (the
-# plain relaxation and both of memcap's memory row sets) at zero
-# steady-state allocations, and a warmed SolveWS at its contract
-# minimum. Run WITHOUT -race: race instrumentation allocates, so these
+# path, a warm Verdict re-entry, the (IP-3) builder's probe rebuild in
+# internal/relax (the plain relaxation and both of memcap's memory row
+# sets) and whole relax.Workspace.Verdict probes on both memory row
+# sets at zero steady-state allocations, and a cold re-solve on a grown
+# workspace at its contract minimum (the Solution and its X). Run WITHOUT -race: race instrumentation allocates, so these
 # tests skip themselves under it — this target is the gate CI relies on.
 bench-alloc:
 	$(GO) test -count=1 -run 'AllocFree|SteadyStateAllocs' ./internal/lp ./internal/exact ./internal/relax
@@ -107,9 +108,10 @@ hspd-smoke:
 # Coverage-guided fuzzing smoke: a short budget per target on every CI
 # run (regression corpus under testdata/fuzz always runs with plain
 # `go test`; this adds fresh exploration). The properties fuzzed are the
-# warm-start safety contract: warm/cold verdict+objective agreement and
-# feasibility on arbitrary LPs, and warm/cold T* equality plus verdict
-# monotonicity around T* for the relaxation's binary search, plus Lemma
+# warm-start safety contract: warm Verdict against cold Solve agreement
+# and a feasible cold vertex on arbitrary LPs, and warm/cold T* equality
+# plus verdict monotonicity around T* for the relaxation's binary
+# search, plus Lemma
 # V.1 on the same instances (the singleton-extended T* equals the T* of
 # the unrelated projection, up to one at an LP-tolerance tie that
 # TwoApprox must then absorb with its bound at the larger T*, and

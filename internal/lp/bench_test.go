@@ -28,7 +28,10 @@ func benchProblem(b *testing.B, jobs int) *lp.Problem {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, _ := relax.BuildFeasibility(ins, T)
+	r := relax.NewRelaxation(ins)
+	r.Build(T)
+	p := lp.NewProblem(0)
+	r.Load(p)
 	return p
 }
 
@@ -50,9 +53,9 @@ func BenchmarkSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveWS is BenchmarkSolve with a caller-held Workspace — the
-// steady state of the Section V binary search, where every re-solve
-// reuses the previous tableau's backing arrays.
+// BenchmarkSolveWS is BenchmarkSolve with a caller-held Workspace: every
+// re-solve is cold, as every Solve is, but reuses the previous tableau's
+// backing arrays.
 func BenchmarkSolveWS(b *testing.B) {
 	p := benchProblem(b, 24)
 	ws := lp.NewWorkspace()

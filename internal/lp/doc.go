@@ -12,8 +12,8 @@
 // The implementation favors robustness over speed: rows are equilibrated at
 // build time, Dantzig pricing switches to Bland's rule after a run of
 // degenerate pivots (guaranteeing termination), and an iteration cap turns
-// pathological cases into errors instead of hangs. Solve additionally
-// polls a context between pivots, so callers higher up the stack (the
+// pathological cases into errors instead of hangs. Both solves poll a
+// context between pivots, so callers higher up the stack (the
 // Section V binary search, the Section VI iterative rounding) can abort a
 // solve cooperatively — the cancellation path -timeout in cmd/hbench
 // relies on. The poll sits at the top of the pivot loop, outside the
@@ -22,28 +22,33 @@
 //
 // # Verdict-only solves
 //
-// Verdict answers feasibility alone, for the Section V binary search's
-// probes. It pivots without round-off work: pivoting leaves residue of
-// 1e-12 or less where exact arithmetic leaves zeros, and a row whose
-// entering-column entry is such residue would be updated for nothing. A
-// Verdict counts an entry below 1e-11 as zero, stores 0 there and skips
-// the row. Every other solve keeps the exact-zero test, and none of
-// them re-enters a tableau a Verdict pivoted, so vertices never depend
-// on the drop. Counters.RowUpdates counts the rows pivots update, the
-// pivot loop's unit of work.
+// Verdict answers feasibility alone, for the binary searches' probes
+// (Section V's T* and Section VI's T_LP). It pivots without round-off
+// work: pivoting leaves residue of 1e-12 or less where exact arithmetic
+// leaves zeros, and a row whose entering-column entry is such residue
+// would be updated for nothing. A Verdict counts an entry below 1e-11 as
+// zero, stores 0 there and skips the row. Solve keeps the exact-zero
+// test. Counters.RowUpdates counts the rows pivots update, the pivot
+// loop's unit of work.
+//
+// Verdict is also the only solve that warm-starts: on a caller-held
+// Workspace it re-enters the optimal basis of the last cold solve with
+// dual-simplex pivots (see warm.go). Solve is always cold, so the
+// vertices the roundings consume never depend on the drop, on a
+// retained basis, or on what the Workspace solved before.
 //
 // # Workspace reuse
 //
 // Every solve runs on a Workspace holding the dense tableau and both
 // reduced-cost rows as flat, grow-only arrays:
 //
-//   - Solve, Feasible and Verdict with a nil Workspace allocate a private
-//     one for that solve alone, as every other solver's nil does; such a
-//     solve is always cold.
-//   - Solve, Feasible and Verdict with a caller-held Workspace reuse it.
-//     The binary searches in internal/relax and internal/memcap hold one
-//     Workspace across all their probes, making every re-solve after the
-//     first allocate nothing but the returned Solution.
+//   - Solve and Verdict with a nil Workspace allocate a private one for
+//     that solve alone, as every other solver's nil does.
+//   - Solve and Verdict with a caller-held Workspace reuse it. The
+//     binary searches in internal/relax and internal/memcap hold one
+//     Workspace across all their probes, so every Verdict after the
+//     first allocates nothing, and a Solve allocates only the returned
+//     Solution.
 //
 // A Workspace is owned by exactly one solve at a time and is not
 // goroutine-safe; concurrent solvers use one Workspace each. Solutions

@@ -176,7 +176,6 @@ type Solution struct {
 	X          []float64 // structural variable values (valid when Optimal)
 	Objective  float64   // c·X (valid when Optimal)
 	Iterations int       // total simplex pivots across both phases
-	Warm       bool      // answered by the warm-start dual-simplex path
 }
 
 const (
@@ -194,81 +193,100 @@ const (
 //
 // The tableau lives in ws, whose backing arrays are reused, so re-solving
 // near-identical problems allocates nothing but the returned Solution. A
-// nil ws allocates a private workspace for this solve alone, so the
-// solve is cold. The Workspace must not be used concurrently (see its
-// doc).
+// nil ws allocates a private workspace for this solve alone. The
+// Workspace must not be used concurrently (see its doc).
 //
-// A caller-held Workspace additionally retains the optimal basis between
-// solves: when the next problem differs from the retained one only in
-// constraint right-hand sides, the solve re-enters via dual-simplex
-// pivots from that basis instead of two-phase simplex from scratch (see
-// the warm-start contract on Workspace).
+// Solve is always cold: it never re-enters a retained basis, so its
+// vertex is the same bit for bit whatever ws solved before. An optimal
+// Solve leaves its basis retained for the next Verdict on ws (see the
+// warm-start contract in warm.go).
 func (p *Problem) Solve(ctx context.Context, ws *Workspace) (*Solution, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	ws.counters.Solves++
-	ws.t.ctx = ctx
-	sol, err := p.solve(ws)
-	ws.t.ctx = nil // don't retain the context in the workspace
-	ws.counters.RowUpdates += ws.t.rowUpdates
-	ws.t.rowUpdates = 0
-	return sol, err
+	ws.begin(ctx, 0)
+	st, pivots, err := p.solveCold(ws)
+	ws.end()
+	if err != nil {
+		return nil, err
+	}
+	sol := &Solution{Status: st, Iterations: pivots}
+	if st == Optimal {
+		sol.X = make([]float64, p.nvars) // fresh: results survive workspace reuse
+		ws.t.vertex(sol.X, nil)
+		for i, c := range p.obj {
+			sol.Objective += c * sol.X[i]
+		}
+	}
+	return sol, nil
 }
 
-// solve answers from the warm basis when it can and cold otherwise, and
-// retains the basis of an optimal cold solve.
-func (p *Problem) solve(ws *Workspace) (*Solution, error) {
-	if oldToNew, match := ws.warmMap(p); match {
-		sol, ok, err := ws.solveWarm(p, oldToNew)
-		if err != nil {
-			ws.warm.valid = false
-			return nil, err
-		}
-		if ok {
-			// The anchor signature still describes the tableau: pivots
-			// moved the basis within the anchor's column space, so the
-			// retained state stays valid for the next probe. Not
-			// re-retaining keeps subset re-entry anchored at the
-			// largest variable set seen, which the shrinking probes of
-			// a binary search all map into.
-			ws.counters.WarmHits++
-			if oldToNew != nil {
-				ws.counters.SubsetHits++
-			}
-			ws.counters.WarmPivots += sol.Iterations
-			return sol, nil
-		}
-		ws.counters.WarmFallbacks++
+// Verdict reports whether the constraint system admits any x ≥ 0,
+// without a witness, and it pivots without round-off work: while it
+// runs, an entering-column entry below residueTol in magnitude counts as
+// zero, so its row is not updated (see pivot). ctx and ws are as for
+// Solve.
+//
+// Verdict is the only solve that re-enters a retained basis: on a
+// caller-held Workspace it answers from dual-simplex pivots whenever the
+// previous optimal solve's problem differs from p only in right-hand
+// sides or by pruned keyed variables (see warm.go). Such an answer is
+// checked against the input data before it is returned, and a Verdict
+// allocates nothing once ws has grown to p's size.
+func (p *Problem) Verdict(ctx context.Context, ws *Workspace) (bool, error) {
+	if ws == nil {
+		ws = NewWorkspace()
 	}
-	sol, err := p.solveCold(ws)
-	if err == nil && sol.Status == Optimal {
+	ws.begin(ctx, residueTol)
+	ok, err := p.verdict(ws)
+	ws.end()
+	return ok, err
+}
+
+// begin opens a solve on ws: it counts the solve, hands ctx to the pivot
+// loops and sets the pivot's residue threshold (0 = exact).
+func (ws *Workspace) begin(ctx context.Context, drop float64) {
+	ws.counters.Solves++
+	ws.t.ctx, ws.t.drop = ctx, drop
+}
+
+// end closes the solve begin opened: the workspace keeps neither the
+// context nor the threshold, and the solve's row updates fold into the
+// counters.
+func (ws *Workspace) end() {
+	ws.t.ctx, ws.t.drop = nil, 0
+	ws.counters.RowUpdates += ws.t.rowUpdates
+	ws.t.rowUpdates = 0
+}
+
+// solveCold runs the regular two-phase simplex on a freshly initialized
+// tableau and reports the status and its pivots. It retains the basis of
+// an optimal answer for the next Verdict and drops the retained basis
+// otherwise.
+func (p *Problem) solveCold(ws *Workspace) (Status, int, error) {
+	st, pivots, err := ws.t.twoPhase(p)
+	ws.counters.ColdSolves++
+	ws.counters.Pivots += pivots
+	if err == nil && st == Optimal {
 		ws.retain(p)
 	} else {
 		ws.warm.valid = false
 	}
-	return sol, err
+	return st, pivots, err
 }
 
-// solveCold runs the regular two-phase simplex on a freshly initialized
-// tableau.
-func (p *Problem) solveCold(ws *Workspace) (*Solution, error) {
-	t := &ws.t
+// twoPhase builds the tableau for p and runs both simplex phases on it.
+func (t *tableau) twoPhase(p *Problem) (st Status, pivots int, err error) {
 	t.init(p)
-	sol := &Solution{}
-	ws.counters.ColdSolves++
-	defer func() { ws.counters.Pivots += sol.Iterations }()
-
 	// Phase 1: minimize the sum of artificial variables.
 	if t.nart > 0 {
 		it, err := t.iterate(t.cost1, true)
-		sol.Iterations += it
+		pivots += it
 		if err != nil {
-			return nil, fmt.Errorf("lp: phase 1: %w", err)
+			return st, pivots, fmt.Errorf("lp: phase 1: %w", err)
 		}
 		if t.cost1[t.ncols] < -feasTol*(1+float64(t.nrows)) {
-			sol.Status = Infeasible
-			return sol, nil
+			return Infeasible, pivots, nil
 		}
 		t.driveOutArtificials()
 	}
@@ -276,71 +294,38 @@ func (p *Problem) solveCold(ws *Workspace) (*Solution, error) {
 	// Phase 2: minimize the true objective with artificials banned.
 	t.priceOut(t.cost2)
 	it, err := t.iterate(t.cost2, false)
-	sol.Iterations += it
+	pivots += it
 	if err != nil {
-		return nil, fmt.Errorf("lp: phase 2: %w", err)
+		return st, pivots, fmt.Errorf("lp: phase 2: %w", err)
 	}
 	if t.unbounded {
-		sol.Status = Unbounded
-		return sol, nil
+		return Unbounded, pivots, nil
 	}
+	return Optimal, pivots, nil
+}
 
-	sol.Status = Optimal
-	sol.X = make([]float64, p.nvars) // fresh: results survive workspace reuse
+// vertex writes the basic solution's structural values into x, which
+// holds zeros and one slot per variable of the presented problem.
+// oldToNew, when non-nil, maps the tableau's columns to those slots; a
+// pruned column (-1) still basic sits within zeroTol of zero (larger
+// values leave through the dual loop's bounded ratio test) and has no
+// slot.
+func (t *tableau) vertex(x []float64, oldToNew []int) {
 	for r := 0; r < t.nrows; r++ {
-		if v := t.basis[r]; v < p.nvars {
-			sol.X[v] = t.rhs[r]
-			if sol.X[v] < 0 && sol.X[v] > -zeroTol {
-				sol.X[v] = 0
+		v := t.basis[r]
+		if v >= t.nstruct {
+			continue
+		}
+		if oldToNew != nil {
+			if v = oldToNew[v]; v < 0 {
+				continue
 			}
 		}
+		x[v] = t.rhs[r]
+		if x[v] < 0 && x[v] > -zeroTol {
+			x[v] = 0
+		}
 	}
-	for i, c := range p.obj {
-		sol.Objective += c * sol.X[i]
-	}
-	return sol, nil
-}
-
-// Feasible reports whether the constraint system admits any x ≥ 0,
-// together with a witness vertex when it does. ctx and ws are as for
-// Solve.
-func (p *Problem) Feasible(ctx context.Context, ws *Workspace) (bool, []float64, error) {
-	sol, err := p.Solve(ctx, ws)
-	if err != nil {
-		return false, nil, err
-	}
-	if sol.Status == Infeasible {
-		return false, nil, nil
-	}
-	return true, sol.X, nil
-}
-
-// Verdict reports whether the constraint system admits any x ≥ 0, as
-// Feasible does, but without a witness, and it pivots without round-off
-// work: while it runs, an entering-column entry below residueTol in
-// magnitude counts as zero, so its row is not updated (see pivot). ctx
-// and ws are as for Solve, and a caller-held Workspace warm-starts
-// successive verdicts from each other.
-//
-// The tableau such a solve leaves behind differs from an exact one by the
-// residue it skipped, so no solve that returns a vertex re-enters it:
-// after a Verdict, the next Solve or Feasible on ws runs cold unless a
-// solve in between re-anchored the workspace exactly. A verdict's warm
-// answers are checked against the input data like any warm answer.
-func (p *Problem) Verdict(ctx context.Context, ws *Workspace) (bool, error) {
-	if ws == nil {
-		ws = NewWorkspace()
-	}
-	ws.t.drop = residueTol
-	defer func() {
-		ws.t.drop = 0
-		ws.warm.dropped = true
-	}()
-	sol, err := p.Solve(ctx, ws)
-	if err != nil {
-		return false, err
-	}
-	return sol.Status != Infeasible, nil
 }
 
 // residueTol is Verdict's threshold below which an entering-column entry
@@ -369,6 +354,7 @@ type tableau struct {
 	hasBanned     bool            // warm subset re-entry: some columns are fixed at zero
 	banned        []bool          // per column; only meaningful when hasBanned
 	farkas        []float64       // scratch for re-verifying warm infeasibility rays
+	x             []float64       // scratch for re-verifying warm vertices
 	certRow       int             // dual-simplex certificate row (-1 = none)
 	certFlip      bool            // certificate came from a fixed basic above zero: negate the ray
 	ctx           context.Context // polled between pivots; nil = never canceled

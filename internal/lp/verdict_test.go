@@ -22,19 +22,6 @@ func (c *cancelAfter) Err() error {
 	return nil
 }
 
-// checkVerdict compares p's Verdict on vws with a cold Solve's status.
-func checkVerdict(t *testing.T, p *Problem, vws, cold *Workspace) {
-	t.Helper()
-	ok, errV := p.Verdict(nil, vws)
-	sol, errC := p.Solve(nil, cold)
-	if (errV == nil) != (errC == nil) {
-		t.Fatalf("error disagreement: verdict=%v cold=%v", errV, errC)
-	}
-	if errV == nil && ok != (sol.Status != Infeasible) {
-		t.Fatalf("verdict feasible=%t, cold status %v", ok, sol.Status)
-	}
-}
-
 // TestSolveAfterVerdictIsCold: a Solve on a workspace whose tableau a
 // Verdict pivoted, warm hits and cancellations included, runs cold and
 // returns the vertex of a fresh workspace bit for bit; the residue drop
@@ -68,13 +55,14 @@ func TestSolveAfterVerdictIsCold(t *testing.T) {
 			if ws.t.drop != 0 {
 				t.Fatalf("spec %d: drop %g left set after a Verdict", spec, ws.t.drop)
 			}
+			before := ws.Stats()
 			sol, err := p.Solve(nil, ws)
 			fresh, errF := p.Solve(nil, nil)
 			if err != nil || errF != nil {
 				t.Fatalf("spec %d: %v / %v", spec, err, errF)
 			}
-			if sol.Warm {
-				t.Fatalf("spec %d load %g: Solve re-entered a tableau a Verdict pivoted", spec, load)
+			if st := ws.Stats(); st.WarmHits != before.WarmHits || st.ColdSolves != before.ColdSolves+1 {
+				t.Fatalf("spec %d load %g: Solve re-entered a tableau a Verdict pivoted: %+v → %+v", spec, load, before, st)
 			}
 			if sol.Status != fresh.Status || len(sol.X) != len(fresh.X) {
 				t.Fatalf("spec %d load %g: status %v, fresh %v", spec, load, sol.Status, fresh.Status)

@@ -7,33 +7,35 @@ import (
 	"hsp/internal/scratch"
 )
 
-// Warm-start: a caller-held Workspace retains the optimal basis of its
-// last solve together with a signature of the problem that produced it.
-// When the next Solve presents a problem that is structurally identical
-// — same variables, objective, constraint operators, sparsity pattern and
-// coefficients — and differs only in constraint right-hand sides, the
-// solver re-enters from the retained basis with dual-simplex pivots
-// instead of two-phase primal simplex from scratch. The retained basis is
-// optimal, hence dual-feasible, and an RHS change preserves dual
+// Warm start: a caller-held Workspace retains the optimal basis of its
+// last cold solve together with a signature of the problem that produced
+// it. When the next Verdict presents a problem that is structurally
+// identical — same variables, objective, constraint operators, sparsity
+// pattern and coefficients — and differs only in constraint right-hand
+// sides, the solver re-enters from the retained basis with dual-simplex
+// pivots instead of two-phase primal simplex from scratch. The retained
+// basis is optimal, hence dual-feasible, and an RHS change preserves dual
 // feasibility: typically a handful of pivots restore primal feasibility
 // where the cold path would pay its full pivot count again.
+//
+// Only Verdict re-enters; Solve is always cold, so every vertex the
+// package returns is the cold path's, bit for bit, and only verdicts are
+// ever answered warm. Both kinds of cold solve retain an optimal basis.
 //
 // Fallback rules (any failure is silent — the cold path answers):
 //   - signature mismatch, including any negative RHS on either side (the
 //     cold path's sign normalization would flip row scaling);
 //   - an artificial variable still basic in the retained tableau;
-//   - a tableau a Verdict pivoted, presented to any solve but a Verdict;
 //   - the dual re-entry exceeds its budget of 3·nrows pivots (see
 //     dualIterate for why the budget is safe);
 //   - an infeasibility certificate with a violation too small to trust
 //     against the cold path's phase-1 tolerance.
 //
-// The retained state never influences *what* is returned, only how fast:
-// a warm Optimal exhibits a primal-feasible basis (so the cold verdict
-// could not be Infeasible), and a warm Infeasible is only reported when
-// the Farkas violation is decisively larger than the feasibility
-// tolerance. Callers that must reproduce cold-path vertices bit-for-bit
-// (golden witnesses) call InvalidateWarmStart first.
+// The retained state never influences *what* a Verdict returns, only how
+// fast: a warm feasible verdict exhibits a vertex that satisfies the
+// input data (so the cold verdict could not be Infeasible), and a warm
+// infeasible one is only reported when the Farkas violation is decisively
+// larger than the feasibility tolerance.
 
 // warmState is the signature of the problem whose optimal basis the
 // tableau currently holds.
@@ -47,9 +49,6 @@ type warmState struct {
 	obj   []float64
 	keys  []uint64 // variable identity keys, empty when the problem had none
 	o2n   []int    // scratch: anchor column → new column (-1 = pruned)
-	// dropped reports that a Verdict pivoted the tableau since it was
-	// retained: only another Verdict may re-enter it.
-	dropped bool
 }
 
 // Counters aggregates solver effort across the lifetime of a Workspace
@@ -57,9 +56,9 @@ type warmState struct {
 // the pivots of every warm re-entry, including re-entries that fell back
 // to the cold path; WarmPivots counts only those of warm hits.
 type Counters struct {
-	Solves        int // Solve entries (cold, warm, and fallbacks)
+	Solves        int // Solve and Verdict entries (cold, warm, and fallbacks)
 	ColdSolves    int // solves answered by two-phase simplex
-	WarmHits      int // solves answered from the retained basis
+	WarmHits      int // verdicts answered from the retained basis
 	SubsetHits    int // warm hits that mapped into a variable subset of the anchor
 	WarmFallbacks int // warm attempts that fell back to the cold path
 	Pivots        int // total simplex pivots (all paths)
@@ -73,14 +72,8 @@ func (ws *Workspace) Stats() Counters { return ws.counters }
 // ResetStats zeroes the workspace counters.
 func (ws *Workspace) ResetStats() { ws.counters = Counters{} }
 
-// InvalidateWarmStart drops the retained basis: the next solve runs the
-// cold two-phase path (and re-arms warm start for the solves after it).
-// Callers use this to pin down the exact cold-path vertex — the witness
-// solves behind golden outputs invalidate before solving.
-func (ws *Workspace) InvalidateWarmStart() { ws.warm.valid = false }
-
-// SetWarmStart enables or disables the warm-start path. Disabling also
-// drops any retained basis; it makes every solve cold, which the
+// SetWarmStart enables or disables Verdict's warm-start path. Disabling
+// also drops any retained basis; it makes every Verdict cold, which the
 // differential tests use as the oracle configuration.
 func (ws *Workspace) SetWarmStart(enabled bool) {
 	ws.warmOff = !enabled
@@ -101,7 +94,7 @@ func (ws *Workspace) SetWarmStart(enabled bool) {
 // next warmMap call.
 func (ws *Workspace) warmMap(p *Problem) ([]int, bool) {
 	w := &ws.warm
-	if !w.valid || ws.warmOff || (w.dropped && ws.t.drop == 0) {
+	if !w.valid || ws.warmOff {
 		return nil, false
 	}
 	if len(p.cons) != len(w.ops) {
@@ -197,6 +190,26 @@ func (ws *Workspace) warmMap(p *Problem) ([]int, bool) {
 	return o2n, true
 }
 
+// verdict answers from the retained basis when it can and cold otherwise.
+func (p *Problem) verdict(ws *Workspace) (bool, error) {
+	if oldToNew, match := ws.warmMap(p); match {
+		feasible, ok, err := ws.solveWarm(p, oldToNew)
+		if err != nil {
+			ws.warm.valid = false
+			return false, err
+		}
+		if ok {
+			return feasible, nil
+		}
+		ws.counters.WarmFallbacks++
+	}
+	st, _, err := p.solveCold(ws)
+	if err != nil {
+		return false, err
+	}
+	return st != Infeasible, nil
+}
+
 // retain records p as the problem whose optimal basis the tableau now
 // holds. It declines (leaving warm start invalid) when the basis could
 // not be re-entered safely: a negative RHS, or an artificial variable
@@ -234,7 +247,6 @@ func (ws *Workspace) retain(p *Problem) {
 	copy(w.obj, p.obj)
 	w.keys = scratch.Grow(w.keys, len(p.keys))
 	copy(w.keys, p.keys)
-	w.dropped = false
 	w.valid = true
 }
 
@@ -253,14 +265,14 @@ const decisiveInfeasTol = 1e-4
 // vector itself carries drift.
 const certTol = 1e-7
 
-// solveWarm re-enters the retained basis with p's right-hand sides.
-// oldToNew, when non-nil, maps anchor columns to p's columns (-1 = a
-// variable p pruned; banned from entering, it stays nonbasic at zero so
-// the anchor tableau solves exactly p). The boolean reports whether the
-// warm path produced a trustworthy answer; false means fall back to the
-// cold path (never an error by itself). Its pivots count toward
-// Pivots on every path, fallbacks and errors included.
-func (ws *Workspace) solveWarm(p *Problem, oldToNew []int) (*Solution, bool, error) {
+// solveWarm answers a Verdict by re-entering the retained basis with p's
+// right-hand sides. oldToNew, when non-nil, maps anchor columns to p's
+// columns (-1 = a variable p pruned; banned from entering, it stays
+// nonbasic at zero so the anchor tableau solves exactly p). ok reports
+// whether the warm path produced a trustworthy verdict; false means fall
+// back to the cold path (never an error by itself). Its pivots count
+// toward Pivots on every path, fallbacks and errors included.
+func (ws *Workspace) solveWarm(p *Problem, oldToNew []int) (feasible, ok bool, err error) {
 	t := &ws.t
 	if oldToNew != nil {
 		t.banned = scratch.Grow(t.banned, t.ncols)
@@ -290,88 +302,46 @@ func (ws *Workspace) solveWarm(p *Problem, oldToNew []int) (*Solution, bool, err
 		}
 		t.rhs[r] = sum
 	}
-	// Objective entry of the reduced-cost row for the new RHS. Basic
-	// structural columns are anchor columns; one that p pruned is fixed at
-	// zero in p (cost 0) and will be pivoted out by the dual loop.
-	obj := 0.0
-	for r := 0; r < nr; r++ {
-		if v := t.basis[r]; v < t.nstruct {
-			if oldToNew != nil {
-				v = oldToNew[v]
-			}
-			if v >= 0 {
-				obj += p.obj[v] * t.rhs[r]
-			}
-		}
-	}
-	t.cost2[nc] = -obj
-	t.unbounded = false
-	t.degenStreak = 0
-	t.blandMode = false
 
 	pivots, worst, err := t.dualIterate()
-	defer func() { ws.counters.Pivots += pivots }()
+	ws.counters.Pivots += pivots
 	if err != nil {
-		return nil, false, err
+		return false, false, err
 	}
-	sol := &Solution{Iterations: pivots, Warm: true}
 	switch {
 	case worst >= -zeroTol:
-		// Primal feasibility restored; polish with primal pivots in case
-		// the ratio-test tolerances left a marginally negative reduced
-		// cost, then read the vertex off the basis.
-		it, err := t.iterate(t.cost2, false)
-		pivots += it
-		sol.Iterations = pivots
-		if err != nil || t.unbounded {
-			// A cycling or unbounded polish under a basis that is already
-			// primal-feasible signals numerical trouble: let the cold
-			// path answer (and surface ctx cancellation as an error).
-			if err != nil && t.ctx != nil && t.ctx.Err() != nil {
-				return nil, false, fmt.Errorf("lp: warm re-entry: %w", err)
-			}
-			return nil, false, nil
+		// Primal feasibility restored: the vertex the basis holds must
+		// satisfy the exact input data.
+		t.x = scratch.Grow(t.x, p.nvars)
+		scratch.Clear(t.x)
+		t.vertex(t.x, oldToNew)
+		if !verifyPrimal(p, t.x, t.rowScale) {
+			return false, false, nil
 		}
-		sol.Status = Optimal
-		sol.X = make([]float64, p.nvars) // fresh: results survive workspace reuse
-		for r := 0; r < nr; r++ {
-			if v := t.basis[r]; v < t.nstruct {
-				if oldToNew != nil {
-					// A pruned anchor column still basic here sits within
-					// zeroTol of zero (larger values leave via the dual
-					// loop's bounded ratio test) — it has no slot in X.
-					v = oldToNew[v]
-				}
-				if v < 0 {
-					continue
-				}
-				sol.X[v] = t.rhs[r]
-				if sol.X[v] < 0 && sol.X[v] > -zeroTol {
-					sol.X[v] = 0
-				}
-			}
-		}
-		if !verifyPrimal(p, sol.X, t.rowScale) {
-			return nil, false, nil
-		}
-		for i, c := range p.obj {
-			sol.Objective += c * sol.X[i]
-		}
-		return sol, true, nil
+		feasible = true
 	case worst < -decisiveInfeasTol:
 		// A Farkas row with a decisive violation: the dual ray proves the
 		// primal infeasible by a margin the cold tolerance cannot flip —
 		// but only after the ray is re-verified against the exact input
 		// data, because the tableau row it was read from carries drift.
 		if !t.verifyFarkas(p) {
-			return nil, false, nil
+			return false, false, nil
 		}
-		sol.Status = Infeasible
-		return sol, true, nil
 	default:
 		// Ambiguous: stalled, or an infeasibility too marginal to trust.
-		return nil, false, nil
+		return false, false, nil
 	}
+	// The anchor signature still describes the tableau: pivots moved the
+	// basis within the anchor's column space, so the retained state stays
+	// valid for the next probe. Not re-retaining keeps subset re-entry
+	// anchored at the largest variable set seen, which the shrinking
+	// probes of a binary search all map into.
+	ws.counters.WarmHits++
+	if oldToNew != nil {
+		ws.counters.SubsetHits++
+	}
+	ws.counters.WarmPivots += pivots
+	return feasible, true, nil
 }
 
 // verifyPrimal checks a warm-start vertex against the original problem

@@ -11,17 +11,17 @@ package lp
 // The buffers grow monotonically to the largest problem seen and are
 // retained, which is exactly what the binary searches in internal/relax
 // and internal/memcap want: they re-solve near-identical LPs, so after
-// the first probe the solver allocates nothing but the returned
-// Solution.
+// the first probe a Verdict allocates nothing and a Solve nothing but
+// the returned Solution.
 //
 // The returned Solution never aliases the Workspace: Solution.X is freshly
 // allocated per solve, so callers may keep results across re-solves.
 //
 // Beyond buffer reuse, a caller-held Workspace retains the optimal basis
-// of its last solve and warm-starts the next one when only constraint
-// right-hand sides changed — see the warm-start contract in warm.go.
-// InvalidateWarmStart forces the next solve cold; SetWarmStart(false)
-// forces every solve cold.
+// of its last cold solve, and the next Verdict warm-starts from it when
+// only constraint right-hand sides changed — see the warm-start contract
+// in warm.go. Solve never warm-starts; SetWarmStart(false) makes every
+// Verdict cold as well.
 type Workspace struct {
 	t        tableau
 	warm     warmState
@@ -29,6 +29,6 @@ type Workspace struct {
 	counters Counters
 }
 
-// NewWorkspace returns an empty Workspace ready for Solve/Feasible.
+// NewWorkspace returns an empty Workspace ready for Solve and Verdict.
 // The zero value is also valid.
 func NewWorkspace() *Workspace { return &Workspace{} }

@@ -24,7 +24,10 @@
 // of the drop rule follows one fixed order and a solve's answer never
 // depends on iteration order. Both models run
 // every binary-search probe and every rounding LP on one caller-held
-// relax.Workspace: its problem arenas and its simplex tableau.
+// relax.Workspace: its problem arenas and its simplex tableau. The
+// search's probes are relax.Workspace.Verdict calls, which warm-start
+// from each other and return no vertex; the rounding's LPs are
+// lp.Problem.Solve vertices, always cold.
 package memcap
 
 import (
@@ -46,9 +49,10 @@ type roundResult struct {
 // r's packings, in the sense of Lemma VI.2: assignment constraints hold
 // exactly, packing l ends within (1+ρ)·B_l unless a fallback fired. The
 // relaxation enumerates j-major, so each job's variables are contiguous.
-// Every residual LP is rebuilt into ws's problem and solved cold on its
-// tableau, polling ctx between pivots, so cancellation aborts the
-// rounding mid-iteration.
+// Every residual LP is rebuilt into ws's problem and solved on its
+// tableau by lp.Problem.Solve, which is always cold, so the rounded
+// assignment is the cold path's bit for bit; the solve polls ctx between
+// pivots, so cancellation aborts the rounding mid-iteration.
 func iterativeRound(ctx context.Context, r relaxation, ws *relax.Workspace) (*roundResult, error) {
 	const tol = 1e-7
 	nv, nJobs, packings := len(r.Pairs), r.In.N(), r.Packs
@@ -137,9 +141,6 @@ func iterativeRound(ctx context.Context, r relaxation, ws *relax.Workspace) (*ro
 				p.MustAddConstraint(rowIdx, rowVal, lp.LE, pk.B-fixedUse[l])
 			}
 		}
-		// Every solve here materializes a vertex the rounding reads, so it
-		// runs cold: rounded assignments are the cold path's, bit for bit.
-		ws.LP.InvalidateWarmStart()
 		sol, err := p.Solve(ctx, ws.LP)
 		if err != nil {
 			return nil, fmt.Errorf("memcap: %w", err)

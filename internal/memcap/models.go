@@ -302,26 +302,23 @@ func solve(ctx context.Context, r relaxation, ws *relax.Workspace) (*Result, err
 // is feasible. The memory rows only shrink the (IP-3) relaxation, so
 // relax.Bracket's lo bounds T_LP from below too; its hi, though, may fall
 // to the memory rows, so the first probe tests it and an infeasible one
-// moves the search up to the trivial bound. Every probe rebuilds into
-// ws's problem and solves on its tableau; each probe's LP polls ctx
-// between pivots.
+// moves the search up to the trivial bound. Every probe is a
+// relax.Workspace.Verdict: it rebuilds into ws's problem, warm-starts
+// from the previous probe's basis on ws's tableau and returns no vertex;
+// each probe's LP polls ctx between pivots.
 func minFeasibleT(ctx context.Context, r *relax.Relaxation, ws *relax.Workspace) (int64, error) {
 	in := r.In
 	lo, hi, _ := relax.Bracket(in, ws)
 	if hi >= model.Infinity {
 		return 0, fmt.Errorf("memcap: some job has no admissible set")
 	}
-	// The search starts cold, as on a fresh workspace, and warm-starts
-	// probe to probe from there: its pivots never depend on what the
-	// workspace solved before.
-	ws.LP.InvalidateWarmStart()
-	ok, _, err := ws.Probe(ctx, r, hi)
+	ok, err := ws.Verdict(ctx, r, hi)
 	if err != nil {
 		return 0, err
 	}
 	if trivial := in.TrivialUpperBound(); !ok && hi < trivial {
 		lo, hi = hi+1, trivial
-		if ok, _, err = ws.Probe(ctx, r, hi); err != nil {
+		if ok, err = ws.Verdict(ctx, r, hi); err != nil {
 			return 0, err
 		}
 	}
@@ -330,7 +327,7 @@ func minFeasibleT(ctx context.Context, r *relax.Relaxation, ws *relax.Workspace)
 	}
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		ok, _, err := ws.Probe(ctx, r, mid)
+		ok, err := ws.Verdict(ctx, r, mid)
 		if err != nil {
 			return 0, err
 		}

@@ -1,6 +1,7 @@
 package relax
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,18 +10,14 @@ import (
 	"hsp/internal/testenv"
 )
 
-// TestProbeRebuildSteadyStateAllocs pins the probe rebuild — enumerating
-// the pairs at T, filling every packing and writing the LP into the
-// workspace's problem — at zero allocations once the first (largest-T)
-// probe has grown the buffers. It covers the plain (IP-3) relaxation the
-// binary search probes and both of Section VI's row sets: Model 1's
-// memory row per machine, charged by every set containing it, under an
-// admission filter, and Model 2's memory row per non-root set, charged
-// by that set's own pairs.
-func TestProbeRebuildSteadyStateAllocs(t *testing.T) {
-	if testenv.RaceEnabled {
-		t.Skip("race instrumentation allocates; alloc budgets are gated by make bench-alloc")
-	}
+// allocRelaxations builds a 12-job instance on a two-level binary
+// hierarchy and three relaxations of it: the plain (IP-3) relaxation
+// the binary search probes, owned by ws, and both of Section VI's row
+// sets: Model 1's memory row per machine, charged by every set
+// containing it, under an admission filter, and Model 2's memory row per
+// non-root set, charged by that set's own pairs.
+func allocRelaxations(t *testing.T, ws *Workspace) (*model.Instance, map[string]*Relaxation) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	f, err := laminar.Hierarchy(2, 2)
 	if err != nil {
@@ -60,29 +57,74 @@ func TestProbeRebuildSteadyStateAllocs(t *testing.T) {
 			model2.Packs = append(model2.Packs, Packing{B: 8})
 		}
 	}
+	return in, map[string]*Relaxation{"ip3": ws.relaxation(in), "model1": model1, "model2": model2}
+}
 
+// TestProbeRebuildSteadyStateAllocs pins the probe rebuild — enumerating
+// the pairs at T, filling every packing and writing the LP into the
+// workspace's problem — at zero allocations once the first (largest-T)
+// probe has grown the buffers, on all three of allocRelaxations' row
+// sets.
+func TestProbeRebuildSteadyStateAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc budgets are gated by make bench-alloc")
+	}
 	ws := NewWorkspace()
-	for _, c := range []struct {
-		name string
-		r    *Relaxation
-	}{
-		{"ip3", ws.relaxation(in)},
-		{"model1", model1},
-		{"model2", model2},
-	} {
+	in, rs := allocRelaxations(t, ws)
+	for _, name := range []string{"ip3", "model1", "model2"} {
+		r := rs[name]
 		lo, hi := in.LowerBoundSimple(), in.TrivialUpperBound()
-		c.r.Build(hi)
-		if !c.r.load(ws.Problem()) {
-			t.Fatalf("%s: no variable for some job at the trivial upper bound", c.name)
+		r.Build(hi)
+		if !r.Load(ws.Problem()) {
+			t.Fatalf("%s: no variable for some job at the trivial upper bound", name)
 		}
 		allocs := testing.AllocsPerRun(10, func() {
 			for _, T := range []int64{hi, lo + (hi-lo)/2, lo} {
-				c.r.Build(T)
-				c.r.load(ws.Problem())
+				r.Build(T)
+				r.Load(ws.Problem())
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s: warmed probe rebuild allocates %v/op, want 0", c.name, allocs)
+			t.Errorf("%s: warmed probe rebuild allocates %v/op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestVerdictSteadyStateAllocs pins the binary searches' probe,
+// Workspace.Verdict, at zero allocations once a first probe at the
+// trivial upper bound has grown the buffers: the rebuild, the LP
+// verdict, warm or cold, and its checks against the input data. It runs
+// on Model 1's and Model 2's memory row sets, as memcap's search probes
+// them, and requires the probes to warm-start.
+func TestVerdictSteadyStateAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc budgets are gated by make bench-alloc")
+	}
+	ctx := context.Background()
+	for _, name := range []string{"model1", "model2"} {
+		ws := NewWorkspace()
+		in, rs := allocRelaxations(t, ws)
+		r := rs[name]
+		lo, hi := in.LowerBoundSimple(), in.TrivialUpperBound()
+		if ok, err := ws.Verdict(ctx, r, hi); err != nil || !ok {
+			t.Fatalf("%s: warm-up at the trivial upper bound: %v %v", name, ok, err)
+		}
+		var probeErr error
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, T := range []int64{hi, lo + (hi-lo)/2, lo + (hi-lo)/4, lo} {
+				if _, err := ws.Verdict(ctx, r, T); err != nil {
+					probeErr = err
+				}
+			}
+		})
+		if probeErr != nil {
+			t.Fatal(probeErr)
+		}
+		if ws.Stats().LP.WarmHits == 0 {
+			t.Fatalf("%s: no probe warm-started; test would measure the cold path alone", name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: warmed Verdict probes allocate %v per 4 probes, want 0", name, allocs)
 		}
 	}
 }

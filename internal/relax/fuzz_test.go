@@ -50,10 +50,10 @@ func decodeFuzzConfig(data []byte) workload.Config {
 // search: on any generable instance, the warm T* must equal the cold
 // oracle's, lie in relax.Bracket's range and match the loose-bracket
 // reference search (testdiff.CheckBracket), feasibility must be
-// monotone around T* (T*-1 infeasible, T* and T*+1 feasible), and
-// warm/cold probe verdicts must agree at those boundary points — the
-// exact places a bad dual-simplex verdict would shift the search's
-// answer. It also checks Lemma V.1 (testdiff.CheckLemmaV1): the
+// monotone around T* (T*-1 infeasible, T* and T*+1 feasible), and the
+// warm workspace's Verdict probes must agree with relax.Feasible's cold,
+// exact solves at those boundary points — the exact places a bad
+// dual-simplex verdict would shift the search's answer. It also checks Lemma V.1 (testdiff.CheckLemmaV1): the
 // singleton-extended instance's T* equals its unrelated projection's,
 // up to one at an LP-tolerance tie, approx.TwoApprox succeeds with its
 // bound at the larger of the two, and both TwoApprox's and LST's
@@ -93,16 +93,17 @@ func FuzzMinFeasibleT(f *testing.F) {
 		if err := testdiff.CheckLemmaV1(ctx, in); err != nil {
 			t.Fatal(err)
 		}
+		r := relax.NewRelaxation(in)
 		for _, d := range []int64{-1, 0, 1} {
 			T := tWarm + d
 			if T < 1 {
 				continue
 			}
-			okWarm, err := relax.ProbeFeasible(ctx, in, T, warm)
+			okWarm, err := warm.Verdict(ctx, r, T)
 			if err != nil {
 				t.Fatalf("warm probe T=%d: %v", T, err)
 			}
-			okCold, err := relax.ProbeFeasible(ctx, in, T, cold)
+			okCold, _, err := relax.Feasible(ctx, in, T, cold)
 			if err != nil {
 				t.Fatalf("cold probe T=%d: %v", T, err)
 			}

@@ -5,9 +5,11 @@
 // V.1's push-down transformation that moves all fractional mass onto the
 // singleton sets of the laminar family.
 //
-// The search's probes (MinFeasibleT) are verdict-only LP solves that
-// skip pivot round-off residue (lp.Problem.Verdict). Witnesses
-// (Feasible) are exact, cold solves.
+// Every search probe goes through Workspace.Verdict: a verdict-only LP
+// solve (lp.Problem.Verdict) that warm-starts from the previous probe's
+// basis and skips pivot round-off residue. MinFeasibleT's probes and
+// internal/memcap's are all verdicts. Witnesses (Feasible) are exact
+// lp.Problem.Solve vertices, which are always cold.
 //
 // Relaxation is the one (IP-3) builder in the repository. Section VI's
 // memory models (internal/memcap) extend it with their memory packings,
@@ -105,9 +107,8 @@ func (fr *Fractional) SingletonOnly(in *model.Instance, tol float64) bool {
 // (IP-3) Relaxation its own probes rebuild, the LP problem (whose
 // constraint arenas are reused via lp.Problem.Reset), and the simplex
 // Workspace. The binary search re-solves near-identical LPs at every
-// probe, so holding one Workspace across the probes makes everything
-// after the first probe allocation-free except the LP's returned
-// Solution.
+// probe, so holding one Workspace across the probes makes every probe
+// after the first allocation-free.
 //
 // A Workspace is owned by one solve at a time and is not goroutine-safe;
 // LP points at the underlying simplex workspace for callers (like
@@ -126,7 +127,7 @@ type Workspace struct {
 	key, load   []int64
 }
 
-// NewWorkspace returns a Workspace ready for Feasible, ProbeFeasible and
+// NewWorkspace returns a Workspace ready for Feasible, Verdict and
 // MinFeasibleT.
 func NewWorkspace() *Workspace { return &Workspace{LP: lp.NewWorkspace()} }
 
@@ -140,11 +141,11 @@ func (ws *Workspace) Problem() *lp.Problem { return &ws.prob }
 // including how many were answered from a warm basis. Binary searches
 // that warm-start pivot strictly less here at identical verdicts.
 type Stats struct {
-	// Probes counts the (IP-3) LPs solved by MinFeasibleT, ProbeFeasible
-	// and Feasible: search verdicts and witnesses, on any family. The
-	// singleton-family vertex that approx.TwoApprox and unrelated.LST
-	// round is one of them. Constrained probes through Probe are not
-	// counted here, only in LP.
+	// Probes counts the (IP-3) LPs solved by MinFeasibleT and Feasible:
+	// search verdicts and witnesses, on any family. The singleton-family
+	// vertex that approx.TwoApprox and unrelated.LST round is one of
+	// them. Verdicts on other relaxations (memcap's) are not counted
+	// here, only in LP.
 	Probes int
 	LP     lp.Counters // simplex effort underneath the probes
 }
@@ -285,12 +286,12 @@ func (r *Relaxation) Span(lo, hi int) ([]int, []float64) {
 	return r.seq[lo:hi], r.ones[:hi-lo]
 }
 
-// load writes the built relaxation into p. Keys identify variables
+// Load writes the built relaxation into p. Keys identify variables
 // across probes at different T: as T shrinks, pruning removes variables
 // but the survivors keep their key, letting the LP workspace warm-start
 // from a larger probe's basis. It reports false, leaving p partly built,
 // when some job has no variable (the probe is then infeasible).
-func (r *Relaxation) load(p *lp.Problem) bool {
+func (r *Relaxation) Load(p *lp.Problem) bool {
 	p.Reset(len(r.Pairs))
 	p.SetVarKeys(r.keys)
 	start := 0
@@ -310,25 +311,14 @@ func (r *Relaxation) load(p *lp.Problem) bool {
 	return true
 }
 
-// Probe builds r at T into the workspace's problem and solves it on the
-// workspace's tableau, keeping the warm basis. It reports feasibility
-// and the raw vertex over r.Pairs; the LP polls ctx between pivots.
-func (ws *Workspace) Probe(ctx context.Context, r *Relaxation, T int64) (bool, []float64, error) {
+// Verdict builds r at T into the workspace's problem and reports whether
+// it is feasible, by lp.Problem.Verdict on the workspace's tableau: it
+// warm-starts from the previous probe's basis, skips round-off residue
+// and returns no vertex. The LP polls ctx between pivots. It is the
+// probe of every binary search over a Relaxation.
+func (ws *Workspace) Verdict(ctx context.Context, r *Relaxation, T int64) (bool, error) {
 	r.Build(T)
-	if !r.load(&ws.prob) {
-		return false, nil, nil
-	}
-	return ws.prob.Feasible(ctx, ws.LP)
-}
-
-// verdict is MinFeasibleT's probe: the workspace's (IP-3) relaxation at T
-// solved by lp.Problem.Verdict, which skips round-off residue and
-// returns no vertex.
-func (ws *Workspace) verdict(ctx context.Context, in *model.Instance, T int64) (bool, error) {
-	ws.probes++
-	r := ws.relaxation(in)
-	r.Build(T)
-	if !r.load(&ws.prob) {
+	if !r.Load(&ws.prob) {
 		return false, nil
 	}
 	ok, err := ws.prob.Verdict(ctx, ws.LP)
@@ -345,68 +335,34 @@ func (ws *Workspace) relaxation(in *model.Instance) *Relaxation {
 	return &ws.ip3
 }
 
-// BuildFeasibility constructs the LP relaxation of (IP-3) for makespan T.
-// It returns the problem plus the (set, job) pair of each LP variable,
-// or nil when some job has no variable at T.
-func BuildFeasibility(in *model.Instance, T int64) (*lp.Problem, [][2]int) {
-	ws := &Workspace{}
-	r := ws.relaxation(in)
-	r.Build(T)
-	if !r.load(&ws.prob) {
-		return nil, nil
-	}
-	return &ws.prob, r.Pairs
-}
-
 // Feasible solves the LP relaxation of (IP-3) at T and returns the
-// fractional solution when feasible. The underlying simplex solve aborts
-// between pivots once ctx is done (the error wraps ctx.Err()), and the
-// caller-held Workspace is reused across solves (nil allocates a private
-// one).
+// fractional solution when feasible. The solve is lp.Problem.Solve, which
+// is always cold, so the Fractional is the same vertex bit for bit
+// whatever the workspace solved before. It aborts between pivots once ctx
+// is done (the error wraps ctx.Err()), and the caller-held Workspace is
+// reused across solves (nil allocates a private one).
 func Feasible(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (bool, *Fractional, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	// Witness solves run cold, so the Fractional returned here is the
-	// same vertex bit for bit whatever the workspace solved before. Warm
-	// start only ever accelerates verdict-only probes.
-	ws.LP.InvalidateWarmStart()
-	ok, x, err := feasibleWS(ctx, in, T, ws)
-	if err != nil || !ok {
-		return false, nil, err
-	}
-	fr := NewFractional(in)
-	for k, pr := range ws.ip3.Pairs {
-		fr.X[pr[0]][pr[1]] = x[k]
-	}
-	return true, fr, nil
-}
-
-// ProbeFeasible reports whether the relaxation is feasible at T without
-// materializing a witness. Unlike Feasible it keeps the workspace's warm
-// basis: a sequence of probes on one workspace answers from dual-simplex
-// re-entry whenever it can. Unlike MinFeasibleT's probes it pivots with
-// the exact-zero test, so it is the reference verdict the search's are
-// checked against. Ask Feasible when the fractional solution itself is
-// needed (that path is always cold, so witnesses are reproducible).
-func ProbeFeasible(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (bool, error) {
-	if ws == nil {
-		ws = NewWorkspace()
-	}
-	ok, _, err := feasibleWS(ctx, in, T, ws)
-	return ok, err
-}
-
-// feasibleWS is the probe shared by Feasible and ProbeFeasible: it
-// reports feasibility and the raw vertex x over the workspace's (IP-3)
-// pairs without materializing a Fractional.
-func feasibleWS(ctx context.Context, in *model.Instance, T int64, ws *Workspace) (bool, []float64, error) {
 	ws.probes++
-	ok, x, err := ws.Probe(ctx, ws.relaxation(in), T)
+	r := ws.relaxation(in)
+	r.Build(T)
+	if !r.Load(&ws.prob) {
+		return false, nil, nil
+	}
+	sol, err := ws.prob.Solve(ctx, ws.LP)
 	if err != nil {
 		return false, nil, fmt.Errorf("relax: LP at T=%d: %w", T, err)
 	}
-	return ok, x, nil
+	if sol.Status == lp.Infeasible {
+		return false, nil, nil
+	}
+	fr := NewFractional(in)
+	for k, pr := range r.Pairs {
+		fr.X[pr[0]][pr[1]] = sol.X[k]
+	}
+	return true, fr, nil
 }
 
 // Bracket returns bounds lo ≤ T* ≤ hi on the minimal T with a feasible
@@ -500,17 +456,16 @@ func (ws *Workspace) lpt(in *model.Instance) (makespan int64, ok bool) {
 // int64 instead of by one more LP. A caller that needs a fractional
 // solution at T* asks Feasible for it.
 //
-// The probes are lp.Problem.Verdict solves: they skip the round-off
-// residue that dense pivoting leaves in the tableau, which is most of the
-// row updates on an (IP-3) LP. Feasible's witness solves, like every
-// other solve that returns a vertex, never re-enter a tableau the search
-// pivoted.
+// The probes are Workspace.Verdict solves: they warm-start from each
+// other and skip the round-off residue that dense pivoting leaves in the
+// tableau, which is most of the row updates on an (IP-3) LP. Feasible's
+// witness solve is cold, so it never reads a tableau the search pivoted.
 //
 // The binary search checks ctx before every LP probe and each probe itself
 // aborts between simplex pivots, so cancellation latency is one pivot, not
 // one search; the caller-held Workspace (nil allocates one for the whole
 // search) lets every probe reuse one tableau and one constraint arena, so
-// the search's steady-state allocations are the per-solve Solutions.
+// the search allocates nothing once they have grown.
 func MinFeasibleT(ctx context.Context, in *model.Instance, ws *Workspace) (int64, error) {
 	if ws == nil {
 		ws = NewWorkspace()
@@ -522,10 +477,12 @@ func MinFeasibleT(ctx context.Context, in *model.Instance, ws *Workspace) (int64
 	if hi >= model.Infinity {
 		return 0, fmt.Errorf("relax: some job has no admissible set")
 	}
+	r := ws.relaxation(in)
 	top := hi
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		ok, err := ws.verdict(ctx, in, mid)
+		ws.probes++
+		ok, err := ws.Verdict(ctx, r, mid)
 		if err != nil {
 			return 0, err
 		}

@@ -118,9 +118,8 @@ func (c *countingCtx) Err() error {
 // TestWitnessAfterSearchMatchesFresh: the search's verdict probes skip
 // pivot round-off residue, and no vertex solve may read a tableau they
 // pivoted. On a workspace that just ran MinFeasibleT, whole or canceled
-// in the middle of a probe, Feasible at T* and a raw Probe (the vertex
-// path that does not invalidate warm start itself) return the vertices
-// of a fresh workspace bit for bit.
+// in the middle of a probe, Feasible at T* returns the vertex of a fresh
+// workspace bit for bit.
 func TestWitnessAfterSearchMatchesFresh(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{42, 5, 9} {
@@ -133,7 +132,6 @@ func TestWitnessAfterSearchMatchesFresh(t *testing.T) {
 		if err != nil || want == nil {
 			t.Fatalf("seed %d: no witness at T*=%d: %v", seed, tStar, err)
 		}
-		_, wantX, _ := relax.NewWorkspace().Probe(ctx, relax.NewRelaxation(in), tStar)
 
 		// Count the search's polls, then cancel a second search halfway.
 		whole := &countingCtx{Context: ctx, limit: -1}
@@ -162,15 +160,6 @@ func TestWitnessAfterSearchMatchesFresh(t *testing.T) {
 						t.Fatalf("seed %d limit %d: witness differs at x[%d][%d]: %g, fresh %g",
 							seed, limit, s, j, got.X[s][j], want.X[s][j])
 					}
-				}
-			}
-			_, x, err := search(limit).Probe(ctx, relax.NewRelaxation(in), tStar)
-			if err != nil || len(x) != len(wantX) {
-				t.Fatalf("seed %d: Probe at T*=%d: %d values, want %d (%v)", seed, tStar, len(x), len(wantX), err)
-			}
-			for k := range x {
-				if x[k] != wantX[k] {
-					t.Fatalf("seed %d limit %d: Probe vertex differs at %d: %g, fresh %g", seed, limit, k, x[k], wantX[k])
 				}
 			}
 		}

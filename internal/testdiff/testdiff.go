@@ -244,27 +244,28 @@ func witness(ctx context.Context, in *model.Instance, T int64, ws *relax.Workspa
 	return fr, err
 }
 
-// ProbeMonotone binary-searches like relax.MinFeasibleT but probes
-// every T in [T*-pad, T*+pad] on the warm workspace afterwards, failing
-// if feasibility is not monotone in T or disagrees with a cold probe.
+// ProbeMonotone binary-searches like relax.MinFeasibleT, then probes
+// every T in [T*-pad, T*+pad] with relax.Workspace.Verdict on the
+// searched workspace, failing if feasibility is not monotone in T or
+// disagrees with relax.Feasible's cold, exact solve.
 func ProbeMonotone(ctx context.Context, in *model.Instance, pad int64) error {
 	ws := relax.NewWorkspace()
 	tStar, err := relax.MinFeasibleT(ctx, in, ws)
 	if err != nil {
 		return nil // nothing to scan
 	}
+	r := relax.NewRelaxation(in)
 	cold := relax.NewWorkspace()
-	cold.LP.SetWarmStart(false)
 	lo := tStar - pad
 	if lo < 1 {
 		lo = 1
 	}
 	for T := lo; T <= tStar+pad; T++ {
-		okWarm, err := relax.ProbeFeasible(ctx, in, T, ws)
+		okWarm, err := ws.Verdict(ctx, r, T)
 		if err != nil {
 			return fmt.Errorf("probe T=%d: %w", T, err)
 		}
-		okCold, err := relax.ProbeFeasible(ctx, in, T, cold)
+		okCold, _, err := relax.Feasible(ctx, in, T, cold)
 		if err != nil {
 			return fmt.Errorf("cold probe T=%d: %w", T, err)
 		}
@@ -320,16 +321,15 @@ func CheckBracket(ctx context.Context, in *model.Instance, tStar int64) error {
 
 // LooseMinFeasibleT is the reference search: relax.MinFeasibleT as it ran
 // over the loose bracket [LowerBoundSimple, TrivialUpperBound] before
-// relax.Bracket, with cold probes only and an LP probe at the upper bound
-// when no other probe was feasible.
+// relax.Bracket, with cold, exact probes only (relax.Feasible) and an LP
+// probe at the upper bound when no other probe was feasible.
 func LooseMinFeasibleT(ctx context.Context, in *model.Instance) (int64, error) {
 	ws := relax.NewWorkspace()
-	ws.LP.SetWarmStart(false)
 	lo := max(in.LowerBoundSimple(), 1)
 	top := max(in.TrivialUpperBound(), lo)
 	for hi := top; lo < hi; {
 		mid := lo + (hi-lo)/2
-		ok, err := relax.ProbeFeasible(ctx, in, mid, ws)
+		ok, _, err := relax.Feasible(ctx, in, mid, ws)
 		if err != nil {
 			return 0, err
 		}
@@ -340,7 +340,7 @@ func LooseMinFeasibleT(ctx context.Context, in *model.Instance) (int64, error) {
 		}
 	}
 	if lo == top {
-		if ok, err := relax.ProbeFeasible(ctx, in, lo, ws); err != nil || !ok {
+		if ok, _, err := relax.Feasible(ctx, in, lo, ws); err != nil || !ok {
 			return 0, fmt.Errorf("infeasible at the trivial upper bound %d (err=%v)", lo, err)
 		}
 	}
