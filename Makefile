@@ -55,7 +55,8 @@ bench-full:
 	$(GO) run ./cmd/hbench -pack all -parallel -json -timeout 2m -bench-out BENCH_hbench.json
 
 # Allocation budgets (see PERFORMANCE.md): the alloc-budget tests pin the
-# LP pivot loop, the exact branch-and-bound DFS, the Problem rebuild
+# LP pivot loop, the exact branch-and-bound DFS and a whole exact
+# feasibility probe on a reused workspace, the Problem rebuild
 # path, a warm Verdict re-entry, the (IP-3) builder's probe rebuild in
 # internal/relax (the plain relaxation and both of memcap's memory row
 # sets) and whole relax.Workspace.Verdict probes on both memory row
@@ -68,14 +69,15 @@ bench-alloc:
 # The hot-path benchmarks with allocation counts: the LP oracle per
 # solve, the Section V binary search (fresh, and on a reused workspace
 # whose pivots/op is the search's effort ledger), one exact
-# branch-and-bound probe, an rt admission sweep (four fresh tests vs one
+# branch-and-bound probe, one E15 probe that exhausts its 200,000-node
+# cap (nodes/op, ns/node), an rt admission sweep (four fresh tests vs one
 # Tester), memcap's Model 1 and Model 2 solves (fresh vs warmed
 # workspace), and one cache hit through the daemon's HTTP handler. Compare against the tables in
 # PERFORMANCE.md.
 bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveWS$$' -benchmem ./internal/lp
 	$(GO) test -run '^$$' -bench 'BenchmarkMinFeasibleT$$|BenchmarkMinFeasibleTWarm$$' -benchmem ./internal/relax
-	$(GO) test -run '^$$' -bench 'BenchmarkFeasibleAssignment$$' -benchmem ./internal/exact
+	$(GO) test -run '^$$' -bench 'BenchmarkFeasibleAssignment$$|BenchmarkFeasibleAssignmentCapped$$' -benchmem ./internal/exact
 	$(GO) test -run '^$$' -bench 'BenchmarkSweep$$' -benchmem ./internal/rt
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveModel[12]$$' -benchmem ./internal/memcap
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheHit$$' -benchmem ./internal/serve
@@ -126,8 +128,11 @@ hspd-smoke:
 # invariants) — plus the rt Tester's memo (every answer of one Tester
 # over any frame sequence equals a fresh Tester's) — plus memcap's
 # workspace reuse (every Model 1/2 answer on a workspace shared with
-# other solves equals a fresh workspace's). Targets run one at a
-# time — go test allows a single -fuzz pattern per package.
+# other solves equals a fresh workspace's) — plus the exact
+# branch-and-bound kernel (on arbitrary small instances, makespans and
+# node caps, the slack-step DFS walks the reference chain-walk kernel's
+# tree: same verdict, witness, node counts and cap error). Targets run
+# one at a time — go test allows a single -fuzz pattern per package.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -140,6 +145,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzNew' -fuzztime $(FUZZTIME) ./internal/laminar
 	$(GO) test -run '^$$' -fuzz 'FuzzTesterMatchesTest' -fuzztime $(FUZZTIME) ./internal/rt
 	$(GO) test -run '^$$' -fuzz 'FuzzMemcapWorkspace' -fuzztime $(FUZZTIME) ./internal/memcap
+	$(GO) test -run '^$$' -fuzz 'FuzzExactKernel' -fuzztime $(FUZZTIME) ./internal/exact
 
 # The repository benchmark (BENCHMARK.json) is a Go module of its own in
 # hspbench/, which the root `go test ./...` does not enter: vet it and

@@ -2,6 +2,7 @@ package exact
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"hsp/internal/testenv"
@@ -60,6 +61,52 @@ func TestDFSAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("DFS allocates %v/op steady-state, want 0", allocs)
+	}
+}
+
+// TestProbeAllocFree pins a whole feasibility probe — prepare (candidate
+// sorts, slack steps, twin tables) and the search — on a reused
+// workspace: an infeasible probe allocates nothing, a feasible one only
+// the assignment it returns.
+func TestProbeAllocFree(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc budgets are gated by make bench-alloc")
+	}
+	in, err := workload.Generate(workload.Config{
+		Topology: workload.SMPCMP, Branching: []int{2, 2, 2},
+		Jobs: 11, Seed: 42, MinWork: 25, MaxWork: 40,
+		SpeedSpread: 0.15, OverheadPerLevel: 0.3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ws := NewWorkspace()
+	_, opt, err := Solve(ctx, in, Options{}, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		T      int64
+		ok     bool
+		allocs float64
+	}{{opt - 1, false, 0}, {opt, true, 1}} {
+		var probeErr error
+		allocs := testing.AllocsPerRun(5, func() {
+			_, ok, err := FeasibleAssignment(ctx, in, c.T, Options{}, ws)
+			if err == nil && ok != c.ok {
+				err = fmt.Errorf("verdict %v, want %v", ok, c.ok)
+			}
+			if err != nil {
+				probeErr = err
+			}
+		})
+		if probeErr != nil {
+			t.Fatalf("T=%d: %v", c.T, probeErr)
+		}
+		if allocs != c.allocs {
+			t.Errorf("probe at T=%d allocates %v/op on a reused workspace, want %v", c.T, allocs, c.allocs)
+		}
 	}
 }
 

@@ -87,3 +87,37 @@ func BenchmarkFeasibleAssignment(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFeasibleAssignmentCapped is one E15 probe that exhausts the
+// experiment's 200,000-node cap: an E15-shaped instance (SMP-CMP 2·2·2,
+// 12 jobs, work 20–60) at its LP bound, on a reused workspace. nodes/op
+// counts canonical nodes (the cap's currency) and ns/node is the time per
+// canonical node, the DFS kernel's cost.
+func BenchmarkFeasibleAssignmentCapped(b *testing.B) {
+	in, err := workload.Generate(workload.Config{
+		Topology: workload.SMPCMP, Branching: []int{2, 2, 2},
+		Jobs: 12, Seed: 2, MinWork: 20, MaxWork: 60,
+		SpeedSpread: 0.2, OverheadPerLevel: 0.1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	T, err := relax.MinFeasibleT(ctx, in, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := exact.Options{MaxNodes: 200_000}
+	ws := exact.NewWorkspace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := exact.FeasibleAssignment(ctx, in, T, opts, ws); err == nil {
+			b.Fatalf("probe at T=%d finished under the %d-node cap", T, opts.MaxNodes)
+		}
+	}
+	b.StopTimer()
+	nodes := float64(ws.Stats().Canonical)
+	b.ReportMetric(nodes/float64(b.N), "nodes/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/nodes, "ns/node")
+}

@@ -1,9 +1,11 @@
 package exact
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"hsp/internal/laminar"
 	"hsp/internal/model"
@@ -26,18 +28,13 @@ func (o Options) maxNodes() int {
 }
 
 // Workspace holds the branch-and-bound working state: candidate lists,
-// the in-place assignment vector, per-subtree volume accumulators and the
-// precomputed ancestor-membership table. A Workspace is reused across the
-// feasibility probes of one binary search (and across searches), so a
-// steady-state probe allocates nothing in the DFS itself — every node
-// commits and undoes in place. See the package doc for the ownership
-// contract.
+// the in-place assignment vector, each candidate's precomputed slack
+// steps and the per-subtree slack they update. A Workspace is reused
+// across the feasibility probes of one binary search (and across
+// searches), so a steady-state probe allocates nothing — prepare fills
+// retained buffers and every DFS node commits and undoes in place. See
+// the package doc for the ownership contract.
 type Workspace struct {
-	// Family-derived: rebuilt only when the family changes.
-	family *laminar.Family
-	nsets  int
-	inSub  []bool // inSub[c*nsets+anc] reports anc ∈ Chain(c), i.e. anc ⊇ c
-
 	// Probe state, sized to the instance and reused across probes.
 	in        *model.Instance
 	T         int64
@@ -46,15 +43,23 @@ type Workspace struct {
 	nodes     int
 	limit     int
 	cands     [][]int // per job: candidate sets under (2c), cheapest first
-	candArena []int   // flat backing for cands rows
+	candArena []int   // flat backing for cands rows, job after job
+	candOff   []int   // per job: offset of cands[j] in candArena
 	ceiling   []int   // minimal subtree the job is forced into (-1: none)
 	minP      []int64 // cheapest admissible processing time per job
-	forcedMin []int64 // lower bound on future volume per subtree
-	capOf     []int64 // |s|·T per subtree
-	used      []int64 // committed volume per subtree
 	order     []int   // most-constrained-first job order
 	assign    model.Assignment
 	ancCount  []int32 // scratch for commonAncestor
+
+	// The (2b) kernel: slack[s] = |s|·T − committed volume in s − the
+	// forced minimum volume of the unassigned jobs whose ceiling lies in
+	// subtree(s). Candidate ci of job j updates it by the steps
+	// steps[stepOff[g]:stepOff[g+1]], g = candOff[j]+ci, whose last
+	// suffix[j] steps walk Chain(ceiling[j]) (see prepare).
+	slack   []int64
+	steps   []step
+	stepOff []int
+	suffix  []int // per job: len(Chain(ceiling)), 0 without a ceiling
 
 	// Twin-pair symmetry state (see prepare): pairWith[k] = k-1 marks a
 	// position whose job is identical to the one right before it in the
@@ -189,11 +194,19 @@ func FeasibleAssignment(ctx context.Context, in *model.Instance, T int64, opts O
 	return out, true, nil
 }
 
+// step is one update of the (2b) kernel: candidate s of job j adds add
+// to the volume of ancestor anc ∈ Chain(s).
+type step struct {
+	anc int
+	add int64
+}
+
 // prepare sizes the workspace for (in, T) and builds the probe state:
 // candidate sets per job under the (2c) pruning (cheapest first), the
-// subtree ceilings and forced-volume lower bounds, capacities, and the
-// most-constrained-first job order. It reports false when some job has no
-// candidate at all — the probe is trivially infeasible.
+// subtree ceilings, the initial slack of every subtree, each candidate's
+// slack steps, and the most-constrained-first job order. It reports
+// false when some job has no candidate at all — the probe is trivially
+// infeasible.
 func (w *Workspace) prepare(ctx context.Context, in *model.Instance, T int64, opts Options) bool {
 	f := in.Family
 	n := in.N()
@@ -202,37 +215,22 @@ func (w *Workspace) prepare(ctx context.Context, in *model.Instance, T int64, op
 	w.n = n
 	w.limit = opts.maxNodes()
 
-	if w.family != f {
-		// Ancestor-membership table: one bool lookup replaces a chain walk
-		// in the innermost DFS pruning test.
-		w.family = f
-		w.nsets = nsets
-		w.inSub = scratch.Grow(w.inSub, nsets*nsets)
-		scratch.Clear(w.inSub)
-		for c := 0; c < nsets; c++ {
-			for _, anc := range f.Chain(c) {
-				w.inSub[c*nsets+anc] = true
-			}
-		}
-	}
-
 	w.cands = scratch.Grow(w.cands, n)
 	w.candArena = scratch.Grow(w.candArena, n*nsets)
+	w.candOff = scratch.Grow(w.candOff, n)
 	w.ceiling = scratch.Grow(w.ceiling, n)
+	w.suffix = scratch.Grow(w.suffix, n)
 	w.minP = scratch.Grow(w.minP, n)
-	w.forcedMin = scratch.Grow(w.forcedMin, nsets)
-	scratch.Clear(w.forcedMin)
-	w.capOf = scratch.Grow(w.capOf, nsets)
-	w.used = scratch.Grow(w.used, nsets)
-	scratch.Clear(w.used)
+	w.slack = scratch.Grow(w.slack, nsets)
 	w.order = scratch.Grow(w.order, n)
 	w.assign = scratch.Grow(w.assign, n)
 	w.ancCount = scratch.Grow(w.ancCount, nsets)
 
-	// Candidate sets per job under the (2c) pruning, cheapest first.
+	// Candidate sets per job under the (2c) pruning, cheapest first,
+	// packed job after job into candArena.
+	off := 0
 	for j := 0; j < n; j++ {
-		base := j * nsets
-		cj := w.candArena[base : base : base+nsets]
+		cj := w.candArena[off:off]
 		for s := 0; s < nsets; s++ {
 			if in.Proc[j][s] <= T {
 				cj = append(cj, s)
@@ -241,10 +239,10 @@ func (w *Workspace) prepare(ctx context.Context, in *model.Instance, T int64, op
 		if len(cj) == 0 {
 			return false
 		}
-		w.cands[j] = cj
-		sort.Slice(cj, func(a, b int) bool {
-			return in.Proc[j][cj[a]] < in.Proc[j][cj[b]]
-		})
+		w.cands[j], w.candOff[j] = cj, off
+		off += len(cj)
+		proc := in.Proc[j]
+		slices.SortFunc(cj, func(a, b int) int { return cmp.Compare(proc[a], proc[b]) })
 	}
 
 	// ceiling[j]: the minimal set whose subtree contains every candidate of
@@ -253,32 +251,68 @@ func (w *Workspace) prepare(ctx context.Context, in *model.Instance, T int64, op
 		w.ceiling[j] = w.commonAncestor(f, w.cands[j])
 	}
 
-	// forcedMin[s]: total of min processing times of unassigned jobs whose
-	// ceiling lies in subtree(s) — a lower bound on future volume in s.
+	// slack[s] starts at |s|·T less the forced volume of subtree(s): the
+	// min processing times of the jobs whose ceiling lies in subtree(s),
+	// a lower bound on the volume s must still take.
+	for s := 0; s < nsets; s++ {
+		w.slack[s] = int64(f.Size(s)) * T
+	}
+	nsteps := 0
 	for j := 0; j < n; j++ {
 		w.minP[j] = in.Proc[j][w.cands[j][0]]
 		if c := w.ceiling[j]; c >= 0 {
 			for _, anc := range f.Chain(c) {
-				w.forcedMin[anc] += w.minP[j]
+				w.slack[anc] -= w.minP[j]
 			}
+		}
+		for _, s := range w.cands[j] {
+			nsteps += len(f.Chain(s))
 		}
 	}
 
-	for s := 0; s < nsets; s++ {
-		w.capOf[s] = int64(f.Size(s)) * T
+	// The steps of candidate s of job j walk Chain(s). The ceiling is an
+	// ancestor of every candidate, so Chain(ceiling) is a suffix of
+	// Chain(s): on that suffix j's minimum was already taken out of the
+	// slack, and only the excess p − minP[j] is new; on s and its
+	// ancestors below the ceiling the whole p is. Committing s subtracts
+	// each add, which also moves j's minimum from forced to committed
+	// volume.
+	w.steps = scratch.Grow(w.steps, nsteps)
+	w.stepOff = scratch.Grow(w.stepOff, off+1)
+	k := 0
+	for j := 0; j < n; j++ {
+		suffix := 0
+		if c := w.ceiling[j]; c >= 0 {
+			suffix = len(f.Chain(c))
+		}
+		w.suffix[j] = suffix
+		for ci, s := range w.cands[j] {
+			w.stepOff[w.candOff[j]+ci] = k
+			p := in.Proc[j][s]
+			ch := f.Chain(s)
+			cut := len(ch) - suffix
+			for i, anc := range ch {
+				add := p
+				if i >= cut {
+					add = p - w.minP[j]
+				}
+				w.steps[k] = step{anc, add}
+				k++
+			}
+		}
 	}
+	w.stepOff[off] = k
 
 	// Most-constrained-first ordering: fewest candidates, then largest
 	// minimum processing time.
 	for j := 0; j < n; j++ {
 		w.order[j] = j
 	}
-	sort.SliceStable(w.order, func(a, b int) bool {
-		ja, jb := w.order[a], w.order[b]
-		if len(w.cands[ja]) != len(w.cands[jb]) {
-			return len(w.cands[ja]) < len(w.cands[jb])
+	slices.SortStableFunc(w.order, func(ja, jb int) int {
+		if c := cmp.Compare(len(w.cands[ja]), len(w.cands[jb])); c != 0 {
+			return c
 		}
-		return w.minP[ja] > w.minP[jb]
+		return cmp.Compare(w.minP[jb], w.minP[ja])
 	})
 
 	// Twin-pair symmetry breaking: two adjacent positions holding jobs
@@ -360,10 +394,12 @@ func (w *Workspace) search() (bool, error) {
 }
 
 // dfs tries every candidate set of the k-th job in order, committing and
-// undoing the volume accumulators in place. This is the measured hot path
-// of the exact solver: no allocation, no chain walks (the ancestor table
-// answers the (2b) membership test), and the context poll sits on a
-// ~4k-node stride, outside the per-node arithmetic.
+// undoing its slack steps in place. This is the measured hot path of the
+// exact solver: no allocation and no chain walks — a candidate's (2b)
+// test, commit and undo are each one loop over its precomputed steps
+// against the one slack array, and the test skips the suffix rule's
+// shared Chain(ceiling) (see the package doc) — and the context poll
+// sits on a ~4k-node stride, outside the per-node arithmetic.
 func (w *Workspace) dfs(k int) (bool, error) {
 	w.nodes++
 	w.visited++
@@ -380,12 +416,11 @@ func (w *Workspace) dfs(k int) (bool, error) {
 	if k == w.n {
 		return true, nil
 	}
-	f := w.in.Family
-	nsets := w.nsets
 	j := w.order[k]
-	proc := w.in.Proc[j]
-	cl := w.ceiling[j]
 	cj := w.cands[j]
+	offs := w.stepOff[w.candOff[j] : w.candOff[j]+len(cj)+1]
+	allSteps := w.steps
+	slack := w.slack
 	if k+1 < w.n && w.pairWith[k+1] == k {
 		// Pair head: this invocation owns the second twin's mirror table.
 		m := w.mirror[k+1]
@@ -413,37 +448,35 @@ func (w *Workspace) dfs(k int) (bool, error) {
 		}
 		mrec = m[start*nc : (start+1)*nc]
 	}
+	// The suffix rule: the last sfx steps of every candidate walk
+	// Chain(ceiling), each adding the candidate's excess over minP[j], so
+	// the least slack on it (room) decides the suffix for all of them.
+	room := int64(math.MaxInt64)
+	sfx := w.suffix[j]
+	if sfx > 0 {
+		first := allSteps[offs[0]:offs[1]]
+		for _, st := range first[len(first)-sfx:] {
+			room = min(room, slack[st.anc])
+		}
+	}
+candidates:
 	for ci := start; ci < len(cj); ci++ {
-		s := cj[ci]
-		p := proc[s]
-		ok := true
-		// (2b) along the ancestor chain of s, including the forced
-		// future volume of each subtree.
-		for _, anc := range f.Chain(s) {
-			add := p
-			if cl >= 0 && w.inSub[cl*nsets+anc] {
-				// j's minimum was already counted in forcedMin[anc];
-				// only the excess over the minimum is new.
-				add = p - w.minP[j]
-			}
-			if w.used[anc]+w.forcedMin[anc]+add > w.capOf[anc] {
-				ok = false
-				break
+		steps := allSteps[offs[ci]:offs[ci+1]]
+		if steps[len(steps)-1].add > room {
+			// Candidates run cheapest first, so every later excess is
+			// at least as large and fails the suffix too.
+			break
+		}
+		// (2b) on the ancestors below the ceiling.
+		for _, st := range steps[:len(steps)-sfx] {
+			if st.add > slack[st.anc] {
+				continue candidates
 			}
 		}
-		if !ok {
-			continue
+		for _, st := range steps {
+			slack[st.anc] -= st.add
 		}
-		// Commit.
-		for _, anc := range f.Chain(s) {
-			w.used[anc] += p
-		}
-		if cl >= 0 {
-			for _, anc := range f.Chain(cl) {
-				w.forcedMin[anc] -= w.minP[j]
-			}
-		}
-		w.assign[j] = s
+		w.assign[j] = cj[ci]
 		w.chosenCi[k] = ci
 		before := w.nodes
 		done, err := w.dfs(k + 1)
@@ -456,15 +489,9 @@ func (w *Workspace) dfs(k int) (bool, error) {
 		if mrec != nil {
 			mrec[ci] = w.nodes - before
 		}
-		// Undo.
 		w.assign[j] = -1
-		for _, anc := range f.Chain(s) {
-			w.used[anc] -= p
-		}
-		if cl >= 0 {
-			for _, anc := range f.Chain(cl) {
-				w.forcedMin[anc] += w.minP[j]
-			}
+		for _, st := range steps {
+			slack[st.anc] += st.add
 		}
 	}
 	return false, nil
