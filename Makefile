@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build vet fmt-check lint-docs test race bench-quick bench-packs \
-	bench-full bench-alloc bench-hot profile hspd-smoke fuzz-smoke bench-check ci
+	bench-full bench-alloc bench-hot profile pivot-addr hspd-smoke fuzz-smoke bench-check ci
 
 all: build vet test
 
@@ -167,5 +167,17 @@ profile:
 		-cpuprofile $(PROFILE_OUT)/cpu.pprof -memprofile $(PROFILE_OUT)/heap.pprof \
 		> $(PROFILE_OUT)/run.jsonl
 	@echo "profiles written: $(PROFILE_OUT)/cpu.pprof $(PROFILE_OUT)/heap.pprof"
+
+# End-to-end timings on one host can follow lp.(*tableau).pivot's
+# address modulo 64 as well as the work done (see CHANGES.md). This
+# builds the benchmark binary as hspbench/run.sh does, into out/, and
+# prints that address and its value mod 64; compare it before and after
+# a change to read the change's timings.
+pivot-addr:
+	@mkdir -p out
+	cd hspbench && GOFLAGS= GOWORK=off $(GO) build -o ../out/hspbench .
+	@addr=$$($(GO) tool nm out/hspbench | awk '$$3 == "hsp/internal/lp.(*tableau).pivot" { print $$1 }'); \
+		test -n "$$addr" || { echo "pivot-addr: lp.(*tableau).pivot not found" >&2; exit 1; }; \
+		echo "lp.(*tableau).pivot 0x$$addr mod 64 = $$(( 0x$$addr % 64 ))"
 
 ci: build vet fmt-check lint-docs race bench-alloc bench-check fuzz-smoke bench-quick bench-packs bench-full hspd-smoke

@@ -50,4 +50,23 @@
 // still applies per request inside the batch. rt requests of one task on byte-identical instances share one
 // rt.Tester, so an admission sweep over several frames computes T* and
 // the 2-approximation once; the memo ends with the task.
+//
+// # Certificates
+//
+// Run and RunScenario each end in one certificate step, a function of
+// the Outcome alone; an answer that fails it is an error, never sent.
+// Every answer with a schedule must have it validate against the
+// demands its assignment induces and end no later than the makespan it
+// reports. Beyond that, per algo:
+//
+//   - lp: nothing further; T* is the answer.
+//   - exact: nothing further; the makespan is the optimum.
+//   - 2approx, best: 0 < T* and makespan ≤ 2·T* (Theorem V.2).
+//   - rt: a schedulable verdict has makespan ≤ frame.
+//   - memory1, memory2: 0 < T_LP ≤ makespan, and a rounding without
+//     fallbacks keeps both factors within 3 (Theorem VI.1) or σ
+//     (Theorem VI.3).
+//   - dag and every scenario algo: best's checks on the compiled
+//     instance, and makespan ≤ Factor·LowerBound when the compile
+//     certifies one.
 package serve

@@ -8,7 +8,6 @@ import (
 
 	"hsp/internal/memcap"
 	"hsp/internal/model"
-	"hsp/internal/relax"
 	"hsp/internal/workload"
 )
 
@@ -43,61 +42,41 @@ func TestMemoryAnswersCertified(t *testing.T) {
 	// σ = 3 + 1/m for this two-level family.
 	bounds := map[string]float64{AlgoMemory1: 3, AlgoMemory2: memcap.SigmaTwoLevel(in.M())}
 
-	orig1, orig2 := solveModel1, solveModel2
-	t.Cleanup(func() { solveModel1, solveModel2 = orig1, orig2 })
-	bendWith := func(bend func(r *memcap.Result, bound float64)) {
-		solveModel1 = func(ctx context.Context, m *memcap.Model1, ws *relax.Workspace) (*memcap.Result, error) {
-			r, err := orig1(ctx, m, ws)
-			if err == nil {
-				bend(r, bounds[AlgoMemory1])
-			}
-			return r, err
-		}
-		solveModel2 = func(ctx context.Context, m *memcap.Model2, ws *relax.Workspace) (*memcap.Result, error) {
-			r, err := orig2(ctx, m, ws)
-			if err == nil {
-				bend(r, bounds[AlgoMemory2])
-			}
-			return r, err
-		}
-	}
-	run := func(algo string) (*Outcome, error) {
-		return Run(context.Background(), in, reqs[algo], nil)
-	}
-
+	outs := map[string]*Outcome{}
 	// The real answers pass.
-	for algo := range reqs {
-		if _, err := run(algo); err != nil {
+	for algo, req := range reqs {
+		out, err := Run(context.Background(), in, req, nil)
+		if err != nil {
 			t.Fatalf("%s: unbent answer refused: %v", algo, err)
 		}
+		outs[algo] = out
 	}
 	for _, c := range []struct {
 		name  string
-		bend  func(r *memcap.Result, bound float64)
+		bend  func(o *Outcome, bound float64)
 		error string
 	}{
-		{"invalid schedule", func(r *memcap.Result, _ float64) {
-			s := *r.Schedule
+		{"invalid schedule", func(o *Outcome, _ float64) {
+			s := *o.Schedule
 			s.Intervals = s.Intervals[1:]
-			r.Schedule = &s
+			o.Schedule = &s
 		}, "failed validation"},
-		{"makespan below bound", func(r *memcap.Result, _ float64) { r.TLP = r.Makespan + 1 }, "below its relaxation bound"},
-		{"zero bound", func(r *memcap.Result, _ float64) { r.TLP = 0 }, "below its relaxation bound"},
-		{"load factor", func(r *memcap.Result, b float64) { r.Fallbacks, r.LoadFactor = 0, b+0.01 }, "violated"},
-		{"memory factor", func(r *memcap.Result, b float64) { r.Fallbacks, r.MemFactor = 0, b+0.01 }, "violated"},
+		{"makespan below bound", func(o *Outcome, _ float64) { o.LPBound = o.Makespan + 1 }, "below its relaxation bound"},
+		{"zero bound", func(o *Outcome, _ float64) { o.LPBound = 0 }, "below its relaxation bound"},
+		{"load factor", func(o *Outcome, b float64) { o.Fallbacks, o.LoadFactor = 0, b+0.01 }, "violated"},
+		{"memory factor", func(o *Outcome, b float64) { o.Fallbacks, o.MemFactor = 0, b+0.01 }, "violated"},
 	} {
-		bendWith(c.bend)
-		for algo := range reqs {
-			if out, err := run(algo); err == nil || !strings.Contains(err.Error(), c.error) {
-				t.Fatalf("%s/%s: answered %+v with err=%v, want %q", c.name, algo, out, err, c.error)
+		for algo, out := range outs {
+			err := bent(out, func(o *Outcome) { c.bend(o, bounds[algo]) })
+			if err == nil || !strings.Contains(err.Error(), c.error) {
+				t.Fatalf("%s/%s: certified with err=%v, want %q", c.name, algo, err, c.error)
 			}
 		}
 	}
 	// The theorems cover fallback-free roundings only: with a fallback,
 	// factors beyond the bound are answered.
-	bendWith(func(r *memcap.Result, b float64) { r.Fallbacks, r.MemFactor = 1, b+1 })
-	for algo := range reqs {
-		if _, err := run(algo); err != nil {
+	for algo, out := range outs {
+		if err := bent(out, func(o *Outcome) { o.Fallbacks, o.MemFactor = 1, bounds[algo]+1 }); err != nil {
 			t.Fatalf("%s: answer with a fallback refused: %v", algo, err)
 		}
 	}

@@ -144,35 +144,30 @@ func TestRTAnswersCertified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := testRT
-	t.Cleanup(func() { testRT = orig })
+	req := &Request{Algo: AlgoRT, Instance: doc, Frame: frames[len(frames)-1]}
+	out, err := Run(context.Background(), in, req, nil)
+	if err != nil || out.Verdict != rt.Schedulable.String() {
+		t.Fatalf("frame at the 2-approximation: %v, %v", out, err)
+	}
 	for _, c := range []struct {
 		name  string
-		bend  func(r *rt.Result)
+		bend  func(o *Outcome)
 		error string
 	}{
-		{"oversized makespan", func(r *rt.Result) { r.Makespan = r.Frame + 1 }, "exceeds frame"},
-		{"invalid schedule", func(r *rt.Result) {
-			s := *r.Schedule
+		{"oversized makespan", func(o *Outcome) { o.Makespan = o.Frame + 1 }, "exceeds frame"},
+		{"invalid schedule", func(o *Outcome) {
+			s := *o.Schedule
 			s.Intervals = s.Intervals[1:]
-			r.Schedule = &s
+			o.Schedule = &s
 		}, "failed validation"},
 	} {
-		testRT = func(ts *rt.Tester, ctx context.Context, frame int64, opts rt.Options) (*rt.Result, error) {
-			r, err := orig(ts, ctx, frame, opts)
-			if err == nil && r.Verdict == rt.Schedulable {
-				c.bend(r)
-			}
-			return r, err
+		if err := bent(out, c.bend); err == nil || !strings.Contains(err.Error(), c.error) {
+			t.Fatalf("%s: certified with err=%v, want %q", c.name, err, c.error)
 		}
-		req := &Request{Algo: AlgoRT, Instance: doc, Frame: frames[len(frames)-1]}
-		if _, err := Run(context.Background(), in, req, nil); err == nil || !strings.Contains(err.Error(), c.error) {
-			t.Fatalf("%s: answered with err=%v, want %q", c.name, err, c.error)
-		}
-		// An unschedulable verdict carries no schedule and passes.
-		req.Frame = frames[0]
-		if out, err := Run(context.Background(), in, req, nil); err != nil || out.Verdict != rt.Unschedulable {
-			t.Fatalf("%s: frame below T*: %v, %v", c.name, out, err)
-		}
+	}
+	// An unschedulable verdict carries no schedule and passes.
+	req.Frame = frames[0]
+	if out, err := Run(context.Background(), in, req, nil); err != nil || out.Verdict != rt.Unschedulable.String() {
+		t.Fatalf("frame below T*: %v, %v", out, err)
 	}
 }

@@ -64,56 +64,47 @@ func (ws *Workspaces) tester(in *model.Instance, doc []byte) (*rt.Tester, error)
 // endTask drops the rt memo, ending its task-scoped lifetime.
 func (ws *Workspaces) endTask() { ws.rtDoc, ws.rtTester = nil, nil }
 
-// testRT runs one rt test; tests replace it to feed the certification
-// checks an answer no real Tester would give.
-var testRT = (*rt.Tester).Test
-
-// solveModel1 and solveModel2 run the memory models, and twoApprox and
-// bestApprox the Theorem V.2 pipelines; tests replace them as testRT is
-// replaced.
-var (
-	solveModel1 = memcap.SolveModel1
-	solveModel2 = memcap.SolveModel2
-	twoApprox   = approx.TwoApprox
-	bestApprox  = approx.Best
-)
-
-// Outcome is the typed result of one query: what the daemon serializes
-// into a Response and what cmd/hsched prints. Instance is the instance
-// Assignment and Schedule refer to — the input itself for "exact"/"lp",
-// the singleton-extended copy for the approximation pipelines.
+// Outcome is the typed result of one query: the wire Response it is
+// served as, plus what the certificate and cmd/hsched read beside it.
+// Instance is the instance Assignment and Schedule refer to — the input
+// itself for "exact"/"lp", the singleton-extended copy for the
+// approximation pipelines. Schedule shadows the Response's encoded
+// schedule, which respond fills only for a request that asks for it.
 type Outcome struct {
-	Algo       string
-	Instance   *model.Instance
-	Assignment model.Assignment
-	LPBound    int64
-	Makespan   int64
-	Optimal    bool
-	Verdict    rt.Verdict
-	HasVerdict bool
-	Frame      int64
-	MemFactor  float64
-	LoadFactor float64
-	Fallbacks  int
-	// Scenario fields, set when the query routed through the scenario
-	// layer (see RunScenario).
-	Scenario   string
-	ScenarioLB int64
-	Segments   int
-	MaxLive    int64
-	Schedule   *sched.Schedule
+	Response
+	Instance *model.Instance
+	Schedule *sched.Schedule
+
+	// The certificate's inputs that the wire answer does not carry.
+	solver   string  // the algo that solved Instance: Algo, or "best" under a scenario
+	memBound float64 // memory1/memory2: Theorem VI.1's 3 or Theorem VI.3's σ
+	factor   float64 // scenario answers: the compile's certified Factor
 }
 
-// Run dispatches one typed query on a decoded instance. This is the
-// single spelling of "solve a request" shared by the CLI and the daemon;
-// every solver call is the canonical (ctx, ..., ws) form, so deadlines
-// cancel mid-pivot/mid-DFS and a caller-held Workspaces (nil allocates
-// private ones) is reused across requests.
+// Run dispatches one typed query on a decoded instance and certifies
+// the answer. This is the single spelling of "solve a request" shared
+// by the CLI and the daemon; every solver call is the canonical (ctx,
+// ..., ws) form, so deadlines cancel mid-pivot/mid-DFS and a
+// caller-held Workspaces (nil allocates private ones) is reused across
+// requests.
 func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) (*Outcome, error) {
+	out, err := solve(ctx, in, req, ws)
+	if err != nil {
+		return nil, err
+	}
+	if err := out.certify(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// solve is Run's first half: it dispatches the query to its solver and
+// fills an Outcome. It checks nothing the certificate checks.
+func solve(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) (*Outcome, error) {
 	if ws == nil {
 		ws = NewWorkspaces()
 	}
-	out := &Outcome{Algo: req.Algo, Instance: in}
+	out := &Outcome{Response: Response{Algo: req.Algo}, Instance: in, solver: req.Algo}
 	switch req.Algo {
 	case AlgoLP:
 		t, err := relax.MinFeasibleT(ctx, in, ws.Relax)
@@ -121,46 +112,30 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 			return nil, err
 		}
 		out.LPBound = t
-		return out, nil
 
 	case AlgoExact:
 		a, opt, err := exact.Solve(ctx, in, exact.Options{MaxNodes: req.MaxNodes}, ws.Exact)
 		if err != nil {
 			return nil, err
 		}
-		out.Assignment, out.Makespan, out.Optimal = a, opt, true
-		out.LPBound = opt // the optimum is its own tight bound
 		s, err := hier.Schedule(in, a, opt)
 		if err != nil {
 			return nil, fmt.Errorf("scheduling: %w", err)
 		}
-		if err := validate(in, a, s); err != nil {
-			return nil, err
-		}
-		out.Schedule = s
-		return out, nil
+		out.Assignment, out.Schedule, out.Makespan, out.Optimal = a, s, opt, true
+		out.LPBound = opt // the optimum is its own tight bound
 
 	case Algo2Approx, AlgoBest:
-		solve := twoApprox
+		pipeline := approx.TwoApprox
 		if req.Algo == AlgoBest {
-			solve = bestApprox
+			pipeline = approx.Best
 		}
-		res, err := solve(ctx, in, ws.Relax)
+		res, err := pipeline(ctx, in, ws.Relax)
 		if err != nil {
 			return nil, err
 		}
-		if err := validate(res.Instance, res.Assignment, res.Schedule); err != nil {
-			return nil, err
-		}
-		if res.LPBound <= 0 || res.Makespan > 2*res.LPBound {
-			return nil, fmt.Errorf("approx: Theorem V.2 violated: makespan %d, T*=%d (want T* > 0 and makespan ≤ 2·T*)", res.Makespan, res.LPBound)
-		}
-		out.Instance = res.Instance
-		out.Assignment = res.Assignment
-		out.LPBound = res.LPBound
-		out.Makespan = res.Makespan
-		out.Schedule = res.Schedule
-		return out, nil
+		out.Instance, out.Assignment, out.Schedule = res.Instance, res.Assignment, res.Schedule
+		out.LPBound, out.Makespan = res.LPBound, res.Makespan
 
 	case AlgoRT:
 		if req.Frame <= 0 {
@@ -170,60 +145,40 @@ func Run(ctx context.Context, in *model.Instance, req *Request, ws *Workspaces) 
 		if err != nil {
 			return nil, err
 		}
-		res, err := testRT(t, ctx, req.Frame, rt.Options{ExactNodes: req.MaxNodes})
+		res, err := t.Test(ctx, req.Frame, rt.Options{ExactNodes: req.MaxNodes})
 		if err != nil {
 			return nil, err
 		}
-		// One memoized schedule answers many frames, so every
-		// schedulable answer is certified on its own before it leaves.
-		if res.Verdict == rt.Schedulable {
-			if err := validate(res.Instance, res.Assignment, res.Schedule); err != nil {
-				return nil, err
-			}
-			if res.Makespan > res.Frame {
-				return nil, fmt.Errorf("rt: schedulable verdict with makespan %d exceeds frame %d", res.Makespan, res.Frame)
-			}
-		}
-		out.Instance = res.Instance
-		out.Assignment = res.Assignment
-		out.LPBound = res.LPBound
-		out.Makespan = res.Makespan
-		out.Verdict, out.HasVerdict = res.Verdict, true
-		out.Frame = res.Frame
-		out.Schedule = res.Schedule
-		return out, nil
+		out.Instance, out.Assignment, out.Schedule = res.Instance, res.Assignment, res.Schedule
+		out.LPBound, out.Makespan = res.LPBound, res.Makespan
+		out.Verdict, out.Frame = res.Verdict.String(), res.Frame
 
-	case AlgoMemory1:
+	case AlgoMemory1, AlgoMemory2:
 		if req.Memory == nil {
-			return nil, badRequestf("algo %q requires a memory spec", AlgoMemory1)
+			return nil, badRequestf("algo %q requires a memory spec", req.Algo)
 		}
-		m1 := &memcap.Model1{In: in, Budget: req.Memory.Budget, Size: req.Memory.Size}
-		res, err := solveModel1(ctx, m1, ws.Relax)
+		var res *memcap.Result
+		var err error
+		if req.Algo == AlgoMemory1 {
+			m1 := &memcap.Model1{In: in, Budget: req.Memory.Budget, Size: req.Memory.Size}
+			res, err = memcap.SolveModel1(ctx, m1, ws.Relax)
+			out.memBound = 3
+		} else {
+			m2 := &memcap.Model2{In: in, JobSize: req.Memory.JobSize, Mu: req.Memory.Mu}
+			res, err = memcap.SolveModel2(ctx, m2, ws.Relax)
+			out.memBound = m2.Sigma()
+		}
 		if err != nil {
 			return nil, err
 		}
-		if err := certifyMemory(res, 3, "Theorem VI.1"); err != nil {
-			return nil, err
-		}
-		fillMemory(out, res)
-		return out, nil
+		out.Instance, out.Assignment, out.Schedule = res.Instance, res.Assignment, res.Schedule
+		out.LPBound, out.Makespan = res.TLP, res.Makespan
+		out.MemFactor, out.LoadFactor, out.Fallbacks = res.MemFactor, res.LoadFactor, res.Fallbacks
 
-	case AlgoMemory2:
-		if req.Memory == nil {
-			return nil, badRequestf("algo %q requires a memory spec", AlgoMemory2)
-		}
-		m2 := &memcap.Model2{In: in, JobSize: req.Memory.JobSize, Mu: req.Memory.Mu}
-		res, err := solveModel2(ctx, m2, ws.Relax)
-		if err != nil {
-			return nil, err
-		}
-		if err := certifyMemory(res, m2.Sigma(), "Theorem VI.3"); err != nil {
-			return nil, err
-		}
-		fillMemory(out, res)
-		return out, nil
+	default:
+		return nil, badRequestf("unknown -algo %q", req.Algo)
 	}
-	return nil, badRequestf("unknown -algo %q", req.Algo)
+	return out, nil
 }
 
 // RunScenario compiles a scenario workload down to the rigid core and
@@ -241,50 +196,66 @@ func RunScenario(ctx context.Context, wl scenario.Workload, req *Request, ws *Wo
 	}
 	inner := *req
 	inner.Algo = AlgoBest
-	out, err := Run(ctx, c.Instance, &inner, ws)
+	out, err := solve(ctx, c.Instance, &inner, ws)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.CheckMakespan(out.Makespan); err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", wl.Scenario(), err)
+	out.Algo, out.Scenario, out.ScenarioLB = req.Algo, wl.Scenario(), c.LowerBound
+	out.Segments, out.MaxLive, out.factor = c.Segments, c.MaxLive, c.Factor
+	if err := out.certify(); err != nil {
+		return nil, err
 	}
-	out.Algo = req.Algo
-	out.Scenario = wl.Scenario()
-	out.ScenarioLB = c.LowerBound
-	out.Segments = c.Segments
-	out.MaxLive = c.MaxLive
 	return out, nil
 }
 
-// certifyMemory checks a memory model's answer before it leaves: the
-// schedule must realize the assignment, the makespan must be at least the
-// positive relaxation bound, and a rounding without fallbacks must keep
-// both factors within the theorem's bound.
-func certifyMemory(res *memcap.Result, bound float64, theorem string) error {
-	if err := validate(res.Instance, res.Assignment, res.Schedule); err != nil {
-		return err
+// certify is the one certificate step every answer passes before it
+// leaves (the package doc's Certificates section lists what each algo
+// gets). It reads the Outcome alone: the answer as the client would
+// see it, plus the bounds the solve half recorded beside it.
+func (o *Outcome) certify() error {
+	if s := o.Schedule; s != nil {
+		if err := validate(o.Instance, o.Assignment, s); err != nil {
+			return err
+		}
+		if end := s.Makespan(); end > o.Makespan {
+			return fmt.Errorf("schedule ends at %d, after the reported makespan %d", end, o.Makespan)
+		}
 	}
-	if res.TLP <= 0 || res.Makespan < res.TLP {
-		return fmt.Errorf("memcap: makespan %d below its relaxation bound %d", res.Makespan, res.TLP)
+	switch o.solver {
+	case Algo2Approx, AlgoBest:
+		if o.LPBound <= 0 || o.Makespan > 2*o.LPBound {
+			return fmt.Errorf("approx: Theorem V.2 violated: makespan %d, T*=%d (want T* > 0 and makespan ≤ 2·T*)", o.Makespan, o.LPBound)
+		}
+
+	case AlgoRT:
+		// One memoized schedule answers many frames, so every
+		// schedulable answer is checked against its own frame.
+		if o.Verdict == rt.Schedulable.String() && o.Makespan > o.Frame {
+			return fmt.Errorf("rt: schedulable verdict with makespan %d exceeds frame %d", o.Makespan, o.Frame)
+		}
+
+	case AlgoMemory1, AlgoMemory2:
+		if o.LPBound <= 0 || o.Makespan < o.LPBound {
+			return fmt.Errorf("memcap: makespan %d below its relaxation bound %d", o.Makespan, o.LPBound)
+		}
+		theorem := "Theorem VI.1"
+		if o.solver == AlgoMemory2 {
+			theorem = "Theorem VI.3"
+		}
+		// The theorems bound fallback-free roundings only.
+		const tol = 1e-6 // the experiments' factor-check tolerance
+		if o.Fallbacks == 0 && (o.LoadFactor > o.memBound+tol || o.MemFactor > o.memBound+tol) {
+			return fmt.Errorf("memcap: %s violated: load factor %g, memory factor %g exceed %g",
+				theorem, o.LoadFactor, o.MemFactor, o.memBound)
+		}
 	}
-	const tol = 1e-6 // the experiments' factor-check tolerance
-	if res.Fallbacks == 0 && (res.LoadFactor > bound+tol || res.MemFactor > bound+tol) {
-		return fmt.Errorf("memcap: %s violated: load factor %g, memory factor %g exceed %g",
-			theorem, res.LoadFactor, res.MemFactor, bound)
+	if o.Scenario != "" {
+		c := scenario.Compiled{LowerBound: o.ScenarioLB, Factor: o.factor}
+		if err := c.CheckMakespan(o.Makespan); err != nil {
+			return fmt.Errorf("scenario %q: %w", o.Scenario, err)
+		}
 	}
 	return nil
-}
-
-// fillMemory copies a bicriteria result into the outcome.
-func fillMemory(out *Outcome, res *memcap.Result) {
-	out.Instance = res.Instance
-	out.Assignment = res.Assignment
-	out.LPBound = res.TLP
-	out.Makespan = res.Makespan
-	out.MemFactor = res.MemFactor
-	out.LoadFactor = res.LoadFactor
-	out.Fallbacks = res.Fallbacks
-	out.Schedule = res.Schedule
 }
 
 // validate checks the schedule against the demands the assignment
@@ -351,24 +322,7 @@ func respond(ctx context.Context, d *decoded, ws *Workspaces) (*Response, error)
 	if err != nil {
 		return nil, err
 	}
-	resp := &Response{
-		Algo:       out.Algo,
-		LPBound:    out.LPBound,
-		Makespan:   out.Makespan,
-		Optimal:    out.Optimal,
-		Assignment: out.Assignment,
-		Frame:      out.Frame,
-		MemFactor:  out.MemFactor,
-		LoadFactor: out.LoadFactor,
-		Fallbacks:  out.Fallbacks,
-		Scenario:   out.Scenario,
-		ScenarioLB: out.ScenarioLB,
-		Segments:   out.Segments,
-		MaxLive:    out.MaxLive,
-	}
-	if out.HasVerdict {
-		resp.Verdict = out.Verdict.String()
-	}
+	resp := out.Response
 	if d.WantSchedule && out.Schedule != nil {
 		var buf bytes.Buffer
 		if err := sched.EncodeJSON(&buf, out.Schedule); err != nil {
@@ -376,5 +330,5 @@ func respond(ctx context.Context, d *decoded, ws *Workspaces) (*Response, error)
 		}
 		resp.Schedule = buf.Bytes()
 	}
-	return resp, nil
+	return &resp, nil
 }

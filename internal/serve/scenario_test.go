@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"hsp/internal/dag"
@@ -139,5 +140,28 @@ func TestHandlerRejectsBadDAGDocument(t *testing.T) {
 	status, b, _ := post(t, ts.URL+"/v1/solve", body)
 	if status != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400: %s", status, b)
+	}
+}
+
+// TestScenarioAnswersCertified: a dag answer leaves only if its
+// makespan is within the compile's certified Factor·LowerBound.
+func TestScenarioAnswersCertified(t *testing.T) {
+	req := &Request{Algo: AlgoDAG, Instance: dagJSON(t)}
+	d, err := decode(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := RunScenario(context.Background(), d.wl, req, nil)
+	if err != nil {
+		t.Fatalf("real answer refused: %v", err)
+	}
+	// With a lower bound of 1, the factor-2 claim allows makespan 2.
+	if out.Makespan <= 2 {
+		t.Fatalf("makespan %d too small to exceed 2·1", out.Makespan)
+	}
+	err = bent(out, func(o *Outcome) { o.ScenarioLB = 1 })
+	if err == nil || !strings.Contains(err.Error(), `scenario "dag": scenario: makespan`) ||
+		!strings.Contains(err.Error(), "violates certified bound 2.0·1") {
+		t.Fatalf("makespan %d above 2·1 certified: err=%v", out.Makespan, err)
 	}
 }

@@ -112,11 +112,7 @@ type answer struct {
 	err  error
 }
 
-// Stats is a monotonic-counter snapshot plus instantaneous gauges. The
-// lp_*/exact_* counters aggregate solver effort across all workers
-// (folded in after each task from the per-worker workspace counters):
-// they expose how much of the fleet's LP work is answered from warm
-// bases and how much branch-and-bound work probes actually expand.
+// Stats is a monotonic-counter snapshot plus instantaneous gauges.
 type Stats struct {
 	Workers    int    `json:"workers"`
 	QueueDepth int    `json:"queue_depth"`
@@ -127,16 +123,7 @@ type Stats struct {
 	Canceled   uint64 `json:"canceled"`  // context died before or during solve, or while waiting on a flight
 	Failed     uint64 `json:"failed"`    // solver or request errors
 
-	LPProbes       uint64 `json:"lp_probes"`       // (IP-3) probes: search verdicts and witnesses
-	LPSolves       uint64 `json:"lp_solves"`       // simplex solves underneath the probes
-	LPColdSolves   uint64 `json:"lp_cold_solves"`  // answered by two-phase simplex
-	LPWarmHits     uint64 `json:"lp_warm_hits"`    // answered from a retained basis
-	LPSubsetHits   uint64 `json:"lp_subset_hits"`  // warm hits via variable-subset mapping
-	LPPivots       uint64 `json:"lp_pivots"`       // total simplex pivots
-	LPWarmPivots   uint64 `json:"lp_warm_pivots"`  // dual pivots inside warm hits
-	ExactProbes    uint64 `json:"exact_probes"`    // DFS feasibility probes
-	ExactVisited   uint64 `json:"exact_visited"`   // DFS nodes actually expanded
-	ExactCanonical uint64 `json:"exact_canonical"` // canonical-tree nodes (node-cap currency)
+	SolverStats
 
 	// Content-addressed cache counters (all zero with the cache off).
 	// Every request the cache answers or sends to a solve is exactly one
@@ -151,6 +138,39 @@ type Stats struct {
 	CacheEvictions uint64 `json:"cache_evictions"` // LRU entries pushed out by the bounds
 	CacheEntries   int    `json:"cache_entries"`   // entries resident right now
 	CacheBytes     int64  `json:"cache_bytes"`     // bytes resident right now
+}
+
+// SolverStats aggregates solver effort across all workers, folded in
+// after each task from the worker's workspace counters: how much of the
+// fleet's LP work is answered from warm bases and how much
+// branch-and-bound work probes actually expand.
+type SolverStats struct {
+	LPProbes       uint64 `json:"lp_probes"`       // (IP-3) probes: search verdicts and witnesses
+	LPSolves       uint64 `json:"lp_solves"`       // simplex solves underneath the probes
+	LPColdSolves   uint64 `json:"lp_cold_solves"`  // answered by two-phase simplex
+	LPWarmHits     uint64 `json:"lp_warm_hits"`    // answered from a retained basis
+	LPSubsetHits   uint64 `json:"lp_subset_hits"`  // warm hits via variable-subset mapping
+	LPPivots       uint64 `json:"lp_pivots"`       // total simplex pivots
+	LPWarmPivots   uint64 `json:"lp_warm_pivots"`  // dual pivots inside warm hits
+	ExactProbes    uint64 `json:"exact_probes"`    // DFS feasibility probes
+	ExactVisited   uint64 `json:"exact_visited"`   // DFS nodes actually expanded
+	ExactCanonical uint64 `json:"exact_canonical"` // canonical-tree nodes (node-cap currency)
+}
+
+// add folds a workspace's counters into the totals. The exact
+// workspace's LP seeding runs on a relaxation workspace of its own.
+func (t *SolverStats) add(ws *Workspaces) {
+	rs, es := ws.Relax.Stats(), ws.Exact.Stats()
+	t.LPProbes += uint64(rs.Probes + es.Relax.Probes)
+	t.LPSolves += uint64(rs.LP.Solves + es.Relax.LP.Solves)
+	t.LPColdSolves += uint64(rs.LP.ColdSolves + es.Relax.LP.ColdSolves)
+	t.LPWarmHits += uint64(rs.LP.WarmHits + es.Relax.LP.WarmHits)
+	t.LPSubsetHits += uint64(rs.LP.SubsetHits + es.Relax.LP.SubsetHits)
+	t.LPPivots += uint64(rs.LP.Pivots + es.Relax.LP.Pivots)
+	t.LPWarmPivots += uint64(rs.LP.WarmPivots + es.Relax.LP.WarmPivots)
+	t.ExactProbes += uint64(es.Probes)
+	t.ExactVisited += uint64(es.Visited)
+	t.ExactCanonical += uint64(es.Canonical)
 }
 
 // Server owns the worker pool and the bounded admission queue. Create
@@ -171,8 +191,8 @@ type Server struct {
 	// the operator's log line can be matched up.
 	panics atomic.Uint64
 
-	lpProbes, lpSolves, lpColdSolves, lpWarmHits, lpSubsetHits,
-	lpPivots, lpWarmPivots, exactProbes, exactVisited, exactCanonical atomic.Uint64
+	solverMu sync.Mutex
+	solver   SolverStats
 
 	// decode is the per-request admission work and run the per-request
 	// worker time; tests may replace either before the first submit, to
@@ -216,15 +236,7 @@ func (s *Server) Close() {
 
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
-	var cacheStats Stats
-	if s.cache != nil {
-		cacheStats.CacheHits = s.cache.hits.Load()
-		cacheStats.CacheMisses = s.cache.misses.Load()
-		cacheStats.CacheCollapsed = s.cache.collapsed.Load()
-		cacheStats.CacheEvictions = s.cache.evictions.Load()
-		cacheStats.CacheEntries, cacheStats.CacheBytes = s.cache.gauges()
-	}
-	return Stats{
+	st := Stats{
 		Workers:    s.cfg.Workers,
 		QueueDepth: s.cfg.QueueDepth,
 		Queued:     len(s.queue),
@@ -233,66 +245,18 @@ func (s *Server) Stats() Stats {
 		Shed:       s.shed.Load(),
 		Canceled:   s.canceled.Load(),
 		Failed:     s.failed.Load(),
-
-		LPProbes:       s.lpProbes.Load(),
-		LPSolves:       s.lpSolves.Load(),
-		LPColdSolves:   s.lpColdSolves.Load(),
-		LPWarmHits:     s.lpWarmHits.Load(),
-		LPSubsetHits:   s.lpSubsetHits.Load(),
-		LPPivots:       s.lpPivots.Load(),
-		LPWarmPivots:   s.lpWarmPivots.Load(),
-		ExactProbes:    s.exactProbes.Load(),
-		ExactVisited:   s.exactVisited.Load(),
-		ExactCanonical: s.exactCanonical.Load(),
-
-		CacheHits:      cacheStats.CacheHits,
-		CacheMisses:    cacheStats.CacheMisses,
-		CacheCollapsed: cacheStats.CacheCollapsed,
-		CacheEvictions: cacheStats.CacheEvictions,
-		CacheEntries:   cacheStats.CacheEntries,
-		CacheBytes:     cacheStats.CacheBytes,
 	}
-}
-
-// solverTotals is one worker's cumulative solver effort, read from its
-// workspace counters. Workers fold task-to-task deltas into the server
-// atomics; a retired (panicked) workspace forfeits its unreported tail.
-type solverTotals struct {
-	lpProbes, lpSolves, lpCold, lpWarmHits, lpSubsetHits int
-	lpPivots, lpWarmPivots                               int
-	exactProbes, exactVisited, exactCanonical            int
-}
-
-func totalsOf(ws *Workspaces) solverTotals {
-	rs := ws.Relax.Stats()
-	es := ws.Exact.Stats()
-	return solverTotals{
-		lpProbes:       rs.Probes + es.Relax.Probes,
-		lpSolves:       rs.LP.Solves + es.Relax.LP.Solves,
-		lpCold:         rs.LP.ColdSolves + es.Relax.LP.ColdSolves,
-		lpWarmHits:     rs.LP.WarmHits + es.Relax.LP.WarmHits,
-		lpSubsetHits:   rs.LP.SubsetHits + es.Relax.LP.SubsetHits,
-		lpPivots:       rs.LP.Pivots + es.Relax.LP.Pivots,
-		lpWarmPivots:   rs.LP.WarmPivots + es.Relax.LP.WarmPivots,
-		exactProbes:    es.Probes,
-		exactVisited:   es.Visited,
-		exactCanonical: es.Canonical,
+	s.solverMu.Lock()
+	st.SolverStats = s.solver
+	s.solverMu.Unlock()
+	if s.cache != nil {
+		st.CacheHits = s.cache.hits.Load()
+		st.CacheMisses = s.cache.misses.Load()
+		st.CacheCollapsed = s.cache.collapsed.Load()
+		st.CacheEvictions = s.cache.evictions.Load()
+		st.CacheEntries, st.CacheBytes = s.cache.gauges()
 	}
-}
-
-// addSolverDelta folds the effort since the last snapshot into the
-// server-wide counters.
-func (s *Server) addSolverDelta(cur, last solverTotals) {
-	s.lpProbes.Add(uint64(cur.lpProbes - last.lpProbes))
-	s.lpSolves.Add(uint64(cur.lpSolves - last.lpSolves))
-	s.lpColdSolves.Add(uint64(cur.lpCold - last.lpCold))
-	s.lpWarmHits.Add(uint64(cur.lpWarmHits - last.lpWarmHits))
-	s.lpSubsetHits.Add(uint64(cur.lpSubsetHits - last.lpSubsetHits))
-	s.lpPivots.Add(uint64(cur.lpPivots - last.lpPivots))
-	s.lpWarmPivots.Add(uint64(cur.lpWarmPivots - last.lpWarmPivots))
-	s.exactProbes.Add(uint64(cur.exactProbes - last.exactProbes))
-	s.exactVisited.Add(uint64(cur.exactVisited - last.exactVisited))
-	s.exactCanonical.Add(uint64(cur.exactCanonical - last.exactCanonical))
+	return st
 }
 
 // Submit answers the requests in input order. With the cache on, every
@@ -579,10 +543,11 @@ func (s *Server) deadline(req *Request) time.Time {
 // constraint arenas and branch-and-bound buffers. The rt memo lives one
 // task: requests of one batch share it, the next task starts without it.
 // The worker never sees the cache; Submit resolves it at admission.
+// After each task it folds its workspace counters into the server's
+// and resets them; a retired (panicked) workspace forfeits the task's.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	ws := NewWorkspaces()
-	var last solverTotals
 	for t := range s.queue {
 		answers := make([]answer, len(t.reqs))
 		for i, req := range t.reqs {
@@ -592,13 +557,14 @@ func (s *Server) worker() {
 				// A panic may have left the pooled solver state
 				// half-mutated; start the next request from scratch.
 				ws = NewWorkspaces()
-				last = solverTotals{}
 			}
 		}
 		ws.endTask()
-		cur := totalsOf(ws)
-		s.addSolverDelta(cur, last)
-		last = cur
+		s.solverMu.Lock()
+		s.solver.add(ws)
+		s.solverMu.Unlock()
+		ws.Relax.ResetStats()
+		ws.Exact.ResetStats()
 		t.done <- answers
 	}
 }
