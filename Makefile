@@ -137,7 +137,7 @@ FUZZTIME ?= 10s
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzLPSolve' -fuzztime $(FUZZTIME) ./internal/lp
-	$(GO) test -run '^$$' -fuzz 'FuzzLPWarmObjective' -fuzztime $(FUZZTIME) ./internal/lp
+	$(GO) test -run '^$$' -fuzz 'FuzzLPWarmOscillate' -fuzztime $(FUZZTIME) ./internal/lp
 	$(GO) test -run '^$$' -fuzz 'FuzzMinFeasibleT' -fuzztime $(FUZZTIME) ./internal/relax
 	$(GO) test -run '^$$' -fuzz 'FuzzDAGDecode' -fuzztime $(FUZZTIME) ./internal/dag
 	$(GO) test -run '^$$' -fuzz 'FuzzCacheKey' -fuzztime $(FUZZTIME) ./internal/serve

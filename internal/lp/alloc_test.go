@@ -55,22 +55,20 @@ func allocLP(tb testing.TB) *Problem {
 // tabSnapshot captures everything tableau.iterate mutates, so the pivot
 // loop can be replayed from identical state without re-running init.
 type tabSnapshot struct {
-	a, rhs, cost1, cost2 []float64
-	basis                []int
-	degenStreak          int
-	blandMode, unbounded bool
+	a, rhs, cost []float64
+	basis        []int
+	degenStreak  int
+	blandMode    bool
 }
 
 func snapshot(t *tableau) *tabSnapshot {
 	s := &tabSnapshot{
 		a:           append([]float64(nil), t.a...),
 		rhs:         append([]float64(nil), t.rhs...),
-		cost1:       append([]float64(nil), t.cost1...),
-		cost2:       append([]float64(nil), t.cost2...),
+		cost:        append([]float64(nil), t.cost...),
 		basis:       append([]int(nil), t.basis...),
 		degenStreak: t.degenStreak,
 		blandMode:   t.blandMode,
-		unbounded:   t.unbounded,
 	}
 	return s
 }
@@ -78,12 +76,10 @@ func snapshot(t *tableau) *tabSnapshot {
 func (s *tabSnapshot) restore(t *tableau) {
 	copy(t.a, s.a)
 	copy(t.rhs, s.rhs)
-	copy(t.cost1, s.cost1)
-	copy(t.cost2, s.cost2)
+	copy(t.cost, s.cost)
 	copy(t.basis, s.basis)
 	t.degenStreak = s.degenStreak
 	t.blandMode = s.blandMode
-	t.unbounded = s.unbounded
 }
 
 // TestPivotLoopAllocFree pins the simplex pivot loop — the innermost LP
@@ -103,7 +99,7 @@ func TestPivotLoopAllocFree(t *testing.T) {
 	}
 	snap := snapshot(tab)
 	// Sanity: the replayed phase must pivot and terminate cleanly.
-	it, err := tab.iterate(tab.cost1, true)
+	it, err := tab.iterate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +109,7 @@ func TestPivotLoopAllocFree(t *testing.T) {
 	var iterErr error
 	allocs := testing.AllocsPerRun(10, func() {
 		snap.restore(tab)
-		if _, err := tab.iterate(tab.cost1, true); err != nil {
+		if _, err := tab.iterate(); err != nil {
 			iterErr = err
 		}
 	})

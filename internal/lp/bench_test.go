@@ -11,8 +11,8 @@ import (
 
 // benchProblem builds a representative (IP-3) feasibility LP: the exact
 // shape the Section V binary search re-solves dozens of times per
-// instance. The returned T is feasible, so Solve exercises both phases
-// to optimality rather than bailing out infeasible.
+// instance. The returned T is feasible, so Solve runs phase 1 to a
+// vertex rather than bailing out infeasible.
 func benchProblem(b *testing.B, jobs int) *lp.Problem {
 	b.Helper()
 	in, err := workload.Generate(workload.Config{
@@ -37,7 +37,7 @@ func benchProblem(b *testing.B, jobs int) *lp.Problem {
 
 // BenchmarkSolve is the per-probe cost of the LP oracle on a nil
 // workspace, a private one per solve: one tableau allocation and build
-// plus the full two-phase pivot loop.
+// plus the full phase-1 pivot loop.
 func BenchmarkSolve(b *testing.B) {
 	p := benchProblem(b, 24)
 	b.ReportAllocs()

@@ -11,7 +11,7 @@ import (
 func TestSolveCtxCanceled(t *testing.T) {
 	p := NewProblem(3)
 	p.MustAddConstraint([]int{0, 1, 2}, []float64{1, 1, 1}, GE, 1)
-	p.SetObjectiveCoeff(0, 1)
+	p.MustAddConstraint([]int{0}, []float64{1}, LE, 0) // min x0 is 0
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := p.Solve(ctx, nil); !errors.Is(err, context.Canceled) {

@@ -19,15 +19,13 @@ type randSpec struct {
 	leIdx  [][]int // LE rows over variable indices
 	leVal  [][]float64
 	leRHS  []float64 // base rhs, scaled by the load factor
-	obj    []float64
 }
 
 func genSpec(rng *rand.Rand) *randSpec {
 	s := &randSpec{nvars: 2 + rng.Intn(10)}
-	s.obj = make([]float64, s.nvars)
-	if rng.Intn(2) == 0 { // half the specs are pure feasibility problems
-		for i := range s.obj {
-			s.obj[i] = math.Round(rng.Float64()*8) / 4
+	if rng.Intn(2) == 0 {
+		for range s.nvars {
+			rng.Float64() // unused draws; the rows below depend on them
 		}
 	}
 	perm := rng.Perm(s.nvars)
@@ -80,11 +78,6 @@ func (s *randSpec) build(load float64, keep []bool) (*Problem, bool) {
 	}
 	p := NewProblem(n)
 	p.SetVarKeys(keys)
-	for v := 0; v < s.nvars; v++ {
-		if remap[v] >= 0 {
-			p.SetObjectiveCoeff(remap[v], s.obj[v])
-		}
-	}
 	for _, grp := range s.groups {
 		var idx []int
 		var val []float64
@@ -179,7 +172,6 @@ func TestDifferentialWarmVsColdLP(t *testing.T) {
 		s := genSpec(rng)
 		warm := NewWorkspace()
 		cold := NewWorkspace()
-		cold.SetWarmStart(false)
 		for _, load := range loads {
 			p, ok := s.build(load, nil)
 			if !ok {
@@ -205,7 +197,6 @@ func TestDifferentialSubsetWarmStart(t *testing.T) {
 		s := genSpec(rng)
 		warm := NewWorkspace()
 		cold := NewWorkspace()
-		cold.SetWarmStart(false)
 		keep := make([]bool, s.nvars)
 		for v := range keep {
 			keep[v] = true
@@ -280,14 +271,14 @@ func TestWarmSolveSteadyStateAllocs(t *testing.T) {
 // TestFallbackPivotsCounted forces a warm re-entry that falls back to
 // the cold path and checks that its dual pivots land in Pivots. One job
 // split over two machines, x1 + x2 = 1 and 2·x_i ≤ T, is feasible iff
-// T ≥ 1. Anchored at T = 4 with x2 = 1, the re-entry at T = 1 − 10⁻⁶
-// repairs machine 2's row with one dual pivot and is then left with a
-// violation of 2·10⁻⁶ on machine 1's: an infeasibility too marginal to
-// trust, which the warm path hands to the cold solve.
+// T ≥ 1. Anchored at T = 4 with x1 = 1 (phase 1's first entering
+// column), the re-entry at T = 1 − 10⁻⁶ repairs machine 1's row with one
+// dual pivot and is then left with a violation of 2·10⁻⁶ on machine 2's:
+// an infeasibility too marginal to trust, which the warm path hands to
+// the cold solve.
 func TestFallbackPivotsCounted(t *testing.T) {
 	build := func(T float64) *Problem {
 		p := NewProblem(2)
-		p.SetObjectiveCoeff(0, 1)
 		p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 1)
 		p.MustAddConstraint([]int{0}, []float64{2}, LE, T)
 		p.MustAddConstraint([]int{1}, []float64{2}, LE, T)
@@ -322,5 +313,29 @@ func TestFallbackPivotsCounted(t *testing.T) {
 	}
 	if after.WarmPivots != before.WarmPivots {
 		t.Fatalf("WarmPivots grew %d → %d without a warm hit", before.WarmPivots, after.WarmPivots)
+	}
+}
+
+// TestUnkeyedSubsetReentry: a problem without SetVarKeys carries the
+// identity keys, so one over the anchor's first columns, whose rows are
+// the anchor's restricted to them, re-enters the anchor's basis with the
+// other columns banned, and answers as the cold oracle does.
+func TestUnkeyedSubsetReentry(t *testing.T) {
+	// One job over two or three machines: x0 + x1 (+ x2) = 1, with
+	// machine loads 2·x0 (+ 3·x2) ≤ T and 2·x1 (+ x2) ≤ T.
+	build := func(n int, T float64) *Problem {
+		p := NewProblem(n)
+		p.MustAddConstraint([]int{0, 1, 2}[:n], []float64{1, 1, 1}[:n], EQ, 1)
+		p.MustAddConstraint([]int{0, 2}[:n-1], []float64{2, 3}[:n-1], LE, T)
+		p.MustAddConstraint([]int{1, 2}[:n-1], []float64{2, 1}[:n-1], LE, T)
+		return p
+	}
+	warm, cold := NewWorkspace(), NewWorkspace()
+	checkVerdict(t, build(3, 4), warm, cold)
+	for _, T := range []float64{1.5, 0.9} {
+		checkVerdict(t, build(2, T), warm, cold)
+	}
+	if st := warm.Stats(); st.SubsetHits == 0 {
+		t.Fatalf("unkeyed 2-column problems never re-entered the 3-column anchor: %+v", st)
 	}
 }

@@ -1,13 +1,17 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs in the form
+// Package lp implements a dense phase-1 simplex solver for feasibility
+// linear programs
 //
-//	min c·x   subject to   A x {≤,=,≥} b,  x ≥ 0.
+//	find x ≥ 0   subject to   A x {≤,=,≥} b,
 //
-// It is the LP oracle behind the paper's Section V rounding (binary search
-// over the makespan T on the fractional relaxation of IP-3), the
-// Lenstra–Shmoys–Tardos rounding for unrelated machines, and the iterative
-// rounding of Section VI. The solver returns basic feasible solutions, i.e.
-// vertices of the feasible polyhedron, which those roundings require.
+// returning a vertex of the feasible polyhedron or reporting that there
+// is none. There is no objective: every LP this reproduction solves is a
+// feasibility LP. It is the LP oracle behind the paper's Section V
+// rounding (binary search over the makespan T on the fractional
+// relaxation of IP-3, and the vertex at T* that the
+// Lenstra–Shmoys–Tardos rounding for unrelated machines consumes) and
+// the residual LPs of Section VI's iterative rounding. The solver
+// returns basic feasible solutions, i.e. vertices, which those roundings
+// require.
 //
 // The implementation favors robustness over speed: rows are equilibrated at
 // build time, Dantzig pricing switches to Bland's rule after a run of
@@ -32,15 +36,15 @@
 // loop's unit of work.
 //
 // Verdict is also the only solve that warm-starts: on a caller-held
-// Workspace it re-enters the optimal basis of the last cold solve with
+// Workspace it re-enters the basis of the last feasible cold solve with
 // dual-simplex pivots (see warm.go). Solve is always cold, so the
 // vertices the roundings consume never depend on the drop, on a
 // retained basis, or on what the Workspace solved before.
 //
 // # Workspace reuse
 //
-// Every solve runs on a Workspace holding the dense tableau and both
-// reduced-cost rows as flat, grow-only arrays:
+// Every solve runs on a Workspace holding the dense tableau and its
+// phase-1 reduced-cost row as flat, grow-only arrays:
 //
 //   - Solve and Verdict with a nil Workspace allocate a private one for
 //     that solve alone, as every other solver's nil does.

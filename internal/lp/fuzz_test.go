@@ -20,10 +20,9 @@ func decodeFuzzSpec(data []byte) (s *randSpec, loads []float64, keepMask uint16,
 		return b
 	}
 	s = &randSpec{nvars: 2 + int(next())%8}
-	s.obj = make([]float64, s.nvars)
 	if next()%2 == 0 {
-		for i := range s.obj {
-			s.obj[i] = float64(next()%16) / 4
+		for range s.nvars {
+			next() // unused bytes; every corpus entry keeps its constraint system
 		}
 	}
 	for v := 0; v < s.nvars; {
@@ -83,7 +82,6 @@ func FuzzLPSolve(f *testing.F) {
 		}
 		warm := NewWorkspace()
 		cold := NewWorkspace()
-		cold.SetWarmStart(false)
 		for _, load := range loads {
 			p, ok := s.build(load, nil)
 			if !ok {
@@ -110,12 +108,12 @@ func FuzzLPSolve(f *testing.F) {
 	})
 }
 
-// FuzzLPWarmObjective hammers one structural weak point: repeated warm
+// FuzzLPWarmOscillate hammers one structural weak point: repeated warm
 // Verdicts on the same structure at fuzz-chosen RHS values must keep
 // the cold oracle's feasibility even across Optimal/Infeasible flips,
 // where the dual simplex's decisive-margin band is doing the verdict
-// work. The objective shapes the anchor basis the verdicts re-enter.
-func FuzzLPWarmObjective(f *testing.F) {
+// work.
+func FuzzLPWarmOscillate(f *testing.F) {
 	f.Add([]byte{2, 1, 1, 200, 200, 200, 4, 10, 120, 4, 1})
 	f.Add([]byte{5, 0, 2, 60, 60, 60, 60, 60, 2, 2, 255, 128, 64, 32, 16, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -125,7 +123,6 @@ func FuzzLPWarmObjective(f *testing.F) {
 		}
 		warm := NewWorkspace()
 		cold := NewWorkspace()
-		cold.SetWarmStart(false)
 		// Oscillate: each load visited twice, in opposite order the second
 		// time, so the anchor basis is re-entered from both directions.
 		for i := 2*len(loads) - 1; i >= 0; i-- {

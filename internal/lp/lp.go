@@ -33,11 +33,10 @@ func (o Op) String() string {
 // Status describes the outcome of a solve.
 type Status int8
 
-// Solve outcomes.
+// Solve outcomes: Optimal means phase 1 reached a feasible vertex.
 const (
 	Optimal Status = iota
 	Infeasible
-	Unbounded
 )
 
 func (s Status) String() string {
@@ -46,8 +45,6 @@ func (s Status) String() string {
 		return "optimal"
 	case Infeasible:
 		return "infeasible"
-	case Unbounded:
-		return "unbounded"
 	}
 	return fmt.Sprintf("Status(%d)", int(s))
 }
@@ -62,23 +59,22 @@ type constraint struct {
 	rhs    float64
 }
 
-// Problem is a linear program under construction. All variables are
-// implicitly nonnegative. The zero objective turns Solve into a pure
-// feasibility check. The zero Problem is not ready for use: construct
-// with NewProblem, or re-dimension an existing one in place with Reset.
+// Problem is a feasibility LP under construction: constraints over
+// implicitly nonnegative variables, with no objective. The zero Problem
+// is not ready for use: construct with NewProblem, or re-dimension an
+// existing one in place with Reset.
 type Problem struct {
 	nvars int
-	obj   []float64
 	cons  []constraint
 	idxs  []int     // constraint index arena
 	vals  []float64 // constraint coefficient arena
-	keys  []uint64  // optional per-variable identity keys (see SetVarKeys)
+	keys  []uint64  // per-variable identity keys (see SetVarKeys)
 	stamp []int     // per-variable marks for duplicate detection
 	gen   int       // current AddConstraint generation for stamp
 }
 
 // NewProblem creates a problem with the given number of nonnegative
-// variables and a zero objective.
+// variables and no constraints.
 func NewProblem(nvars int) *Problem {
 	p := &Problem{}
 	p.Reset(nvars)
@@ -86,34 +82,36 @@ func NewProblem(nvars int) *Problem {
 }
 
 // Reset re-dimensions the problem in place: nvars fresh nonnegative
-// variables, a zero objective, no constraints. The constraint arenas and
-// scratch buffers are retained, so callers that repeatedly rebuild
-// near-identical problems (the binary searches in internal/relax and
-// internal/unrelated) stop allocating once the arenas reach steady-state
-// size.
+// variables with identity keys 0…nvars−1, no constraints. The constraint
+// arenas and scratch buffers are retained, so callers that repeatedly
+// rebuild near-identical problems (the binary searches in internal/relax
+// and internal/memcap) stop allocating once the arenas reach
+// steady-state size.
 func (p *Problem) Reset(nvars int) {
 	if nvars < 0 {
 		panic("lp: negative variable count")
 	}
 	p.nvars = nvars
-	p.obj = scratch.Grow(p.obj, nvars)
-	scratch.Clear(p.obj)
 	p.cons = p.cons[:0]
 	p.idxs = p.idxs[:0]
 	p.vals = p.vals[:0]
-	p.keys = p.keys[:0]
+	p.keys = scratch.Grow(p.keys, nvars)
+	for i := range p.keys {
+		p.keys[i] = uint64(i)
+	}
 	p.stamp = scratch.Grow(p.stamp, nvars)
 	scratch.Clear(p.stamp)
 	p.gen = 0
 }
 
-// SetVarKeys attaches a stable identity key to every variable (len(keys)
-// must equal NumVars; keys must be strictly increasing). Keys let the
-// warm-start path recognize a problem whose variable set is a subset of
-// the one whose basis the workspace retains — the binary searches prune
-// variables as T shrinks, and without keys every pruning step would force
-// a cold solve. Keys never change what is solved, only whether a retained
-// basis may be re-entered. Reset clears them.
+// SetVarKeys overrides the identity keys Reset gave the variables with
+// stable ones (len(keys) must equal NumVars; keys must be strictly
+// increasing). Keys let the warm-start path recognize a problem whose
+// variable set is a subset of the one whose basis the workspace retains:
+// the binary searches prune variables as T shrinks, and with identity
+// keys a pruned problem would seldom match. Keys never change what is
+// solved, only whether a retained basis may be re-entered. Reset restores
+// the identity keys.
 func (p *Problem) SetVarKeys(keys []uint64) {
 	if len(keys) != p.nvars {
 		panic(fmt.Sprintf("lp: %d keys for %d variables", len(keys), p.nvars))
@@ -131,11 +129,6 @@ func (p *Problem) NumVars() int { return p.nvars }
 
 // NumConstraints returns the number of constraints added so far.
 func (p *Problem) NumConstraints() int { return len(p.cons) }
-
-// SetObjectiveCoeff sets the minimization objective coefficient of var i.
-func (p *Problem) SetObjectiveCoeff(i int, c float64) {
-	p.obj[i] = c
-}
 
 // AddConstraint appends the constraint Σ val[k]·x[idx[k]] op rhs.
 // idx entries must be distinct, in range, and idx/val of equal length.
@@ -173,9 +166,8 @@ func (p *Problem) MustAddConstraint(idx []int, val []float64, op Op, rhs float64
 // Solution is the result of Solve.
 type Solution struct {
 	Status     Status
-	X          []float64 // structural variable values (valid when Optimal)
-	Objective  float64   // c·X (valid when Optimal)
-	Iterations int       // total simplex pivots across both phases
+	X          []float64 // a vertex's structural values (valid when Optimal)
+	Iterations int       // simplex pivots
 }
 
 const (
@@ -184,10 +176,10 @@ const (
 	feasTol = 1e-7 // phase-1 objective threshold for feasibility
 )
 
-// Solve runs two-phase simplex and returns the solution. An error is
-// returned only for resource exhaustion (iteration cap) or cancellation,
-// never for infeasible or unbounded problems, which are reported in
-// Status. The pivot loop polls ctx and aborts with an error wrapping
+// Solve runs phase-1 simplex and returns a vertex of the feasible
+// polyhedron, or Infeasible. An error is returned only for resource
+// exhaustion (iteration cap), numerical trouble or cancellation, never
+// for an infeasible problem, which is reported in Status. The pivot loop polls ctx and aborts with an error wrapping
 // ctx.Err() once the context is done, so a canceled caller never waits
 // for a long simplex run to finish; a nil ctx disables the polls.
 //
@@ -197,7 +189,7 @@ const (
 // Workspace must not be used concurrently (see its doc).
 //
 // Solve is always cold: it never re-enters a retained basis, so its
-// vertex is the same bit for bit whatever ws solved before. An optimal
+// vertex is the same bit for bit whatever ws solved before. A feasible
 // Solve leaves its basis retained for the next Verdict on ws (see the
 // warm-start contract in warm.go).
 func (p *Problem) Solve(ctx context.Context, ws *Workspace) (*Solution, error) {
@@ -214,9 +206,6 @@ func (p *Problem) Solve(ctx context.Context, ws *Workspace) (*Solution, error) {
 	if st == Optimal {
 		sol.X = make([]float64, p.nvars) // fresh: results survive workspace reuse
 		ws.t.vertex(sol.X, nil)
-		for i, c := range p.obj {
-			sol.Objective += c * sol.X[i]
-		}
 	}
 	return sol, nil
 }
@@ -229,7 +218,7 @@ func (p *Problem) Solve(ctx context.Context, ws *Workspace) (*Solution, error) {
 //
 // Verdict is the only solve that re-enters a retained basis: on a
 // caller-held Workspace it answers from dual-simplex pivots whenever the
-// previous optimal solve's problem differs from p only in right-hand
+// previous feasible solve's problem differs from p only in right-hand
 // sides or by pruned keyed variables (see warm.go). Such an answer is
 // checked against the input data before it is returned, and a Verdict
 // allocates nothing once ws has grown to p's size.
@@ -259,12 +248,11 @@ func (ws *Workspace) end() {
 	ws.t.rowUpdates = 0
 }
 
-// solveCold runs the regular two-phase simplex on a freshly initialized
-// tableau and reports the status and its pivots. It retains the basis of
-// an optimal answer for the next Verdict and drops the retained basis
-// otherwise.
+// solveCold runs phase-1 simplex on a freshly initialized tableau and
+// reports the status and its pivots. It retains the basis of a feasible
+// answer for the next Verdict and drops the retained basis otherwise.
 func (p *Problem) solveCold(ws *Workspace) (Status, int, error) {
-	st, pivots, err := ws.t.twoPhase(p)
+	st, pivots, err := ws.t.solve(p)
 	ws.counters.ColdSolves++
 	ws.counters.Pivots += pivots
 	if err == nil && st == Optimal {
@@ -275,32 +263,23 @@ func (p *Problem) solveCold(ws *Workspace) (Status, int, error) {
 	return st, pivots, err
 }
 
-// twoPhase builds the tableau for p and runs both simplex phases on it.
-func (t *tableau) twoPhase(p *Problem) (st Status, pivots int, err error) {
+// solve builds the tableau for p and runs phase 1 on it: it minimizes
+// the sum of the artificial variables, so the basis it ends on is a
+// vertex exactly when that sum reaches zero. Without artificials the
+// slack basis already is one.
+func (t *tableau) solve(p *Problem) (Status, int, error) {
 	t.init(p)
-	// Phase 1: minimize the sum of artificial variables.
-	if t.nart > 0 {
-		it, err := t.iterate(t.cost1, true)
-		pivots += it
-		if err != nil {
-			return st, pivots, fmt.Errorf("lp: phase 1: %w", err)
-		}
-		if t.cost1[t.ncols] < -feasTol*(1+float64(t.nrows)) {
-			return Infeasible, pivots, nil
-		}
-		t.driveOutArtificials()
+	if t.nart == 0 {
+		return Optimal, 0, nil
 	}
-
-	// Phase 2: minimize the true objective with artificials banned.
-	t.priceOut(t.cost2)
-	it, err := t.iterate(t.cost2, false)
-	pivots += it
+	pivots, err := t.iterate()
 	if err != nil {
-		return st, pivots, fmt.Errorf("lp: phase 2: %w", err)
+		return Optimal, pivots, fmt.Errorf("lp: phase 1: %w", err)
 	}
-	if t.unbounded {
-		return Unbounded, pivots, nil
+	if t.cost[t.ncols] < -feasTol*(1+float64(t.nrows)) {
+		return Infeasible, pivots, nil
 	}
+	t.driveOutArtificials()
 	return Optimal, pivots, nil
 }
 
@@ -345,8 +324,7 @@ type tableau struct {
 	a             []float64 // flat nrows × ncols
 	rhs           []float64
 	basis         []int     // basic variable of each row
-	cost1, cost2  []float64 // reduced-cost rows, length ncols+1 (last = -objective)
-	unbounded     bool
+	cost          []float64 // phase-1 reduced costs, length ncols+1 (last = -Σ artificials)
 	degenStreak   int
 	blandMode     bool
 	rowScale      []float64       // applied scaling per row (reused by warm re-entry)
@@ -394,7 +372,6 @@ func (t *tableau) init(p *Problem) {
 	t.nrows, t.ncols = nrows, ncols
 	t.nstruct, t.nart = p.nvars, nart
 	t.artStart = p.nvars + nslack
-	t.unbounded = false
 	t.hasBanned = false
 	t.degenStreak = 0
 	t.blandMode = false
@@ -402,10 +379,8 @@ func (t *tableau) init(p *Problem) {
 	scratch.Clear(t.a)
 	t.rhs = scratch.Grow(t.rhs, nrows)
 	t.basis = scratch.Grow(t.basis, nrows)
-	t.cost1 = scratch.Grow(t.cost1, ncols+1)
-	scratch.Clear(t.cost1)
-	t.cost2 = scratch.Grow(t.cost2, ncols+1)
-	scratch.Clear(t.cost2)
+	t.cost = scratch.Grow(t.cost, ncols+1)
+	scratch.Clear(t.cost)
 	t.rowScale = scratch.Grow(t.rowScale, nrows)
 	t.idCol = scratch.Grow(t.idCol, nrows)
 
@@ -481,46 +456,26 @@ func (t *tableau) init(p *Problem) {
 	// Phase-1 reduced costs: minimize Σ artificials, priced out over the
 	// initial basis (each basic artificial contributes -row to the cost).
 	for j := t.artStart; j < ncols; j++ {
-		t.cost1[j] = 1
+		t.cost[j] = 1
 	}
 	for r := 0; r < nrows; r++ {
 		if t.basis[r] >= t.artStart {
 			row := t.a[r*ncols : (r+1)*ncols]
 			for j := 0; j <= ncols; j++ {
 				if j == ncols {
-					t.cost1[j] -= t.rhs[r]
+					t.cost[j] -= t.rhs[r]
 				} else {
-					t.cost1[j] -= row[j]
+					t.cost[j] -= row[j]
 				}
 			}
 		}
 	}
-	// Phase-2 costs are priced out after phase 1 (the basis changes).
-	for i, c := range p.obj {
-		t.cost2[i] = c
-	}
 }
 
-// priceOut recomputes the reduced-cost row so basic columns cost zero.
-func (t *tableau) priceOut(cost []float64) {
-	for r := 0; r < t.nrows; r++ {
-		v := t.basis[r]
-		cv := cost[v]
-		if cv == 0 {
-			continue
-		}
-		row := t.a[r*t.ncols : (r+1)*t.ncols]
-		for j := 0; j < t.ncols; j++ {
-			cost[j] -= cv * row[j]
-		}
-		cost[t.ncols] -= cv * t.rhs[r]
-	}
-}
-
-// iterate runs simplex pivots until optimality for the given cost row.
-// banArtificialsEnter=false is used in phase 2 where artificial columns may
-// never re-enter the basis; in phase 1 they may (they are the basis).
-func (t *tableau) iterate(cost []float64, phase1 bool) (int, error) {
+// iterate runs phase-1 pivots until no column prices negative. The
+// phase-1 objective is bounded below by 0, so an unbounded ray means
+// numerical trouble and is an error.
+func (t *tableau) iterate() (int, error) {
 	maxIter := 2000 + 200*(t.nrows+t.ncols)
 	iters := 0
 	for ; iters < maxIter; iters++ {
@@ -533,19 +488,13 @@ func (t *tableau) iterate(cost []float64, phase1 bool) (int, error) {
 				return iters, fmt.Errorf("canceled after %d pivots: %w", iters, err)
 			}
 		}
-		enter := t.chooseEntering(cost, phase1)
+		enter := t.chooseEntering()
 		if enter < 0 {
-			return iters, nil // optimal for this phase
+			return iters, nil // phase-1 optimum
 		}
 		leave := t.chooseLeaving(enter)
 		if leave < 0 {
-			if phase1 {
-				// Phase-1 objective is bounded below by 0; an unbounded ray
-				// indicates numerical trouble.
-				return iters, fmt.Errorf("unbounded phase-1 ray (numerical instability)")
-			}
-			t.unbounded = true
-			return iters, nil
+			return iters, fmt.Errorf("unbounded phase-1 ray (numerical instability)")
 		}
 		if t.rhs[leave] < zeroTol {
 			t.degenStreak++
@@ -564,27 +513,21 @@ func (t *tableau) iterate(cost []float64, phase1 bool) (int, error) {
 // chooseEntering picks a column with negative reduced cost, or -1 at
 // optimality. Dantzig rule normally; Bland's smallest-index rule when a
 // degenerate streak indicates cycling risk. Artificial columns never enter:
-// they start basic in phase 1 and once out they stay out.
-func (t *tableau) chooseEntering(cost []float64, _ bool) int {
-	limit := t.artStart
+// they start basic and once out they stay out.
+func (t *tableau) chooseEntering() int {
+	cost := t.cost[:t.artStart]
 	if t.blandMode {
-		for j := 0; j < limit; j++ {
-			if t.hasBanned && t.banned[j] {
-				continue
-			}
-			if cost[j] < -zeroTol {
+		for j, c := range cost {
+			if c < -zeroTol {
 				return j
 			}
 		}
 		return -1
 	}
 	best, bestVal := -1, -zeroTol
-	for j := 0; j < limit; j++ {
-		if t.hasBanned && t.banned[j] {
-			continue
-		}
-		if cost[j] < bestVal {
-			best, bestVal = j, cost[j]
+	for j, c := range cost {
+		if c < bestVal {
+			best, bestVal = j, c
 		}
 	}
 	return best
@@ -621,7 +564,7 @@ func (t *tableau) chooseLeaving(enter int) int {
 	return best
 }
 
-// pivot makes column enter basic in row leave, updating both cost rows.
+// pivot makes column enter basic in row leave, updating the cost row.
 // A row whose entering-column entry is zero needs no update. Under a
 // Verdict, an entry below t.drop in magnitude is set to zero and its row
 // skipped as well.
@@ -659,11 +602,8 @@ func (t *tableau) pivot(leave, enter int) {
 			t.rhs[r] = 0
 		}
 	}
-	for _, cost := range [2][]float64{t.cost1, t.cost2} {
-		f := cost[enter]
-		if f == 0 {
-			continue
-		}
+	if f := t.cost[enter]; f != 0 {
+		cost := t.cost
 		for j := 0; j < nc; j++ {
 			cost[j] -= f * prow[j]
 		}
@@ -676,8 +616,9 @@ func (t *tableau) pivot(leave, enter int) {
 
 // driveOutArtificials pivots zero-valued basic artificials out of the basis
 // where possible. Rows where every non-artificial coefficient vanishes are
-// redundant constraints; their artificial stays basic at zero and is
-// harmless because no phase-2 pivot can change an all-zero row.
+// redundant constraints; their artificial stays basic at zero, which
+// leaves the vertex unchanged, and retain then declines the basis for
+// warm re-entry.
 func (t *tableau) driveOutArtificials() {
 	for r := 0; r < t.nrows; r++ {
 		if t.basis[r] < t.artStart {

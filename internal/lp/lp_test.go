@@ -17,29 +17,53 @@ func solveOrDie(t *testing.T, p *Problem) *Solution {
 	return sol
 }
 
-func TestSimpleMinimization(t *testing.T) {
-	// min x0 + 2 x1  s.t.  x0 + x1 >= 4, x0 <= 3. Optimum: x0=3, x1=1, obj=5.
-	p := NewProblem(2)
-	p.SetObjectiveCoeff(0, 1)
-	p.SetObjectiveCoeff(1, 2)
-	p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, GE, 4)
-	p.MustAddConstraint([]int{0}, []float64{1}, LE, 3)
-	sol := solveOrDie(t, p)
+// objectiveCut is the feasibility form of "min c·x has optimum opt":
+// with the row c·x ≤ opt the problem is feasible, and with c·x ≤ opt−δ
+// it is not. build returns a fresh copy of the problem without the row.
+func objectiveCut(t *testing.T, build func() *Problem, c []float64, opt float64) *Solution {
+	t.Helper()
+	const delta = 1e-3
+	cut := func(bound float64) *Problem {
+		p := build()
+		var idx []int
+		var val []float64
+		for i, v := range c {
+			if v != 0 {
+				idx = append(idx, i)
+				val = append(val, v)
+			}
+		}
+		p.MustAddConstraint(idx, val, LE, bound)
+		return p
+	}
+	sol := solveOrDie(t, cut(opt))
 	if sol.Status != Optimal {
-		t.Fatalf("status = %v", sol.Status)
+		t.Fatalf("c·x ≤ %v: status %v, want feasible", opt, sol.Status)
 	}
-	if math.Abs(sol.Objective-5) > 1e-7 {
-		t.Fatalf("objective = %v, want 5", sol.Objective)
+	if below := solveOrDie(t, cut(opt-delta)); below.Status != Infeasible {
+		t.Fatalf("c·x ≤ %v: status %v, want infeasible below the optimum", opt-delta, below.Status)
 	}
+	return sol
+}
+
+func TestSimpleMinimization(t *testing.T) {
+	// min x0 + 2 x1  s.t.  x0 + x1 >= 4, x0 <= 3. Optimum: x0=3, x1=1, obj=5,
+	// the one point left once x0 + 2 x1 <= 5 is a row.
+	build := func() *Problem {
+		p := NewProblem(2)
+		p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, GE, 4)
+		p.MustAddConstraint([]int{0}, []float64{1}, LE, 3)
+		return p
+	}
+	sol := objectiveCut(t, build, []float64{1, 2}, 5)
 	if math.Abs(sol.X[0]-3) > 1e-7 || math.Abs(sol.X[1]-1) > 1e-7 {
 		t.Fatalf("x = %v, want [3 1]", sol.X)
 	}
 }
 
 func TestEqualityConstraints(t *testing.T) {
-	// min x0  s.t.  x0 + x1 = 2, x0 - x1 = 0  ->  x0 = x1 = 1.
+	// x0 + x1 = 2, x0 - x1 = 0  ->  x0 = x1 = 1.
 	p := NewProblem(2)
-	p.SetObjectiveCoeff(0, 1)
 	p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 2)
 	p.MustAddConstraint([]int{0, 1}, []float64{1, -1}, EQ, 0)
 	sol := solveOrDie(t, p)
@@ -69,20 +93,20 @@ func TestInfeasibleNegativeRHSEquality(t *testing.T) {
 }
 
 func TestUnbounded(t *testing.T) {
-	// min -x0 with x0 only bounded below.
+	// min -x0 with x0 only bounded below is unbounded: -x0 <= -1e6 is
+	// feasible.
 	p := NewProblem(1)
-	p.SetObjectiveCoeff(0, -1)
 	p.MustAddConstraint([]int{0}, []float64{1}, GE, 0)
+	p.MustAddConstraint([]int{0}, []float64{-1}, LE, -1e6)
 	sol := solveOrDie(t, p)
-	if sol.Status != Unbounded {
-		t.Fatalf("status = %v, want unbounded", sol.Status)
+	if sol.Status != Optimal || sol.X[0] < 1e6-1e-3 {
+		t.Fatalf("got %v %v, want a feasible x0 >= 1e6", sol.Status, sol.X)
 	}
 }
 
 func TestNegativeRHSNormalization(t *testing.T) {
 	// -x0 <= -3  <=>  x0 >= 3.
 	p := NewProblem(1)
-	p.SetObjectiveCoeff(0, 1)
 	p.MustAddConstraint([]int{0}, []float64{-1}, LE, -3)
 	sol := solveOrDie(t, p)
 	if sol.Status != Optimal || math.Abs(sol.X[0]-3) > 1e-7 {
@@ -92,17 +116,15 @@ func TestNegativeRHSNormalization(t *testing.T) {
 
 func TestRedundantConstraints(t *testing.T) {
 	// Duplicate equalities leave a redundant row; the artificial stays
-	// basic at zero and the solve must still succeed.
-	p := NewProblem(2)
-	p.SetObjectiveCoeff(0, 1)
-	p.SetObjectiveCoeff(1, 1)
-	p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 2)
-	p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 2)
-	p.MustAddConstraint([]int{0, 1}, []float64{2, 2}, EQ, 4)
-	sol := solveOrDie(t, p)
-	if sol.Status != Optimal || math.Abs(sol.Objective-2) > 1e-7 {
-		t.Fatalf("got %v obj=%v", sol.Status, sol.Objective)
+	// basic at zero and the solve must still succeed. min x0 + x1 is 2.
+	build := func() *Problem {
+		p := NewProblem(2)
+		p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 2)
+		p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, EQ, 2)
+		p.MustAddConstraint([]int{0, 1}, []float64{2, 2}, EQ, 4)
+		return p
 	}
+	objectiveCut(t, build, []float64{1, 1}, 2)
 }
 
 func TestDegenerateBeale(t *testing.T) {
@@ -111,33 +133,31 @@ func TestDegenerateBeale(t *testing.T) {
 	// s.t. 0.25 x0 - 60 x1 - 0.04 x2 + 9 x3 <= 0
 	//      0.5  x0 - 90 x1 - 0.02 x2 + 3 x3 <= 0
 	//      x2 <= 1
-	// Optimum -0.05 at x = (0.04/0.8.., ...) -> objective -1/20.
-	p := NewProblem(4)
-	for i, c := range []float64{-0.75, 150, -0.02, 6} {
-		p.SetObjectiveCoeff(i, c)
+	// Optimum -0.05 at x = (0.04/0.8.., ...) -> objective -1/20. The
+	// objective row's right-hand side is negative, so it takes an
+	// artificial and phase 1 walks Beale's degenerate path.
+	build := func() *Problem {
+		p := NewProblem(4)
+		p.MustAddConstraint([]int{0, 1, 2, 3}, []float64{0.25, -60, -0.04, 9}, LE, 0)
+		p.MustAddConstraint([]int{0, 1, 2, 3}, []float64{0.5, -90, -0.02, 3}, LE, 0)
+		p.MustAddConstraint([]int{2}, []float64{1}, LE, 1)
+		return p
 	}
-	p.MustAddConstraint([]int{0, 1, 2, 3}, []float64{0.25, -60, -0.04, 9}, LE, 0)
-	p.MustAddConstraint([]int{0, 1, 2, 3}, []float64{0.5, -90, -0.02, 3}, LE, 0)
-	p.MustAddConstraint([]int{2}, []float64{1}, LE, 1)
-	sol := solveOrDie(t, p)
-	if sol.Status != Optimal || math.Abs(sol.Objective-(-0.05)) > 1e-6 {
-		t.Fatalf("got %v obj=%v, want optimal -0.05", sol.Status, sol.Objective)
-	}
+	objectiveCut(t, build, []float64{-0.75, 150, -0.02, 6}, -0.05)
 }
 
 func TestLargeCoefficientScaling(t *testing.T) {
 	// Mixing O(1e9) load rows with O(1) rows exercises row equilibration.
-	p := NewProblem(2)
-	p.SetObjectiveCoeff(0, 1)
-	p.MustAddConstraint([]int{0, 1}, []float64{2e9, 1e9}, GE, 3e9)
-	p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, LE, 2)
-	sol := solveOrDie(t, p)
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v", sol.Status)
-	}
 	// Feasible: x0 + x1 <= 2, 2 x0 + x1 >= 3 -> min x0 = 1 (x1 = 1).
-	if math.Abs(sol.X[0]-1) > 1e-6 {
-		t.Fatalf("x = %v, want x0 = 1", sol.X)
+	build := func() *Problem {
+		p := NewProblem(2)
+		p.MustAddConstraint([]int{0, 1}, []float64{2e9, 1e9}, GE, 3e9)
+		p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, LE, 2)
+		return p
+	}
+	sol := objectiveCut(t, build, []float64{1, 0}, 1)
+	if math.Abs(sol.X[0]-1) > 1e-6 || math.Abs(sol.X[1]-1) > 1e-6 {
+		t.Fatalf("x = %v, want [1 1]", sol.X)
 	}
 }
 
@@ -157,7 +177,7 @@ func TestAddConstraintValidation(t *testing.T) {
 func TestZeroVariableProblem(t *testing.T) {
 	p := NewProblem(0)
 	sol := solveOrDie(t, p)
-	if sol.Status != Optimal || sol.Objective != 0 {
+	if sol.Status != Optimal || len(sol.X) != 0 {
 		t.Fatalf("empty problem: %v", sol)
 	}
 }
@@ -181,7 +201,7 @@ func TestFeasibleHelper(t *testing.T) {
 
 // bruteForceOpt enumerates all candidate vertices of a small LP by solving
 // every square subsystem of tight constraints (including x_i = 0 planes) by
-// Gaussian elimination, and returns the best feasible objective.
+// Gaussian elimination, and returns the best feasible objective over them.
 func bruteForceOpt(nvars int, obj []float64, rows [][]float64, ops []Op, rhs []float64) (float64, bool) {
 	// Build the pool of hyperplanes: one per constraint plus x_i = 0.
 	type plane struct {
@@ -294,7 +314,13 @@ func gauss(a [][]float64, b []float64) ([]float64, bool) {
 	return b, true
 }
 
+// TestSimplexAgainstBruteForce checks Solve's verdict and vertex on small
+// random LPs against vertex enumeration, and, where min c·x is bounded,
+// that the row c·x ≤ OPT keeps the problem feasible and c·x ≤ OPT−δ
+// does not. min c·x is unbounded exactly when some direction d ≥ 0 with
+// Σd = 1 and A·d {≤,=,≥} 0 has c·d < 0, which is another enumerable LP.
 func TestSimplexAgainstBruteForce(t *testing.T) {
+	const delta = 1e-3
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nvars := 1 + rng.Intn(3)
@@ -306,21 +332,10 @@ func TestSimplexAgainstBruteForce(t *testing.T) {
 		rows := make([][]float64, ncons)
 		ops := make([]Op, ncons)
 		rhs := make([]float64, ncons)
-		p := NewProblem(nvars)
-		for i, c := range obj {
-			p.SetObjectiveCoeff(i, c)
-		}
 		for r := 0; r < ncons; r++ {
 			rows[r] = make([]float64, nvars)
-			idx := make([]int, 0, nvars)
-			val := make([]float64, 0, nvars)
 			for i := 0; i < nvars; i++ {
-				v := float64(rng.Intn(7) - 3)
-				rows[r][i] = v
-				if v != 0 {
-					idx = append(idx, i)
-					val = append(val, v)
-				}
+				rows[r][i] = float64(rng.Intn(7) - 3)
 			}
 			switch rng.Intn(5) {
 			case 0:
@@ -331,51 +346,85 @@ func TestSimplexAgainstBruteForce(t *testing.T) {
 				ops[r] = LE
 			}
 			rhs[r] = float64(rng.Intn(9) - 2)
-			p.MustAddConstraint(idx, val, ops[r], rhs[r])
 		}
-		sol, err := p.Solve(context.Background(), nil)
-		if err != nil {
-			t.Logf("seed %d: solve error %v", seed, err)
+		// solve builds the rows, plus the row obj·x ≤ bound when cut.
+		solve := func(cut bool, bound float64) *Solution {
+			p := NewProblem(nvars)
+			add := func(row []float64, op Op, b float64) {
+				var idx []int
+				var val []float64
+				for i, v := range row {
+					if v != 0 {
+						idx = append(idx, i)
+						val = append(val, v)
+					}
+				}
+				p.MustAddConstraint(idx, val, op, b)
+			}
+			for r := range rows {
+				add(rows[r], ops[r], rhs[r])
+			}
+			if cut {
+				add(obj, LE, bound)
+			}
+			sol, err := p.Solve(context.Background(), nil)
+			if err != nil {
+				t.Logf("seed %d: solve error %v", seed, err)
+				return nil
+			}
+			return sol
+		}
+		sol := solve(false, 0)
+		if sol == nil {
 			return false
 		}
 		want, feasible := bruteForceOpt(nvars, obj, rows, ops, rhs)
-		switch sol.Status {
-		case Infeasible:
-			if feasible {
-				t.Logf("seed %d: simplex infeasible but brute force found %v", seed, want)
-				return false
-			}
+		if (sol.Status == Optimal) != feasible {
+			t.Logf("seed %d: simplex %v, brute force feasible=%t", seed, sol.Status, feasible)
+			return false
+		}
+		if !feasible {
 			return true
-		case Unbounded:
-			// Brute force cannot certify unboundedness; accept.
-			return true
-		case Optimal:
-			if !feasible {
-				t.Logf("seed %d: simplex optimal %v but brute force infeasible", seed, sol.Objective)
+		}
+		for r := range rows {
+			s := 0.0
+			for i := range sol.X {
+				s += rows[r][i] * sol.X[i]
+			}
+			if ops[r] == LE && s > rhs[r]+1e-5 || ops[r] == GE && s < rhs[r]-1e-5 ||
+				ops[r] == EQ && math.Abs(s-rhs[r]) > 1e-5 {
+				t.Logf("seed %d: vertex %v violates row %d", seed, sol.X, r)
 				return false
 			}
-			if sol.Objective > want+1e-5 {
-				t.Logf("seed %d: simplex %v worse than brute force %v", seed, sol.Objective, want)
+		}
+		// The recession directions, normalized onto the simplex Σd = 1.
+		rec := append([][]float64{}, rows...)
+		recOps := append([]Op{}, ops...)
+		ones := make([]float64, nvars)
+		for i := range ones {
+			ones[i] = 1
+		}
+		rec = append(rec, ones)
+		recOps = append(recOps, EQ)
+		recRHS := make([]float64, len(rec))
+		recRHS[len(rec)-1] = 1
+		if down, ok := bruteForceOpt(nvars, obj, rec, recOps, recRHS); ok && down < -1e-9 {
+			// Unbounded: any bound is reachable.
+			if s := solve(true, want-1e3); s == nil || s.Status != Optimal {
+				t.Logf("seed %d: unbounded min, but obj·x ≤ %v infeasible", seed, want-1e3)
 				return false
-			}
-			// Simplex may also be better than the brute force only if the
-			// LP is unbounded in a direction brute force missed; verify the
-			// solution is genuinely feasible.
-			for r := range rows {
-				s := 0.0
-				for i := range sol.X {
-					s += rows[r][i] * sol.X[i]
-				}
-				if ops[r] == LE && s > rhs[r]+1e-5 {
-					return false
-				}
-				if ops[r] == GE && s < rhs[r]-1e-5 {
-					return false
-				}
 			}
 			return true
 		}
-		return false
+		at, below := solve(true, want), solve(true, want-delta)
+		if at == nil || below == nil {
+			return false
+		}
+		if at.Status != Optimal || below.Status != Infeasible {
+			t.Logf("seed %d: optimum %v: obj·x ≤ OPT %v, ≤ OPT−δ %v", seed, want, at.Status, below.Status)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -389,8 +438,8 @@ func TestVertexSolutionSupport(t *testing.T) {
 		nvars := 4 + rng.Intn(8)
 		ncons := 1 + rng.Intn(4)
 		p := NewProblem(nvars)
-		for i := 0; i < nvars; i++ {
-			p.SetObjectiveCoeff(i, float64(rng.Intn(5)))
+		for range nvars {
+			rng.Intn(5) // unused draws; the polyhedra below depend on them
 		}
 		for r := 0; r < ncons; r++ {
 			idx := make([]int, nvars)
@@ -422,8 +471,8 @@ func BenchmarkSolveMedium(b *testing.B) {
 	nvars, ncons := 400, 60
 	build := func() *Problem {
 		p := NewProblem(nvars)
-		for i := 0; i < nvars; i++ {
-			p.SetObjectiveCoeff(i, rng.Float64())
+		for range nvars {
+			rng.Float64() // unused draws; the rows below depend on them
 		}
 		for r := 0; r < ncons; r++ {
 			idx := make([]int, 0, 20)

@@ -7,13 +7,14 @@ import (
 
 // rhsPair builds two problems that differ only in their right-hand sides,
 // so a workspace holding the first one's basis would warm-start the second.
+// The third row is the objective max x0 + x1 as a cut below both optima
+// (2.8 and 3.2), so phase 1 has an artificial to drive out.
 func rhsPair() (a, b *Problem) {
 	build := func(r0, r1 float64) *Problem {
 		p := NewProblem(2)
 		p.MustAddConstraint([]int{0, 1}, []float64{1, 2}, LE, r0)
 		p.MustAddConstraint([]int{0, 1}, []float64{3, 1}, LE, r1)
-		p.SetObjectiveCoeff(0, -1)
-		p.SetObjectiveCoeff(1, -1)
+		p.MustAddConstraint([]int{0, 1}, []float64{1, 1}, GE, 2.5)
 		return p
 	}
 	return build(4, 6), build(5, 6)

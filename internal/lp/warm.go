@@ -7,20 +7,26 @@ import (
 	"hsp/internal/scratch"
 )
 
-// Warm start: a caller-held Workspace retains the optimal basis of its
-// last cold solve together with a signature of the problem that produced
-// it. When the next Verdict presents a problem that is structurally
-// identical — same variables, objective, constraint operators, sparsity
-// pattern and coefficients — and differs only in constraint right-hand
-// sides, the solver re-enters from the retained basis with dual-simplex
-// pivots instead of two-phase primal simplex from scratch. The retained
-// basis is optimal, hence dual-feasible, and an RHS change preserves dual
-// feasibility: typically a handful of pivots restore primal feasibility
+// Warm start: a caller-held Workspace retains the basis of its last
+// feasible cold solve together with a signature of the problem that
+// produced it. When the next Verdict presents a problem with the same
+// constraint operators and rows over a keyed subset of the anchor's
+// variables — differing only in constraint right-hand sides and by
+// pruned variables — the solver re-enters from the retained basis with
+// dual-simplex pivots instead of phase-1 simplex from scratch. With no
+// objective every basis is dual feasible, so a dual re-entry needs no
+// optimal anchor, and an RHS change or a pruned variable leaves nothing
+// for it to repair but primal feasibility: typically a handful of pivots
 // where the cold path would pay its full pivot count again.
+//
+// Every problem carries variable keys: identity keys 0…n−1 from Reset,
+// or the stable keys SetVarKeys gave it. A problem with the anchor's
+// keys re-enters as it is; one whose keys are a proper subset re-enters
+// with the missing columns banned. Keys never change a verdict.
 //
 // Only Verdict re-enters; Solve is always cold, so every vertex the
 // package returns is the cold path's, bit for bit, and only verdicts are
-// ever answered warm. Both kinds of cold solve retain an optimal basis.
+// ever answered warm. Both kinds of cold solve retain a feasible basis.
 //
 // Fallback rules (any failure is silent — the cold path answers):
 //   - signature mismatch, including any negative RHS on either side (the
@@ -37,7 +43,7 @@ import (
 // infeasible one is only reported when the Farkas violation is decisively
 // larger than the feasibility tolerance.
 
-// warmState is the signature of the problem whose optimal basis the
+// warmState is the signature of the problem whose feasible basis the
 // tableau currently holds.
 type warmState struct {
 	valid bool
@@ -46,18 +52,18 @@ type warmState struct {
 	ns    []int
 	idxs  []int
 	vals  []float64
-	obj   []float64
-	keys  []uint64 // variable identity keys, empty when the problem had none
+	keys  []uint64 // variable identity keys
 	o2n   []int    // scratch: anchor column → new column (-1 = pruned)
 }
 
 // Counters aggregates solver effort across the lifetime of a Workspace
-// (reset with ResetStats). Pivots counts both phases of cold solves and
-// the pivots of every warm re-entry, including re-entries that fell back
-// to the cold path; WarmPivots counts only those of warm hits.
+// (reset with ResetStats). Pivots counts the phase-1 pivots of cold
+// solves and the pivots of every warm re-entry, including re-entries
+// that fell back to the cold path; WarmPivots counts only those of warm
+// hits.
 type Counters struct {
 	Solves        int // Solve and Verdict entries (cold, warm, and fallbacks)
-	ColdSolves    int // solves answered by two-phase simplex
+	ColdSolves    int // solves answered by phase-1 simplex
 	WarmHits      int // verdicts answered from the retained basis
 	SubsetHits    int // warm hits that mapped into a variable subset of the anchor
 	WarmFallbacks int // warm attempts that fell back to the cold path
@@ -72,32 +78,19 @@ func (ws *Workspace) Stats() Counters { return ws.counters }
 // ResetStats zeroes the workspace counters.
 func (ws *Workspace) ResetStats() { ws.counters = Counters{} }
 
-// SetWarmStart enables or disables Verdict's warm-start path. Disabling
-// also drops any retained basis; it makes every Verdict cold, which the
-// differential tests use as the oracle configuration.
-func (ws *Workspace) SetWarmStart(enabled bool) {
-	ws.warmOff = !enabled
-	if !enabled {
-		ws.warm.valid = false
-	}
-}
-
-// warmMap reports whether the retained basis applies to p. An exact match
-// — identical structure except for constraint right-hand sides, all of
-// them nonnegative so the cold path's sign normalization is the identity —
-// returns (nil, true). When both problems carry variable keys, a subset
-// match is also accepted: p's variables are a keyed subset of the anchor's
-// (same constraint rows restricted to the surviving columns), which is the
-// shape a binary search produces when a shrinking T prunes variables. The
-// returned oldToNew maps anchor columns to p's columns (-1 = pruned, to be
-// banned from entering); it aliases workspace scratch, valid until the
-// next warmMap call.
+// warmMap reports whether the retained basis applies to p: p's
+// variables are a keyed subset of the anchor's, every constraint row of
+// p is the anchor's row restricted to the surviving columns, and the
+// operators agree with every right-hand side nonnegative, so the cold
+// path's sign normalization is the identity. A binary search produces
+// this shape when its probes differ in T alone, and when a shrinking T
+// prunes variables. It returns (nil, true) when no anchor variable was
+// pruned; otherwise oldToNew maps anchor columns to p's columns (-1 =
+// pruned, to be banned from entering). oldToNew aliases workspace
+// scratch, valid until the next warmMap call.
 func (ws *Workspace) warmMap(p *Problem) ([]int, bool) {
 	w := &ws.warm
-	if !w.valid || ws.warmOff {
-		return nil, false
-	}
-	if len(p.cons) != len(w.ops) {
+	if !w.valid || len(p.cons) != len(w.ops) || p.nvars > w.nvars {
 		return nil, false
 	}
 	for i, c := range p.cons {
@@ -105,51 +98,13 @@ func (ws *Workspace) warmMap(p *Problem) ([]int, bool) {
 			return nil, false
 		}
 	}
-	if p.nvars == w.nvars && len(p.idxs) == len(w.idxs) {
-		exact := true
-		for i, c := range p.cons {
-			if c.n != w.ns[i] {
-				exact = false
-				break
-			}
-		}
-		if exact {
-			for i, v := range p.idxs {
-				if v != w.idxs[i] {
-					exact = false
-					break
-				}
-			}
-		}
-		if exact {
-			for i, v := range p.vals {
-				if v != w.vals[i] {
-					exact = false
-					break
-				}
-			}
-		}
-		if exact {
-			for i, v := range p.obj {
-				if v != w.obj[i] {
-					exact = false
-					break
-				}
-			}
-		}
-		if exact {
-			return nil, true
-		}
-	}
-	// Subset match. Keys are strictly increasing (SetVarKeys enforces it),
-	// so a single merge walk computes the injection or rejects.
-	if len(w.keys) != w.nvars || len(p.keys) != p.nvars || p.nvars > w.nvars {
-		return nil, false
-	}
+	// Keys are strictly increasing, so a single merge walk computes the
+	// injection or rejects.
 	o2n := scratch.Grow(w.o2n, w.nvars)
+	w.o2n = o2n
 	ni := 0
-	for oi := 0; oi < w.nvars; oi++ {
-		if ni < p.nvars && p.keys[ni] == w.keys[oi] {
+	for oi, k := range w.keys {
+		if ni < p.nvars && p.keys[ni] == k {
 			o2n[oi] = ni
 			ni++
 		} else {
@@ -159,7 +114,6 @@ func (ws *Workspace) warmMap(p *Problem) ([]int, bool) {
 	if ni != p.nvars {
 		return nil, false
 	}
-	w.o2n = o2n
 	// Every constraint row of p must equal the anchor's row restricted to
 	// the surviving columns, entry for entry and in the same order.
 	woff := 0
@@ -182,10 +136,8 @@ func (ws *Workspace) warmMap(p *Problem) ([]int, bool) {
 		}
 		woff = wend
 	}
-	for oi, nv := range o2n {
-		if nv >= 0 && p.obj[nv] != w.obj[oi] {
-			return nil, false
-		}
+	if p.nvars == w.nvars {
+		return nil, true
 	}
 	return o2n, true
 }
@@ -210,16 +162,13 @@ func (p *Problem) verdict(ws *Workspace) (bool, error) {
 	return st != Infeasible, nil
 }
 
-// retain records p as the problem whose optimal basis the tableau now
+// retain records p as the problem whose feasible basis the tableau now
 // holds. It declines (leaving warm start invalid) when the basis could
 // not be re-entered safely: a negative RHS, or an artificial variable
 // still basic (a redundant row kept its artificial at zero).
 func (ws *Workspace) retain(p *Problem) {
 	w := &ws.warm
 	w.valid = false
-	if ws.warmOff {
-		return
-	}
 	t := &ws.t
 	for _, c := range p.cons {
 		if c.rhs < 0 {
@@ -243,8 +192,6 @@ func (ws *Workspace) retain(p *Problem) {
 	copy(w.idxs, p.idxs)
 	w.vals = scratch.Grow(w.vals, len(p.vals))
 	copy(w.vals, p.vals)
-	w.obj = scratch.Grow(w.obj, len(p.obj))
-	copy(w.obj, p.obj)
 	w.keys = scratch.Grow(w.keys, len(p.keys))
 	copy(w.keys, p.keys)
 	w.valid = true
@@ -439,11 +386,12 @@ func (t *tableau) verifyFarkas(p *Problem) bool {
 	return true
 }
 
-// dualIterate runs dual-simplex pivots from a dual-feasible basis until
-// primal feasibility (worst ≥ -zeroTol), a Farkas infeasibility
-// certificate (worst < -zeroTol with no admissible entering column; the
-// certificate row and ray orientation land in t.certRow / t.certFlip),
-// or a budget of 3·nrows pivots. Running out reports the current worst
+// dualIterate runs dual-simplex pivots from the retained basis (dual
+// feasible, as every basis is with no objective) until primal
+// feasibility (worst ≥ -zeroTol), a Farkas infeasibility certificate
+// (worst < -zeroTol with no admissible entering column; the certificate
+// row and ray orientation land in t.certRow / t.certFlip), or a budget
+// of 3·nrows pivots. Running out reports the current worst
 // violation clamped into the ambiguous band, with pivots = budget, and
 // solveWarm hands an ambiguous result to the cold path — so the budget
 // decides how long a re-entry may try, never what is returned. A
@@ -486,41 +434,30 @@ func (t *tableau) dualIterate() (int, float64, error) {
 			}
 			return iters, 0, nil
 		}
-		// Entering column: dual ratio test over columns that can restore
-		// this row — negative coefficient for a row below zero, positive
-		// for a banned basic above zero — minimizing reduced cost per
-		// unit; both signs preserve dual feasibility (banned columns are
-		// fixed, so they carry no dual-feasibility condition and never
-		// enter). Artificials stay banned as in the primal loop; basic
-		// columns are unit columns, so their coefficient here is 0 or +1
-		// and they are skipped implicitly (the leaving banned basic itself
-		// is caught by the banned check).
+		// Entering column: one that can restore this row — a negative
+		// coefficient for a row below zero, a positive one for a banned
+		// basic above zero. Every reduced cost is zero, so the dual ratio
+		// test ties on every such column: take the first one under Bland,
+		// otherwise the largest pivot magnitude (the first on ties), for
+		// stability. Banned columns are fixed and never enter;
+		// artificials stay out as in the primal loop; basic columns are
+		// unit columns, so their coefficient here is 0 or +1 and they are
+		// skipped implicitly (the leaving banned basic itself is caught by
+		// the banned check).
 		row := t.a[leave*nc : (leave+1)*nc]
 		sign := 1.0
 		if above {
 			sign = -1
 		}
-		enter, bestRatio, bestMag := -1, math.Inf(1), 0.0
+		enter, bestMag := -1, 0.0
 		for j := 0; j < t.artStart; j++ {
 			if t.hasBanned && t.banned[j] {
 				continue
 			}
-			v := sign * row[j]
-			if v >= -pivTol {
-				continue
-			}
-			ratio := t.cost2[j] / -v
-			switch {
-			case ratio < bestRatio-zeroTol:
-				enter, bestRatio, bestMag = j, ratio, -v
-			case ratio <= bestRatio+zeroTol:
+			if v := sign * row[j]; -v > pivTol && -v > bestMag {
+				enter, bestMag = j, -v
 				if bland {
-					if enter < 0 || j < enter {
-						enter, bestRatio, bestMag = j, ratio, -v
-					}
-				} else if -v > bestMag {
-					// Stability: prefer the largest pivot magnitude.
-					enter, bestRatio, bestMag = j, ratio, -v
+					break
 				}
 			}
 		}

@@ -1,8 +1,8 @@
 package lp
 
 // Workspace holds the simplex solver's working state — the dense tableau
-// and both reduced-cost rows — so repeated solves reuse one set of backing
-// arrays instead of allocating a fresh tableau per solve.
+// and its phase-1 reduced-cost row — so repeated solves reuse one set of
+// backing arrays instead of allocating a fresh tableau per solve.
 //
 // Ownership contract: a Workspace is owned by exactly one solve at a time.
 // It is NOT goroutine-safe; callers that solve concurrently must use one
@@ -17,15 +17,14 @@ package lp
 // The returned Solution never aliases the Workspace: Solution.X is freshly
 // allocated per solve, so callers may keep results across re-solves.
 //
-// Beyond buffer reuse, a caller-held Workspace retains the optimal basis
-// of its last cold solve, and the next Verdict warm-starts from it when
-// only constraint right-hand sides changed — see the warm-start contract
-// in warm.go. Solve never warm-starts; SetWarmStart(false) makes every
-// Verdict cold as well.
+// Beyond buffer reuse, a caller-held Workspace retains the basis of its
+// last feasible cold solve, and the next Verdict warm-starts from it when
+// only constraint right-hand sides changed or keyed variables were
+// pruned — see the warm-start contract in warm.go. Solve never
+// warm-starts.
 type Workspace struct {
 	t        tableau
 	warm     warmState
-	warmOff  bool
 	counters Counters
 }
 

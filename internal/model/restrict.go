@@ -43,20 +43,3 @@ func Restrict(in *Instance, keep []int) (*Instance, error) {
 	}
 	return out, nil
 }
-
-// KeepLevels returns the ids of sets whose level (per the paper: number of
-// containing sets, 1 = roots) lies in the given allow-list, plus all
-// singletons when withSingletons is set. Helper for Restrict.
-func KeepLevels(in *Instance, levels []int, withSingletons bool) []int {
-	want := map[int]bool{}
-	for _, l := range levels {
-		want[l] = true
-	}
-	var keep []int
-	for s := 0; s < in.Family.Len(); s++ {
-		if want[in.Family.Level(s)] || (withSingletons && in.Family.IsSingleton(s)) {
-			keep = append(keep, s)
-		}
-	}
-	return keep
-}

@@ -7,6 +7,7 @@ import (
 	"hsp/internal/lp"
 	"hsp/internal/model"
 	"hsp/internal/relax"
+	"hsp/internal/testdiff"
 	"hsp/internal/workload"
 )
 
@@ -104,28 +105,37 @@ func BenchmarkMinFeasibleTWarm(b *testing.B) {
 
 // BenchmarkMinFeasibleTLarge runs the warm binary search on E12's
 // largest row, the shape where an unbounded dual re-entry would run for
-// minutes. The cold variant is the oracle configuration; compare the
-// two pivots/op figures for the warm path's saving at this size.
+// minutes. The cold variant is the oracle, testdiff.ColdMinFeasibleT;
+// compare the two pivots/op figures for the warm path's saving at this
+// size.
 func BenchmarkMinFeasibleTLarge(b *testing.B) {
 	in := e12LargeInstance(b)
-	for _, warm := range []bool{true, false} {
-		name := "warm"
-		if !warm {
-			name = "cold"
-		}
-		b.Run(name, func(b *testing.B) {
-			ctx := context.Background()
-			ws := relax.NewWorkspace()
-			ws.LP.SetWarmStart(warm)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := relax.MinFeasibleT(ctx, in, ws); err != nil {
-					b.Fatal(err)
-				}
+	ctx := context.Background()
+	b.Run("warm", func(b *testing.B) {
+		ws := relax.NewWorkspace()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := relax.MinFeasibleT(ctx, in, ws); err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			reportLPWork(b, ws.Stats().LP)
-		})
-	}
+		}
+		b.StopTimer()
+		reportLPWork(b, ws.Stats().LP)
+	})
+	b.Run("cold", func(b *testing.B) {
+		var work lp.Counters
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, st, err := testdiff.ColdMinFeasibleT(ctx, in)
+			if err != nil {
+				b.Fatal(err)
+			}
+			work.Pivots += st.Pivots
+			work.RowUpdates += st.RowUpdates
+		}
+		b.StopTimer()
+		reportLPWork(b, work)
+	})
 }

@@ -161,12 +161,11 @@ func TestWarmStartActuallyFires(t *testing.T) {
 		probes += st.Probes
 		warmPivots += st.LP.Pivots
 
-		cold := relax.NewWorkspace()
-		cold.LP.SetWarmStart(false)
-		if _, err := relax.MinFeasibleT(ctx, c.In, cold); err != nil {
+		_, cold, err := testdiff.ColdMinFeasibleT(ctx, c.In)
+		if err != nil {
 			continue
 		}
-		coldPivots += cold.Stats().LP.Pivots
+		coldPivots += cold.Pivots
 	}
 	if probes == 0 || warmHits*2 < probes {
 		t.Fatalf("warm path answered %d of %d probes — warm start effectively off", warmHits, probes)

@@ -72,9 +72,7 @@ func FuzzMinFeasibleT(f *testing.F) {
 		ctx := context.Background()
 		warm := relax.NewWorkspace()
 		tWarm, errWarm := relax.MinFeasibleT(ctx, in, warm)
-		cold := relax.NewWorkspace()
-		cold.LP.SetWarmStart(false)
-		tCold, errCold := relax.MinFeasibleT(ctx, in, cold)
+		tCold, _, errCold := testdiff.ColdMinFeasibleT(ctx, in)
 		if (errWarm == nil) != (errCold == nil) {
 			t.Fatalf("error disagreement: warm=%v cold=%v", errWarm, errCold)
 		}
@@ -103,7 +101,7 @@ func FuzzMinFeasibleT(f *testing.F) {
 			if err != nil {
 				t.Fatalf("warm probe T=%d: %v", T, err)
 			}
-			okCold, _, err := relax.Feasible(ctx, in, T, cold)
+			okCold, _, err := relax.Feasible(ctx, in, T, nil)
 			if err != nil {
 				t.Fatalf("cold probe T=%d: %v", T, err)
 			}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hsp/internal/relax"
+	"hsp/internal/testdiff"
 	"hsp/internal/testenv"
 	"hsp/internal/workload"
 )
@@ -77,26 +78,25 @@ func TestWarmSearchBoundedOnLargeShape(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	search := func(warm bool) (int64, relax.Stats) {
-		ws := relax.NewWorkspace()
-		ws.LP.SetWarmStart(warm)
-		T, err := relax.MinFeasibleT(ctx, in, ws)
-		if err != nil {
-			t.Fatalf("warm=%t: %v", warm, err)
-		}
-		return T, ws.Stats()
+	coldT, cold, err := testdiff.ColdMinFeasibleT(ctx, in)
+	if err != nil {
+		t.Fatalf("cold: %v", err)
 	}
-	coldT, cold := search(false)
-	warmT, warm := search(true)
+	ws := relax.NewWorkspace()
+	warmT, err := relax.MinFeasibleT(ctx, in, ws)
+	if err != nil {
+		t.Fatalf("warm: %v", err)
+	}
+	warm := ws.Stats()
 	if warmT != coldT {
 		t.Fatalf("T* warm=%d cold=%d", warmT, coldT)
 	}
-	if warm.LP.Pivots > cold.LP.Pivots {
+	if warm.LP.Pivots > cold.Pivots {
 		t.Fatalf("warm search pivoted %d times, cold %d (warm hits %d, fallbacks %d)",
-			warm.LP.Pivots, cold.LP.Pivots, warm.LP.WarmHits, warm.LP.WarmFallbacks)
+			warm.LP.Pivots, cold.Pivots, warm.LP.WarmHits, warm.LP.WarmFallbacks)
 	}
 	t.Logf("T*=%d pivots warm=%d cold=%d; warm hits %d, fallbacks %d",
-		warmT, warm.LP.Pivots, cold.LP.Pivots, warm.LP.WarmHits, warm.LP.WarmFallbacks)
+		warmT, warm.LP.Pivots, cold.Pivots, warm.LP.WarmHits, warm.LP.WarmFallbacks)
 }
 
 // countingCtx counts Err polls and turns canceled after limit of them

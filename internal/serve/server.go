@@ -147,7 +147,7 @@ type Stats struct {
 type SolverStats struct {
 	LPProbes       uint64 `json:"lp_probes"`       // (IP-3) probes: search verdicts and witnesses
 	LPSolves       uint64 `json:"lp_solves"`       // simplex solves underneath the probes
-	LPColdSolves   uint64 `json:"lp_cold_solves"`  // answered by two-phase simplex
+	LPColdSolves   uint64 `json:"lp_cold_solves"`  // answered by phase-1 simplex
 	LPWarmHits     uint64 `json:"lp_warm_hits"`    // answered from a retained basis
 	LPSubsetHits   uint64 `json:"lp_subset_hits"`  // warm hits via variable-subset mapping
 	LPPivots       uint64 `json:"lp_pivots"`       // total simplex pivots

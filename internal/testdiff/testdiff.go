@@ -18,6 +18,7 @@ import (
 
 	"hsp/internal/approx"
 	"hsp/internal/laminar"
+	"hsp/internal/lp"
 	"hsp/internal/model"
 	"hsp/internal/relax"
 	"hsp/internal/unrelated"
@@ -189,17 +190,15 @@ func CheckFractional(in *model.Instance, T int64, fr *relax.Fractional) error {
 	return nil
 }
 
-// RelaxDiff runs relax.MinFeasibleT twice on in — once on a
-// warm-starting workspace, once on a workspace with warm start disabled
-// (the cold oracle) — and asks each workspace for its witness at T* with
-// relax.Feasible. It fails unless both return the same T*, bitwise
-// identical witnesses, and a witness that CheckFractional accepts.
+// RelaxDiff runs relax.MinFeasibleT on a warm-starting workspace and
+// ColdMinFeasibleT (the cold oracle) on in, and asks for each one's
+// witness at T* with relax.Feasible, the warm one on the searched
+// workspace. It fails unless both return the same T*, bitwise identical
+// witnesses, and a witness that CheckFractional accepts.
 func RelaxDiff(ctx context.Context, in *model.Instance) error {
 	warmWS := relax.NewWorkspace()
 	tWarm, errWarm := relax.MinFeasibleT(ctx, in, warmWS)
-	coldWS := relax.NewWorkspace()
-	coldWS.LP.SetWarmStart(false)
-	tCold, errCold := relax.MinFeasibleT(ctx, in, coldWS)
+	tCold, _, errCold := ColdMinFeasibleT(ctx, in)
 	if (errWarm == nil) != (errCold == nil) {
 		return fmt.Errorf("error disagreement: warm=%v cold=%v", errWarm, errCold)
 	}
@@ -213,7 +212,7 @@ func RelaxDiff(ctx context.Context, in *model.Instance) error {
 	if err != nil {
 		return fmt.Errorf("warm workspace: %w", err)
 	}
-	frCold, err := witness(ctx, in, tCold, coldWS)
+	frCold, err := witness(ctx, in, tCold, relax.NewWorkspace())
 	if err != nil {
 		return fmt.Errorf("cold workspace: %w", err)
 	}
@@ -232,6 +231,48 @@ func RelaxDiff(ctx context.Context, in *model.Instance) error {
 		return fmt.Errorf("counter imbalance: %+v", st.LP)
 	}
 	return nil
+}
+
+// ColdMinFeasibleT is the cold reference for relax.MinFeasibleT: the
+// same bisection over relax.Bracket and the same check of the bracket's
+// assignment at its top, but every probe is a relax.Workspace.Verdict on
+// a fresh lp.Workspace, so none re-enters a retained basis. It returns
+// T* and the probes' simplex work summed: each fresh workspace serves
+// one cold Verdict, so Solves, ColdSolves, Pivots and RowUpdates are the
+// only counters that move.
+func ColdMinFeasibleT(ctx context.Context, in *model.Instance) (int64, lp.Counters, error) {
+	var work lp.Counters
+	ws := relax.NewWorkspace()
+	lo, hi, a := relax.Bracket(in, ws)
+	if hi >= model.Infinity {
+		return 0, work, fmt.Errorf("relax: some job has no admissible set")
+	}
+	r := relax.NewRelaxation(in)
+	top := hi
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		ws.LP = lp.NewWorkspace()
+		ok, err := ws.Verdict(ctx, r, mid)
+		st := ws.LP.Stats()
+		work.Solves += st.Solves
+		work.ColdSolves += st.ColdSolves
+		work.Pivots += st.Pivots
+		work.RowUpdates += st.RowUpdates
+		if err != nil {
+			return 0, work, err
+		}
+		if ok {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == top {
+		if err := a.Check(in, lo); err != nil {
+			return 0, work, fmt.Errorf("relax: bracket assignment infeasible at its bound %d: %w", lo, err)
+		}
+	}
+	return lo, work, nil
 }
 
 // witness solves the relaxation at T for its fractional solution and
