@@ -4,7 +4,8 @@
 GO ?= go
 
 .PHONY: all build vet fmt-check lint-docs test race bench-quick bench-packs \
-	bench-full bench-alloc bench-hot profile pivot-addr hspd-smoke fuzz-smoke bench-check ci
+	bench-full bench-alloc bench-hot profile pivot-addr hspd-smoke fuzz-smoke bench-check \
+	fallback ci
 
 all: build vet test
 
@@ -36,6 +37,17 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The portable Go path of the pivot's row update (internal/lp's
+# subScaledGo, which every platform but amd64 with AVX2 runs) against
+# the goldens: 386 computes with SSE2 scalar floats, so the solver
+# packages and hbench's quick goldens must pass there byte for byte.
+# arm64 is vetted only, since this target runs no arm64 binary; the
+# kernel's explicit rounding keeps its compiler from fusing the
+# multiply and subtract.
+fallback:
+	GOARCH=386 $(GO) test ./internal/lp ./internal/relax ./internal/memcap ./internal/serve ./cmd/hbench
+	GOARCH=arm64 $(GO) vet ./internal/lp
+
 # The reproduction gate: the quick paper suite on the parallel runner,
 # stable JSON records, nonzero exit on any claim-check failure, and a
 # drift-checked record appended to the BENCH_hbench.json trajectory.
@@ -66,21 +78,30 @@ bench-full:
 bench-alloc:
 	$(GO) test -count=1 -run 'AllocFree|SteadyStateAllocs' ./internal/lp ./internal/exact ./internal/relax
 
-# The hot-path benchmarks with allocation counts: the LP oracle per
-# solve, the Section V binary search (fresh, and on a reused workspace
-# whose pivots/op is the search's effort ledger), one exact
-# branch-and-bound probe, one E15 probe that exhausts its 200,000-node
-# cap (nodes/op, ns/node), an rt admission sweep (four fresh tests vs one
-# Tester), memcap's Model 1 and Model 2 solves (fresh vs warmed
-# workspace), and one cache hit through the daemon's HTTP handler. Compare against the tables in
+# The hot-path benchmarks with allocation counts: the pivot's row-update
+# kernel against its Go loop (a served row of 230 columns and an E12
+# m=32 row of 10,000), the LP oracle per solve, the Section V binary
+# search (fresh, and on a reused workspace whose pivots/op is the
+# search's effort ledger), one exact branch-and-bound probe, one E15
+# probe that exhausts its 200,000-node cap (nodes/op, ns/node), an rt
+# admission sweep (four fresh tests vs one Tester), memcap's Model 1 and
+# Model 2 solves (fresh vs warmed workspace), and one cache hit through
+# the daemon's HTTP handler. Every line pins -benchtime, so per-op counts
+# compare across runs: BenchmarkMinFeasibleTWarm's first search starts
+# cold and every later one re-enters the previous search's anchor, so
+# its pivots/op moves with b.N. At these counts the LP lines read
+# MinFeasibleT 179 pivots and 1,323 row updates per op, MinFeasibleTWarm
+# 93.58 / 798.0 / 0.9363 warm-hit ratio, and SolveModel1 and SolveModel2
+# 442 and 390 pivots per op. Compare against the tables in
 # PERFORMANCE.md.
 bench-hot:
-	$(GO) test -run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveWS$$' -benchmem ./internal/lp
-	$(GO) test -run '^$$' -bench 'BenchmarkMinFeasibleT$$|BenchmarkMinFeasibleTWarm$$' -benchmem ./internal/relax
-	$(GO) test -run '^$$' -bench 'BenchmarkFeasibleAssignment$$|BenchmarkFeasibleAssignmentCapped$$' -benchmem ./internal/exact
-	$(GO) test -run '^$$' -bench 'BenchmarkSweep$$' -benchmem ./internal/rt
-	$(GO) test -run '^$$' -bench 'BenchmarkSolveModel[12]$$' -benchmem ./internal/memcap
-	$(GO) test -run '^$$' -bench 'BenchmarkCacheHit$$' -benchmem ./internal/serve
+	$(GO) test -run '^$$' -bench 'BenchmarkSubScaled$$' -benchtime 20000x ./internal/lp
+	$(GO) test -run '^$$' -bench 'BenchmarkSolve$$|BenchmarkSolveWS$$' -benchtime 200x -benchmem ./internal/lp
+	$(GO) test -run '^$$' -bench 'BenchmarkMinFeasibleT$$|BenchmarkMinFeasibleTWarm$$' -benchtime 200x -benchmem ./internal/relax
+	$(GO) test -run '^$$' -bench 'BenchmarkFeasibleAssignment$$|BenchmarkFeasibleAssignmentCapped$$' -benchtime 100x -benchmem ./internal/exact
+	$(GO) test -run '^$$' -bench 'BenchmarkSweep$$' -benchtime 500x -benchmem ./internal/rt
+	$(GO) test -run '^$$' -bench 'BenchmarkSolveModel[12]$$' -benchtime 200x -benchmem ./internal/memcap
+	$(GO) test -run '^$$' -bench 'BenchmarkCacheHit$$' -benchtime 20000x -benchmem ./internal/serve
 
 # Daemon smoke: the repository benchmark's two serving workloads
 # (hspbench, BENCHMARK.json) for 3 seconds each against an in-process
@@ -131,7 +152,10 @@ hspd-smoke:
 # other solves equals a fresh workspace's) — plus the exact
 # branch-and-bound kernel (on arbitrary small instances, makespans and
 # node caps, the slack-step DFS walks the reference chain-walk kernel's
-# tree: same verdict, witness, node counts and cap error). Targets run
+# tree: same verdict, witness, node counts and cap error) — plus the
+# pivot's row-update kernel (on arbitrary bit patterns, lengths and
+# start offsets, the dispatched kernel and the AVX2 assembly compute the
+# Go loop's bits). Targets run
 # one at a time — go test allows a single -fuzz pattern per package.
 FUZZTIME ?= 10s
 
@@ -146,6 +170,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTesterMatchesTest' -fuzztime $(FUZZTIME) ./internal/rt
 	$(GO) test -run '^$$' -fuzz 'FuzzMemcapWorkspace' -fuzztime $(FUZZTIME) ./internal/memcap
 	$(GO) test -run '^$$' -fuzz 'FuzzExactKernel' -fuzztime $(FUZZTIME) ./internal/exact
+	$(GO) test -run '^$$' -fuzz 'FuzzSubScaled' -fuzztime $(FUZZTIME) ./internal/lp
 
 # The repository benchmark (BENCHMARK.json) is a Go module of its own in
 # hspbench/, which the root `go test ./...` does not enter: vet it and
@@ -171,13 +196,15 @@ profile:
 # End-to-end timings on one host can follow lp.(*tableau).pivot's
 # address modulo 64 as well as the work done (see CHANGES.md). This
 # builds the benchmark binary as hspbench/run.sh does, into out/, and
-# prints that address and its value mod 64; compare it before and after
-# a change to read the change's timings.
+# prints that address and its value mod 64, and the same for the
+# row-update kernel's assembly (lp.subScaledAVX2, amd64 only); compare
+# them before and after a change to read the change's timings.
 pivot-addr:
 	@mkdir -p out
 	cd hspbench && GOFLAGS= GOWORK=off $(GO) build -o ../out/hspbench .
-	@addr=$$($(GO) tool nm out/hspbench | awk '$$3 == "hsp/internal/lp.(*tableau).pivot" { print $$1 }'); \
-		test -n "$$addr" || { echo "pivot-addr: lp.(*tableau).pivot not found" >&2; exit 1; }; \
-		echo "lp.(*tableau).pivot 0x$$addr mod 64 = $$(( 0x$$addr % 64 ))"
+	@$(GO) tool nm out/hspbench | awk '$$3 == "hsp/internal/lp.(*tableau).pivot" || \
+		$$3 == "hsp/internal/lp.subScaledAVX2.abi0" { print $$3, $$1 }' > out/pivot-addr.txt
+	@grep -q 'pivot ' out/pivot-addr.txt || { echo "pivot-addr: lp.(*tableau).pivot not found" >&2; exit 1; }
+	@while read sym addr; do echo "$${sym#hsp/internal/} 0x$$addr mod 64 = $$(( 0x$$addr % 64 ))"; done < out/pivot-addr.txt
 
-ci: build vet fmt-check lint-docs race bench-alloc bench-check fuzz-smoke bench-quick bench-packs bench-full hspd-smoke
+ci: build vet fmt-check lint-docs race fallback bench-alloc bench-check fuzz-smoke bench-quick bench-packs bench-full hspd-smoke

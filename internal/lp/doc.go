@@ -24,6 +24,20 @@
 // per-pivot arithmetic: one Err() call per O(rows·cols) pivot, never one
 // per tableau element.
 //
+// # The row update
+//
+// Nearly all of a pivot's time is one loop, row[j] -= f·prow[j], run for
+// every row it updates and for the cost row. That loop is subScaled. On
+// amd64 with AVX2 (checked once at package init with CPUID and XGETBV) it
+// is assembly that works on four lanes at a time: VMULPD rounds each
+// product, then VSUBPD subtracts it. That is the same IEEE
+// multiply-then-subtract, under the same MXCSR rounding, as the scalar
+// MULSD/SUBSD the Go loop compiles to, and it never uses a fused
+// multiply-add, so every tableau holds the same bits either way.
+// Elsewhere subScaled is the Go loop, written with an explicit float64
+// conversion of the product so that no compiler (arm64's would) fuses
+// the two operations: every platform computes the same tableaux.
+//
 // # Verdict-only solves
 //
 // Verdict answers feasibility alone, for the binary searches' probes

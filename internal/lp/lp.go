@@ -567,7 +567,7 @@ func (t *tableau) chooseLeaving(enter int) int {
 // pivot makes column enter basic in row leave, updating the cost row.
 // A row whose entering-column entry is zero needs no update. Under a
 // Verdict, an entry below t.drop in magnitude is set to zero and its row
-// skipped as well.
+// skipped as well. Each row update is one subScaled call.
 func (t *tableau) pivot(leave, enter int) {
 	nc := t.ncols
 	prow := t.a[leave*nc : (leave+1)*nc]
@@ -593,9 +593,7 @@ func (t *tableau) pivot(leave, enter int) {
 		}
 		updates++
 		row := t.a[r*nc : (r+1)*nc]
-		for j := 0; j < nc; j++ {
-			row[j] -= f * prow[j]
-		}
+		subScaled(row, prow, f)
 		row[enter] = 0 // exact
 		t.rhs[r] -= f * t.rhs[leave]
 		if t.rhs[r] < 0 && t.rhs[r] > -zeroTol {
@@ -604,9 +602,7 @@ func (t *tableau) pivot(leave, enter int) {
 	}
 	if f := t.cost[enter]; f != 0 {
 		cost := t.cost
-		for j := 0; j < nc; j++ {
-			cost[j] -= f * prow[j]
-		}
+		subScaled(cost[:nc], prow, f)
 		cost[enter] = 0
 		cost[nc] -= f * t.rhs[leave]
 	}
